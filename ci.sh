@@ -233,10 +233,22 @@ done
 test "$coalesced_ok" -eq 1
 rm -f coalesce_summary.txt
 
-# SoA differential smoke: the reference engine and the SoA engine must
+# SoA differential smoke: the naive oracle and the SoA engine must
 # produce identical detected fault sets at every word width (64/256/512)
 # on two designs; `soa-check` exits nonzero on any difference.
 ./target/release/hlstb soa-check figure1 tseng
+
+# Digest smoke: a short perfbench run of the 297-point scoreboard sweep,
+# in-process and over TCP worker lanes, must reproduce the committed
+# per-design report digests (perfbench/digests.txt) bit for bit; the
+# last stdout line reports `"correct": true` only when every point
+# matched.
+for w in scoreboard scoreboard-lanes; do
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 2 --trace 0 >digest_smoke.json
+    tail -n 1 digest_smoke.json | grep -q '"correct": true'
+done
+rm -f digest_smoke.json
 
 # Events smoke: the same tiny sweep journaled at 1 thread uncached and
 # 4 threads cached must produce byte-identical canonical journals, and

@@ -1,22 +1,25 @@
-//! E21 — the fault-grading engine itself: fault dropping and sharded
-//! workers timed on the nine-design random-pattern sweep (the same
-//! substrate as E13's coverage curves).
+//! E21 — the fault-grading engine itself: the SoA engine at 64- and
+//! 512-pattern words timed against the naive oracle on the nine-design
+//! random-pattern sweep (the same substrate as E13's coverage curves).
 //!
 //! Every configuration grades the *same* fault universe against the
 //! *same* pseudorandom frames, so the detected sets must be
 //! bit-identical; the sweep asserts that. What varies is only the work:
-//! the naive engine evaluates every live fault under every frame, the
-//! engine drops a fault the moment it is detected and restricts each
-//! faulty evaluation to the fault's output cone, and the sharded
-//! configurations split the universe across `std::thread::scope`
-//! workers.
+//! the naive oracle runs one full faulty-machine evaluation per fault
+//! and frame, while the engine screens unexcited and unobservable
+//! faults, drops a fault the moment it is detected, and grades each
+//! fault through its fanout-free region and a memoized stem flip.
 
 use std::time::Duration;
 
 use hlstb::cdfg::benchmarks;
 use hlstb::flow::{DftStrategy, SynthesisFlow};
-use hlstb::netlist::fault::collapsed_faults;
-use hlstb::netlist::fsim::{comb_fault_sim_opts, ParallelOptions, TestFrame};
+use hlstb::netlist::fault::{collapsed_faults, Fault};
+use hlstb::netlist::fsim::{
+    comb_fault_sim_opts, comb_fault_sim_oracle, scan_observed, FaultSimSummary, ParallelOptions,
+    TestFrame,
+};
+use hlstb::netlist::net::Netlist;
 use hlstb::netlist::stats::GradeStats;
 use hlstb::netlist::word::WordWidth;
 use hlstb_cdfg::Cdfg;
@@ -25,40 +28,41 @@ use rand::{Rng, SeedableRng};
 
 use crate::Table;
 
-/// The engine configurations the sweep compares, in report order. The
-/// first is the baseline every speedup is quoted against.
-pub fn configs() -> Vec<(&'static str, ParallelOptions)> {
+/// How one configuration grades.
+#[derive(Debug, Clone, Copy)]
+pub enum Grader {
+    /// The naive oracle ([`comb_fault_sim_oracle`]).
+    Oracle,
+    /// The SoA engine ([`comb_fault_sim_opts`]) under these options.
+    Engine(ParallelOptions),
+}
+
+impl Grader {
+    fn grade(
+        &self,
+        nl: &Netlist,
+        faults: &[Fault],
+        frames: &[TestFrame],
+    ) -> (FaultSimSummary, GradeStats) {
+        match self {
+            Grader::Oracle => comb_fault_sim_oracle(nl, faults, frames, &scan_observed(nl)),
+            Grader::Engine(opts) => comb_fault_sim_opts(nl, faults, frames, opts),
+        }
+    }
+}
+
+/// The configurations the sweep compares, in report order. The first
+/// is the baseline every speedup is quoted against.
+pub fn configs() -> Vec<(&'static str, Grader)> {
+    // The serial engine at the production width (one 64-pattern word
+    // per frame) and at its widest word. Same universe, same frames,
+    // same detected set — the sweep's assertion below is the committed
+    // differential check against the oracle.
+    let soa = |width| Grader::Engine(ParallelOptions::with_width(width));
     vec![
-        (
-            "naive",
-            ParallelOptions {
-                threads: 1,
-                drop_detected: false,
-                ..ParallelOptions::default()
-            },
-        ),
-        (
-            "drop",
-            ParallelOptions {
-                threads: 1,
-                drop_detected: true,
-                ..ParallelOptions::default()
-            },
-        ),
-        // The threaded configurations keep the default small-universe
-        // gate: on the benchmark designs (402–1.7k faults, all below
-        // `DEFAULT_MIN_FAULTS_PER_THREAD`) they fall back to one worker,
-        // which is exactly the fix the sweep documents — sharding such
-        // small universes used to *lose* to serial dropping.
-        ("drop-2t", ParallelOptions::with_threads(2)),
-        ("drop-4t", ParallelOptions::with_threads(4)),
-        // The levelized structure-of-arrays engine at each pattern-word
-        // width (64, 256, 512 patterns per frame chunk). Same universe,
-        // same frames, same detected set — the sweep's assertion below
-        // is the committed differential check between engines.
-        ("soa", ParallelOptions::soa(WordWidth::W64)),
-        ("soa-256", ParallelOptions::soa(WordWidth::W256)),
-        ("soa-512", ParallelOptions::soa(WordWidth::W512)),
+        ("naive", Grader::Oracle),
+        ("soa", soa(WordWidth::W64)),
+        ("soa-512", soa(WordWidth::W512)),
     ]
 }
 
@@ -112,8 +116,8 @@ pub fn sweep_designs(designs: &[Cdfg], patterns: usize) -> FsimSweep {
             })
             .collect();
         let mut baseline = None;
-        for (name, opts) in configs() {
-            let (summary, stats) = comb_fault_sim_opts(nl, &faults, &frames, &opts);
+        for (name, grader) in configs() {
+            let (summary, stats) = grader.grade(nl, &faults, &frames);
             let detected = summary.detected.clone();
             let cov = summary.coverage_percent();
             match &baseline {
@@ -147,16 +151,10 @@ impl FsimSweep {
             .sum()
     }
 
-    /// Whole-sweep speedup of `config` over the naive baseline.
+    /// Whole-sweep fault-phase speedup of `config` over the naive
+    /// oracle.
     pub fn speedup(&self, config: &str) -> f64 {
-        self.speedup_over("naive", config)
-    }
-
-    /// Whole-sweep fault-phase speedup of `config` over `base` — the
-    /// `soa-512` headline is quoted against `drop`, the strongest
-    /// serial configuration of the reference engine.
-    pub fn speedup_over(&self, base: &str, config: &str) -> f64 {
-        let base = self.total_wall(base).as_secs_f64();
+        let base = self.total_wall("naive").as_secs_f64();
         let ours = self.total_wall(config).as_secs_f64();
         if ours > 0.0 {
             base / ours
@@ -169,16 +167,13 @@ impl FsimSweep {
     /// each configuration and the dropped/evaluated work split.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
-            "E21  Grading engine: dropping, sharding, and the SoA event engine vs naive grading",
+            "E21  Grading engine: the SoA event engine vs the naive oracle",
             &[
                 "design",
                 "faults",
                 "cov %",
                 "naive ms",
-                "drop ms",
-                "drop-4t ms",
                 "soa ms",
-                "soa-256 ms",
                 "soa-512 ms",
                 "evals saved %",
             ],
@@ -200,19 +195,16 @@ impl FsimSweep {
                     .expect("every design ran every config")
             };
             let naive = of("naive");
-            let drop = of("drop");
+            let soa = of("soa");
             let ms = |r: &EngineRun| format!("{:.2}", r.stats.wall_fault.as_secs_f64() * 1e3);
             let saved = 100.0
-                * (1.0 - drop.stats.fault_evals as f64 / naive.stats.fault_evals.max(1) as f64);
+                * (1.0 - soa.stats.fault_evals as f64 / naive.stats.fault_evals.max(1) as f64);
             t.row(vec![
                 design.to_string(),
                 naive.stats.faults.to_string(),
                 format!("{:.1}", naive.coverage_percent),
                 ms(naive),
-                ms(drop),
-                ms(of("drop-4t")),
-                ms(of("soa")),
-                ms(of("soa-256")),
+                ms(soa),
                 ms(of("soa-512")),
                 format!("{saved:.1}"),
             ]);
@@ -231,25 +223,17 @@ impl FsimSweep {
         out.push_str("  \"experiment\": \"fsim_engine\",\n");
         out.push_str(&format!("  \"patterns\": {},\n", self.patterns));
         out.push_str(&format!(
-            "  \"speedup_drop_vs_naive\": {:.3},\n",
-            self.speedup("drop")
-        ));
-        out.push_str(&format!(
-            "  \"speedup_drop_4t_vs_naive\": {:.3},\n",
-            self.speedup("drop-4t")
-        ));
-        out.push_str(&format!(
             "  \"speedup_soa_vs_naive\": {:.3},\n",
             self.speedup("soa")
         ));
         out.push_str(&format!(
-            "  \"speedup_soa512_vs_drop\": {:.3},\n",
-            self.speedup_over("drop", "soa-512")
+            "  \"speedup_soa512_vs_naive\": {:.3},\n",
+            self.speedup("soa-512")
         ));
         // The committed perf gate: `hlstb perf-diff --floor` fails CI
         // when a headline above drops below its floor. Raise the floor
         // deliberately when the engine changes speed class.
-        out.push_str("  \"floors\": {\"speedup_soa512_vs_drop\": 4.0},\n");
+        out.push_str("  \"floors\": {\"speedup_soa512_vs_naive\": 52.0},\n");
         out.push_str("  \"runs\": [\n");
         for (i, r) in self.runs.iter().enumerate() {
             let mut phases = Obj::new();
@@ -296,14 +280,14 @@ mod tests {
                 .iter()
                 .find(|r| r.design == d && r.config == "naive")
                 .unwrap();
-            let drop = s
+            let soa = s
                 .runs
                 .iter()
-                .find(|r| r.design == d && r.config == "drop")
+                .find(|r| r.design == d && r.config == "soa")
                 .unwrap();
             assert_eq!(naive.stats.dropped, 0, "{d}");
-            assert!(drop.stats.dropped > 0, "{d}");
-            assert!(drop.stats.fault_evals < naive.stats.fault_evals, "{d}");
+            assert!(soa.stats.dropped > 0, "{d}");
+            assert!(soa.stats.fault_evals < naive.stats.fault_evals, "{d}");
         }
     }
 
@@ -314,7 +298,7 @@ mod tests {
         for (name, _) in configs() {
             assert!(j.contains(&format!("\"config\": \"{name}\"")), "{j}");
         }
-        assert!(j.contains("\"speedup_drop_4t_vs_naive\""));
+        assert!(j.contains("\"speedup_soa512_vs_naive\""));
     }
 
     #[test]

@@ -754,6 +754,7 @@ mod tests {
 
         let cache = ArtifactCache::new();
         let computed = AtomicUsize::new(0);
+        let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -761,6 +762,7 @@ mod tests {
                     .facts
                     .get_or_try(9, || {
                         computed.fetch_add(1, Ordering::SeqCst);
+                        entered.wait();
                         release.wait();
                         Ok::<_, String>(SgraphFacts {
                             cycles: 3,
@@ -771,6 +773,8 @@ mod tests {
                 assert_eq!(v.cycles, 3);
                 assert_eq!(outcome, CacheOutcome::Miss);
             });
+            // The leader owns the flight before any waiter looks up.
+            entered.wait();
             let waiters: Vec<_> = (0..3)
                 .map(|_| {
                     s.spawn(|| {
@@ -814,15 +818,19 @@ mod tests {
         use std::sync::Barrier;
 
         let cache = ArtifactCache::new();
+        let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 let r = cache.facts.get_or_try(5, || {
+                    entered.wait();
                     release.wait();
                     Err::<SgraphFacts, _>("boom".to_string())
                 });
                 assert!(r.is_err());
             });
+            // The leader owns the flight before the waiter looks up.
+            entered.wait();
             let waiter = s.spawn(|| {
                 cache
                     .facts
@@ -852,6 +860,7 @@ mod tests {
         use std::sync::Barrier;
 
         let cache = ArtifactCache::new();
+        let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -859,12 +868,15 @@ mod tests {
                     cache
                         .facts
                         .get_or_try(6, || -> Result<SgraphFacts, String> {
+                            entered.wait();
                             release.wait();
                             panic!("injected")
                         })
                 }));
                 assert!(r.is_err());
             });
+            // The leader owns the flight before the waiter looks up.
+            entered.wait();
             let waiter = s.spawn(|| {
                 cache
                     .facts
@@ -987,12 +999,14 @@ mod tests {
             max_entries: Some(1),
             max_bytes: None,
         });
+        let entered = Barrier::new(2);
         let release = Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 let (v, outcome) = cache
                     .facts
                     .get_or_try(7, || {
+                        entered.wait();
                         release.wait();
                         Ok::<_, String>(facts_of(7))
                     })
@@ -1000,6 +1014,8 @@ mod tests {
                 assert_eq!(v.cycles, 7);
                 assert_eq!(outcome, CacheOutcome::Miss);
             });
+            // The leader owns the flight before the waiter looks up.
+            entered.wait();
             let waiter = s.spawn(|| {
                 cache
                     .facts

@@ -11,33 +11,37 @@
 //!
 //! Every entry point has an `_opts` variant taking a
 //! [`ParallelOptions`] and returning a [`GradeStats`] alongside the
-//! summary. The engine grades fault-major: per frame the good machine
-//! is evaluated once, then each fault is checked with a
-//! faulty-machine evaluation restricted to the fault's combinational
-//! fanout cone (nets outside the cone cannot differ from the good
-//! values, so they are read through). Three screens avoid work without
-//! ever changing the detected set:
+//! summary. Combinational frames are graded by the levelized
+//! structure-of-arrays engine in [`crate::soa`], which packs
+//! [`ParallelOptions::word_width`] frames into each pattern word. Three
+//! screens avoid work without ever changing the detected set:
 //!
 //! * **activation** — a fault whose good value equals the stuck value
-//!   on every parallel pattern is not excited in this frame;
-//! * **observability** — a fault whose cone reaches no observation
-//!   point is structurally undetectable;
+//!   on every live pattern is not excited in this frame;
+//! * **observability** — a fault whose fanout cone reaches no
+//!   observation point is structurally undetectable;
 //! * **fault dropping** — once detected, a fault's remaining frames
 //!   are skipped (detection is monotone in the frame set).
 //!
-//! With `threads > 1` the fault universe is sharded contiguously
-//! across `std::thread::scope` workers. Shards are disjoint and each
-//! fault's verdict depends only on the shared good-machine trace, so
-//! the merged result is bit-identical to the serial one regardless of
-//! scheduling — the default options keep the engine serial anyway.
+//! [`comb_fault_sim_oracle`] is the independent reference the engine is
+//! held to: serial, one full faulty-machine evaluation per fault and
+//! frame, and none of the screens above. The differential suites and
+//! `hlstb soa-check` compare the engine against it.
+//!
+//! With `threads > 1` combinational and sequential grading shard the
+//! fault universe contiguously across `std::thread::scope` workers, in
+//! one shared fault phase. Shards are disjoint and each fault's verdict
+//! depends only on the shared good-machine trace, so the merged result
+//! is bit-identical to the serial one regardless of scheduling — the
+//! default options keep the engine serial anyway.
 //!
 //! ## The small-universe gate
 //!
 //! Spawning workers is not free: each worker pays the thread-spawn
-//! cost and rebuilds its own cone cache, so for small fault universes
-//! the sharded engine is *slower* than the serial one (the original
-//! `BENCH_fsim.json` showed drop-2t/drop-4t behind serial drop on
-//! every benchmark design, all of which collapse to under ~2k faults).
+//! cost and builds its own scratch state, so for small fault universes
+//! the sharded engine is *slower* than the serial one (every benchmark
+//! design collapses to under ~2k faults, and sharding them measured
+//! behind serial grading).
 //! [`ParallelOptions::min_faults_per_thread`] gates the shard count:
 //! the engine uses at most `faults / min_faults_per_thread` workers
 //! (never fewer than one), falling back to the serial path when the
@@ -48,11 +52,11 @@
 //! that must exercise the sharded path do this).
 
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::deadline::Deadline;
 use crate::fault::Fault;
-use crate::net::{GateId, GateKind, NetId, Netlist};
+use crate::net::{NetId, Netlist};
 use crate::sim::{eval_comb, next_state, ForcedNet};
 use crate::stats::GradeStats;
 use crate::word::WordWidth;
@@ -125,24 +129,9 @@ impl FaultSimSummary {
     }
 }
 
-/// Which combinational grading engine runs the faulty-machine phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimEngine {
-    /// The retained reference engine: per-fault structural cone cache
-    /// over the per-gate netlist view, one 64-pattern word per frame.
-    /// Default, and the correctness anchor the SoA engine is
-    /// differential-tested against.
-    #[default]
-    Reference,
-    /// The levelized structure-of-arrays engine ([`crate::soa`]):
-    /// event-driven propagation over flat index arrays, with frames
-    /// packed [`ParallelOptions::word_width`] lanes per pattern word.
-    Soa,
-}
-
 /// Options for the grading engine. The default — one thread, fault
-/// dropping on, the reference engine at 64-pattern words — reproduces
-/// the historical serial behavior and results.
+/// dropping on, 64-pattern words — reproduces the historical serial
+/// behavior and results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelOptions {
     /// Worker threads for the faulty-machine phase; `1` grades in place
@@ -162,11 +151,9 @@ pub struct ParallelOptions {
     /// [`deadline_poll_stride`] faults and stop early with
     /// [`GradeStats::timed_out`] set; the default never expires.
     pub deadline: Deadline,
-    /// Which faulty-machine engine grades combinational frames.
-    pub engine: SimEngine,
-    /// Pattern-word width of the SoA engine: how many frames are packed
-    /// into one [`crate::word::PatternWord`]. Ignored by the reference
-    /// engine, whose frames are inherently one 64-bit word wide.
+    /// Pattern-word width of combinational grading: how many frames are
+    /// packed into one [`crate::word::PatternWord`]. Sequential grading
+    /// steps one 64-pattern word per cycle and ignores it.
     pub word_width: WordWidth,
 }
 
@@ -195,7 +182,7 @@ pub fn deadline_poll_stride(lanes: usize) -> usize {
 }
 
 /// Default for [`ParallelOptions::min_faults_per_thread`]: below ~4k
-/// faults per worker, thread-spawn cost and per-worker cone-cache
+/// faults per worker, thread-spawn cost and per-worker scratch
 /// duplication outweigh the parallel win on every design we measure.
 pub const DEFAULT_MIN_FAULTS_PER_THREAD: usize = 4096;
 
@@ -206,7 +193,6 @@ impl Default for ParallelOptions {
             drop_detected: true,
             min_faults_per_thread: DEFAULT_MIN_FAULTS_PER_THREAD,
             deadline: Deadline::none(),
-            engine: SimEngine::Reference,
             word_width: WordWidth::W64,
         }
     }
@@ -218,10 +204,9 @@ impl ParallelOptions {
         ParallelOptions::default()
     }
 
-    /// The serial SoA engine at the given pattern-word width.
-    pub fn soa(width: WordWidth) -> Self {
+    /// The serial engine at the given pattern-word width.
+    pub fn with_width(width: WordWidth) -> Self {
         ParallelOptions {
-            engine: SimEngine::Soa,
             word_width: width,
             ..ParallelOptions::default()
         }
@@ -269,7 +254,7 @@ fn forced(fault: Fault) -> ForcedNet {
 
 /// The default observation set: primary outputs plus every scannable
 /// flip-flop's data input (the response that would be shifted out).
-fn scan_observed(nl: &Netlist) -> Vec<NetId> {
+pub fn scan_observed(nl: &Netlist) -> Vec<NetId> {
     let scan_obs: Vec<NetId> = nl
         .scan_flops()
         .iter()
@@ -323,52 +308,118 @@ pub fn comb_fault_sim_observed_opts(
     observed: &[NetId],
     opts: &ParallelOptions,
 ) -> (FaultSimSummary, GradeStats) {
-    if opts.engine == SimEngine::Soa {
-        return crate::soa::grade_observed_opts(nl, faults, frames, observed, opts);
-    }
-    // Good-machine phase: one reference evaluation per frame, plus the
-    // engine's structural tables (fanout, topo positions, observation
-    // marks). All of it is shared read-only by the workers.
-    let good_span = hlstb_trace::span("fsim.good");
+    crate::soa::grade_observed_opts(nl, faults, frames, observed, opts)
+}
+
+/// The naive combinational grader, kept as the oracle the engine is
+/// differential-tested against: for every fault and every frame, one
+/// full [`eval_comb`] with the fault forced, compared with the good
+/// machine on the `observed` nets under the frame's lane mask. Serial,
+/// with no cones, screens, fault dropping, threads, or deadline. Pass
+/// [`scan_observed`] for the observation set of [`comb_fault_sim`].
+///
+/// The stats carry the run's shape, its work (`fault_evals` is always
+/// `faults × frames`), the phase walls, and an `unobservable` count
+/// from plain backward reachability — reported for comparison with the
+/// engine, never used to skip a fault.
+pub fn comb_fault_sim_oracle(
+    nl: &Netlist,
+    faults: &[Fault],
+    frames: &[TestFrame],
+    observed: &[NetId],
+) -> (FaultSimSummary, GradeStats) {
     let good_start = Instant::now();
-    let masks: Vec<u64> = frames.iter().map(|f| f.mask).collect();
+    // A frame without state words on a sequential circuit grades from
+    // the all-zero state.
+    let zero_ff = vec![0u64; nl.dffs().len()];
+    let states: Vec<&[u64]> = frames
+        .iter()
+        .map(|f| if f.ff.is_empty() { &zero_ff } else { &f.ff })
+        .map(Vec::as_slice)
+        .collect();
     let goods: Vec<Vec<u64>> = frames
         .iter()
-        .map(|frame| {
-            let ff = if frame.ff.is_empty() && !nl.dffs().is_empty() {
-                vec![0u64; nl.dffs().len()]
-            } else {
-                frame.ff.clone()
-            };
-            eval_comb(nl, &frame.pi, &ff, None)
-        })
+        .zip(&states)
+        .map(|(f, ff)| eval_comb(nl, &f.pi, ff, None))
         .collect();
-    let engine = ConeEngine::new(nl, observed);
     let wall_good = good_start.elapsed();
-    good_span.end();
 
-    let fault_span = hlstb_trace::span("fsim.fault");
     let fault_start = Instant::now();
+    let mut detected = BTreeSet::new();
+    for &fault in faults {
+        for ((frame, ff), good) in frames.iter().zip(&states).zip(&goods) {
+            let faulty = eval_comb(nl, &frame.pi, ff, Some(forced(fault)));
+            if observed
+                .iter()
+                .any(|n| (faulty[n.index()] ^ good[n.index()]) & frame.mask != 0)
+            {
+                detected.insert(fault);
+            }
+        }
+    }
+    let wall_fault = fault_start.elapsed();
+
+    // Backward reachability from the observation points through the
+    // combinational gates; a flip-flop ends the frame.
+    let mut reaches = vec![false; nl.num_nets()];
+    for net in observed {
+        reaches[net.index()] = true;
+    }
+    for &gid in nl.topo().iter().rev() {
+        if reaches[gid.net().index()] {
+            for input in &nl.gate(gid).inputs {
+                reaches[input.index()] = true;
+            }
+        }
+    }
+    let stats = GradeStats {
+        faults: faults.len(),
+        frames: frames.len(),
+        fault_evals: (faults.len() * frames.len()) as u64,
+        unobservable: faults.iter().filter(|f| !reaches[f.net.index()]).count() as u64,
+        threads: 1,
+        wall_good,
+        wall_fault,
+        ..GradeStats::default()
+    };
+    (
+        FaultSimSummary {
+            detected,
+            total: faults.len(),
+        },
+        stats,
+    )
+}
+
+/// The faulty-machine phase shared by combinational and sequential
+/// grading: runs `grade` over the fault universe on
+/// [`ParallelOptions::effective_threads`] workers, merges the shards'
+/// detected sets and work counters, and stamps the run's shape and
+/// phase walls onto the stats. `grade` sees one contiguous shard; a
+/// single worker grades in place without spawning.
+pub(crate) fn fault_phase<G>(
+    faults: &[Fault],
+    frames: usize,
+    wall_good: Duration,
+    opts: &ParallelOptions,
+    grade: G,
+) -> (FaultSimSummary, GradeStats)
+where
+    G: Fn(&[Fault]) -> (BTreeSet<Fault>, GradeStats) + Sync,
+{
+    let span = hlstb_trace::span("fsim.fault");
+    let start = Instant::now();
     let threads = opts.effective_threads(faults.len());
-    let drop_detected = opts.drop_detected;
-    let deadline = opts.deadline;
     let (detected, mut stats) = if threads == 1 {
-        grade_comb_shard(nl, &engine, &goods, &masks, faults, drop_detected, deadline)
+        grade(faults)
     } else {
-        let chunk = faults.len().div_ceil(threads);
         let mut merged = BTreeSet::new();
         let mut counts = GradeStats::default();
         std::thread::scope(|scope| {
-            let engine = &engine;
-            let goods = &goods;
-            let masks = &masks;
+            let grade = &grade;
             let handles: Vec<_> = faults
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        grade_comb_shard(nl, engine, goods, masks, shard, drop_detected, deadline)
-                    })
-                })
+                .chunks(faults.len().div_ceil(threads))
+                .map(|shard| scope.spawn(move || grade(shard)))
                 .collect();
             for handle in handles {
                 let (shard_detected, shard_counts) =
@@ -380,11 +431,11 @@ pub fn comb_fault_sim_observed_opts(
         (merged, counts)
     };
     stats.faults = faults.len();
-    stats.frames = frames.len();
+    stats.frames = frames;
     stats.threads = threads;
     stats.wall_good = wall_good;
-    stats.wall_fault = fault_start.elapsed();
-    fault_span.end();
+    stats.wall_fault = start.elapsed();
+    span.end();
     stats.trace_bridge();
     (
         FaultSimSummary {
@@ -393,250 +444,6 @@ pub fn comb_fault_sim_observed_opts(
         },
         stats,
     )
-}
-
-/// Grades one contiguous fault shard against the shared good trace.
-#[allow(clippy::too_many_arguments)]
-fn grade_comb_shard(
-    nl: &Netlist,
-    engine: &ConeEngine,
-    goods: &[Vec<u64>],
-    masks: &[u64],
-    shard: &[Fault],
-    drop_detected: bool,
-    deadline: Deadline,
-) -> (BTreeSet<Fault>, GradeStats) {
-    let mut detected = BTreeSet::new();
-    let mut stats = GradeStats::default();
-    let mut scratch = Scratch::new(nl.num_gates());
-    // Both polarities of a net share its cone; universes list them
-    // adjacently, so caching the last cone removes half the builds.
-    let mut cached: Option<(NetId, Cone)> = None;
-    for (fault_idx, &fault) in shard.iter().enumerate() {
-        // Cooperative cutoff: stop between faults, so every counter and
-        // the detected set stay consistent. At least one fault is
-        // always graded, which keeps zero-budget runs deterministic.
-        if fault_idx > 0 && fault_idx % DEADLINE_POLL_STRIDE == 0 && deadline.expired() {
-            stats.timed_out = true;
-            break;
-        }
-        if cached.as_ref().map(|(n, _)| *n) != Some(fault.net) {
-            cached = Some((fault.net, engine.cone(fault.net, &mut scratch)));
-        }
-        let cone = &cached.as_ref().expect("cone cached above").1;
-        if cone.obs.is_empty() {
-            stats.unobservable += 1;
-            continue;
-        }
-        let stuck = if fault.stuck_at_one { u64::MAX } else { 0 };
-        let mut hit = false;
-        for (fi, good) in goods.iter().enumerate() {
-            if hit && drop_detected {
-                stats.dropped += (goods.len() - fi) as u64;
-                break;
-            }
-            // Activation screen: if the good value already equals the
-            // stuck value on every live pattern lane, the fault is not
-            // excited in this frame.
-            let gv = good[fault.net.index()];
-            if (gv ^ stuck) & masks[fi] == 0 {
-                stats.screened += 1;
-                continue;
-            }
-            stats.fault_evals += 1;
-            if engine.cone_differs(nl, cone, good, stuck, masks[fi], &mut scratch) {
-                hit = true;
-            }
-        }
-        if hit {
-            detected.insert(fault);
-        }
-    }
-    (detected, stats)
-}
-
-/// Structural tables shared by all grading workers.
-struct ConeEngine {
-    /// Net index → combinational gates reading it.
-    fanout: Vec<Vec<u32>>,
-    /// Gate index → position in topological order.
-    topo_pos: Vec<u32>,
-    /// Net index → is an observation point.
-    obs_mark: Vec<bool>,
-}
-
-/// The combinational fanout cone of one fault site.
-struct Cone {
-    /// The faulty net's index.
-    source: usize,
-    /// Downstream combinational gates, topologically sorted.
-    members: Vec<u32>,
-    /// Observation points among `{source} ∪ members`.
-    obs: Vec<u32>,
-}
-
-/// Per-worker reusable buffers: an epoch-stamped value overlay for the
-/// faulty machine (nets outside the stamp read through to the good
-/// values) and a visited stamp for cone construction.
-struct Scratch {
-    val: Vec<u64>,
-    stamp: Vec<u64>,
-    epoch: u64,
-    visited: Vec<u64>,
-    visit_epoch: u64,
-}
-
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch {
-            val: vec![0; n],
-            stamp: vec![0; n],
-            epoch: 0,
-            visited: vec![0; n],
-            visit_epoch: 0,
-        }
-    }
-}
-
-impl ConeEngine {
-    fn new(nl: &Netlist, observed: &[NetId]) -> Self {
-        let n = nl.num_gates();
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (gid, gate) in nl.gates() {
-            // Flip-flops break combinational propagation within a
-            // frame; inputs/consts have no operands.
-            if matches!(
-                gate.kind,
-                GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-            ) {
-                continue;
-            }
-            for input in &gate.inputs {
-                fanout[input.index()].push(gid.0);
-            }
-        }
-        let mut topo_pos = vec![0u32; n];
-        for (pos, gid) in nl.topo().iter().enumerate() {
-            topo_pos[gid.index()] = pos as u32;
-        }
-        let mut obs_mark = vec![false; n];
-        for net in observed {
-            obs_mark[net.index()] = true;
-        }
-        ConeEngine {
-            fanout,
-            topo_pos,
-            obs_mark,
-        }
-    }
-
-    fn cone(&self, net: NetId, scratch: &mut Scratch) -> Cone {
-        scratch.visit_epoch += 1;
-        let epoch = scratch.visit_epoch;
-        let source = net.index();
-        scratch.visited[source] = epoch;
-        let mut stack = vec![source];
-        let mut members: Vec<u32> = Vec::new();
-        while let Some(n) = stack.pop() {
-            for &g in &self.fanout[n] {
-                if scratch.visited[g as usize] != epoch {
-                    scratch.visited[g as usize] = epoch;
-                    members.push(g);
-                    stack.push(g as usize);
-                }
-            }
-        }
-        members.sort_unstable_by_key(|&g| self.topo_pos[g as usize]);
-        let mut obs: Vec<u32> = Vec::new();
-        if self.obs_mark[source] {
-            obs.push(source as u32);
-        }
-        obs.extend(
-            members
-                .iter()
-                .copied()
-                .filter(|&g| self.obs_mark[g as usize]),
-        );
-        Cone {
-            source,
-            members,
-            obs,
-        }
-    }
-
-    /// Evaluates the faulty machine on one frame, restricted to the
-    /// cone, and reports whether any observation point differs from the
-    /// good machine. Bit-identical to a full `eval_comb` with the fault
-    /// forced: nets outside the cone cannot change, so they read
-    /// through to `good`.
-    fn cone_differs(
-        &self,
-        nl: &Netlist,
-        cone: &Cone,
-        good: &[u64],
-        stuck: u64,
-        mask: u64,
-        scratch: &mut Scratch,
-    ) -> bool {
-        scratch.epoch += 1;
-        let epoch = scratch.epoch;
-        scratch.stamp[cone.source] = epoch;
-        scratch.val[cone.source] = stuck;
-        #[inline]
-        fn rd(scratch: &Scratch, good: &[u64], epoch: u64, i: usize) -> u64 {
-            if scratch.stamp[i] == epoch {
-                scratch.val[i]
-            } else {
-                good[i]
-            }
-        }
-        for &g in &cone.members {
-            let gate = nl.gate(GateId(g));
-            let ins = &gate.inputs;
-            let v = match gate.kind {
-                GateKind::Buf => rd(scratch, good, epoch, ins[0].index()),
-                GateKind::Not => !rd(scratch, good, epoch, ins[0].index()),
-                GateKind::And => {
-                    rd(scratch, good, epoch, ins[0].index())
-                        & rd(scratch, good, epoch, ins[1].index())
-                }
-                GateKind::Or => {
-                    rd(scratch, good, epoch, ins[0].index())
-                        | rd(scratch, good, epoch, ins[1].index())
-                }
-                GateKind::Nand => {
-                    !(rd(scratch, good, epoch, ins[0].index())
-                        & rd(scratch, good, epoch, ins[1].index()))
-                }
-                GateKind::Nor => {
-                    !(rd(scratch, good, epoch, ins[0].index())
-                        | rd(scratch, good, epoch, ins[1].index()))
-                }
-                GateKind::Xor => {
-                    rd(scratch, good, epoch, ins[0].index())
-                        ^ rd(scratch, good, epoch, ins[1].index())
-                }
-                GateKind::Xnor => {
-                    !(rd(scratch, good, epoch, ins[0].index())
-                        ^ rd(scratch, good, epoch, ins[1].index()))
-                }
-                GateKind::Mux => {
-                    let s = rd(scratch, good, epoch, ins[0].index());
-                    (s & rd(scratch, good, epoch, ins[1].index()))
-                        | (!s & rd(scratch, good, epoch, ins[2].index()))
-                }
-                GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. } => continue,
-            };
-            let i = g as usize;
-            scratch.stamp[i] = epoch;
-            scratch.val[i] = v;
-        }
-        // Only live pattern lanes may witness a detection: padding
-        // lanes in a partially filled frame are masked out.
-        cone.obs
-            .iter()
-            .any(|&o| (rd(scratch, good, epoch, o as usize) ^ good[o as usize]) & mask != 0)
-    }
 }
 
 /// Grades `faults` against an input sequence (64 parallel sequences per
@@ -723,12 +530,9 @@ pub fn seq_fault_sim_observed_masked_opts(
     let wall_good = good_start.elapsed();
     good_span.end();
 
-    let fault_span = hlstb_trace::span("fsim.fault");
-    let fault_start = Instant::now();
-    let threads = opts.effective_threads(faults.len());
     let drop_detected = opts.drop_detected;
     let deadline = opts.deadline;
-    let run_shard = |shard: &[Fault]| -> (BTreeSet<Fault>, GradeStats) {
+    fault_phase(faults, vectors.len(), wall_good, opts, |shard| {
         let mut detected = BTreeSet::new();
         let mut stats = GradeStats::default();
         for (fault_idx, &fault) in shard.iter().enumerate() {
@@ -763,42 +567,7 @@ pub fn seq_fault_sim_observed_masked_opts(
             }
         }
         (detected, stats)
-    };
-    let (detected, mut stats) = if threads == 1 {
-        run_shard(faults)
-    } else {
-        let chunk = faults.len().div_ceil(threads);
-        let mut merged = BTreeSet::new();
-        let mut counts = GradeStats::default();
-        std::thread::scope(|scope| {
-            let run_shard = &run_shard;
-            let handles: Vec<_> = faults
-                .chunks(chunk)
-                .map(|shard| scope.spawn(move || run_shard(shard)))
-                .collect();
-            for handle in handles {
-                let (shard_detected, shard_counts) =
-                    handle.join().expect("grading worker panicked");
-                merged.extend(shard_detected);
-                counts.merge_counts(&shard_counts);
-            }
-        });
-        (merged, counts)
-    };
-    stats.faults = faults.len();
-    stats.frames = vectors.len();
-    stats.threads = threads;
-    stats.wall_good = wall_good;
-    stats.wall_fault = fault_start.elapsed();
-    fault_span.end();
-    stats.trace_bridge();
-    (
-        FaultSimSummary {
-            detected,
-            total: faults.len(),
-        },
-        stats,
-    )
+    })
 }
 
 /// A stuck flip-flop output keeps its sampled state pinned as well.
@@ -815,6 +584,11 @@ mod tests {
     use super::*;
     use crate::fault::all_faults;
     use crate::net::{GateKind, NetlistBuilder};
+
+    /// The oracle's verdict on the default (scan) observation set.
+    fn oracle(nl: &Netlist, faults: &[Fault], frames: &[TestFrame]) -> FaultSimSummary {
+        comb_fault_sim_oracle(nl, faults, frames, &scan_observed(nl)).0
+    }
 
     fn xor_tree() -> Netlist {
         let mut b = NetlistBuilder::new("xt");
@@ -840,9 +614,11 @@ mod tests {
                 }
             }
         }
-        let r = comb_fault_sim(&nl, &faults, &[TestFrame::new(pi, Vec::new())]);
+        let frames = [TestFrame::new(pi, Vec::new())];
+        let r = comb_fault_sim(&nl, &faults, &frames);
         assert_eq!(r.detected.len(), r.total);
         assert_eq!(r.coverage_percent(), 100.0);
+        assert_eq!(oracle(&nl, &faults, &frames), r);
     }
 
     #[test]
@@ -852,6 +628,7 @@ mod tests {
         let r = comb_fault_sim(&nl, &faults, &[]);
         assert!(r.detected.is_empty());
         assert_eq!(r.coverage_percent(), 0.0);
+        assert_eq!(oracle(&nl, &faults, &[]), r);
     }
 
     #[test]
@@ -864,9 +641,10 @@ mod tests {
         b.output("o", g);
         let nl = b.finish().unwrap();
         let faults = vec![Fault::sa0(x), Fault::sa1(x)];
-        let pi = vec![0b01u64];
-        let r = comb_fault_sim(&nl, &faults, &[TestFrame::new(pi, Vec::new())]);
+        let frames = [TestFrame::new(vec![0b01u64], Vec::new())];
+        let r = comb_fault_sim(&nl, &faults, &frames);
         assert!(r.detected.is_empty());
+        assert_eq!(oracle(&nl, &faults, &frames), r);
     }
 
     #[test]
@@ -899,6 +677,7 @@ mod tests {
         ];
         let r = comb_fault_sim(&nl, &faults, &frames);
         assert_eq!(r.detected.len(), 2);
+        assert_eq!(oracle(&nl, &faults, &frames), r);
     }
 
     #[test]
@@ -917,7 +696,7 @@ mod tests {
     }
 
     /// A multi-level circuit with reconvergence, flops, and a mux, used
-    /// to cross-check the cone engine against every option combination.
+    /// to cross-check the engine against every option combination.
     fn mixed_circuit() -> Netlist {
         let mut b = NetlistBuilder::new("mix");
         let a = b.inputs("a", 3);
@@ -1061,7 +840,7 @@ mod tests {
             .map(|i| 0x0123_4567_89ab_cdefu64.rotate_left(i * 5))
             .collect();
         // 65 patterns: one full frame plus a frame with one live lane.
-        let masked = vec![
+        let masked = [
             TestFrame::new(full.clone(), Vec::new()),
             TestFrame::with_lanes(tail.clone(), Vec::new(), 1),
         ];
@@ -1072,17 +851,20 @@ mod tests {
             .iter()
             .map(|w| if w & 1 == 1 { u64::MAX } else { 0 })
             .collect();
-        let padded = vec![
+        let padded = [
             TestFrame::new(full, Vec::new()),
             TestFrame::new(broadcast, Vec::new()),
         ];
-        let want = comb_fault_sim(&nl, &faults, &padded);
-        let got = comb_fault_sim(&nl, &faults, &masked);
-        assert_eq!(got.detected, want.detected, "reference engine");
-        for width in crate::word::WordWidth::ALL {
-            let opts = ParallelOptions::soa(width);
-            let (got_soa, _) = comb_fault_sim_opts(&nl, &faults, &masked, &opts);
-            assert_eq!(got_soa.detected, want.detected, "soa width {width}");
+        // Graded whole, and the tail frame alone, where its 63 random
+        // padding lanes would detect far more than its one live lane.
+        for (masked, padded) in [(&masked[..], &padded[..]), (&masked[1..], &padded[1..])] {
+            let want = oracle(&nl, &faults, padded);
+            assert_eq!(oracle(&nl, &faults, masked).detected, want.detected);
+            for width in crate::word::WordWidth::ALL {
+                let opts = ParallelOptions::with_width(width);
+                let (got, _) = comb_fault_sim_opts(&nl, &faults, masked, &opts);
+                assert_eq!(got.detected, want.detected, "width {width}");
+            }
         }
     }
 
@@ -1108,7 +890,7 @@ mod tests {
             assert!(faults.len() > stride, "universe must overflow a stride");
             let opts = ParallelOptions {
                 deadline: Deadline::after(std::time::Duration::ZERO),
-                ..ParallelOptions::soa(width)
+                ..ParallelOptions::with_width(width)
             };
             let (r1, s1) = comb_fault_sim_opts(&nl, &faults, &frames, &opts);
             let (r2, s2) = comb_fault_sim_opts(&nl, &faults, &frames, &opts);
@@ -1181,5 +963,10 @@ mod tests {
         let (_, s) = comb_fault_sim_opts(&nl, &faults, &frames, &ParallelOptions::default());
         let pairs = (s.faults as u64 - s.unobservable) * s.frames as u64;
         assert_eq!(s.fault_evals + s.screened + s.dropped, pairs);
+        // The oracle evaluates every pair, observable or not, and finds
+        // the same unobservable faults by plain reachability.
+        let (_, o) = comb_fault_sim_oracle(&nl, &faults, &frames, &scan_observed(&nl));
+        assert_eq!(o.fault_evals, s.faults as u64 * s.frames as u64);
+        assert_eq!(o.unobservable, s.unobservable);
     }
 }

@@ -68,7 +68,7 @@ pub mod word;
 
 pub use deadline::Deadline;
 pub use fault::Fault;
-pub use fsim::{ParallelOptions, SimEngine};
+pub use fsim::ParallelOptions;
 pub use net::{GateId, GateKind, NetId, Netlist, NetlistBuilder, NetlistError};
 pub use stats::GradeStats;
 pub use word::WordWidth;

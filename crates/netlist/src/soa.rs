@@ -1,9 +1,9 @@
 //! Event-driven fault grading over the structure-of-arrays IR.
 //!
-//! This is the fast engine behind [`crate::fsim`]'s
-//! [`SimEngine::Soa`](crate::fsim::SimEngine) option. It differs from
-//! the retained reference engine in three ways, none of which may
-//! change a detected set:
+//! This is the combinational grading engine behind every
+//! [`crate::fsim`] entry point. It is held bit-identical to the naive
+//! oracle ([`crate::fsim::comb_fault_sim_oracle`]) and gets its speed
+//! three ways, none of which may change a detected set:
 //!
 //! * **Levelized SoA walk** — gate kinds, operand ids, and levels live
 //!   in flat `u32`-indexed arrays ([`crate::net::SoaIr`]) instead of
@@ -15,19 +15,19 @@
 //!   per-lane masks from [`TestFrame::mask`] keep padding lanes from
 //!   ever contributing a detection.
 //! * **Stem-region grading** — instead of simulating every fault's
-//!   full faulty machine (the reference engine's per-fault cone cache,
-//!   which this engine supersedes), each fault is first traced through
-//!   its fanout-free region: within an FFR every net has exactly one
-//!   path forward, so the fault effect at the region's stem is the
-//!   excitation word ANDed with one-step Boolean differences along the
-//!   chain — all computed directly from good values. What remains is
-//!   the stem's own observability, which is shared by *every* fault
-//!   (of either polarity) that funnels into that stem: one event-driven
-//!   flip propagation per stem and chunk, memoized, computes the exact
-//!   per-pattern word of lanes in which flipping the stem flips some
-//!   observed net. Pattern lanes are independent bit channels, so the
-//!   composition `excitation & path_sensitization & stem_observability`
-//!   is exact for every pattern, not an approximation.
+//!   full faulty machine (as the oracle does), each fault is first
+//!   traced through its fanout-free region: within an FFR every net
+//!   has exactly one path forward, so the fault effect at the region's
+//!   stem is the excitation word ANDed with one-step Boolean
+//!   differences along the chain — all computed directly from good
+//!   values. What remains is the stem's own observability, which is
+//!   shared by *every* fault (of either polarity) that funnels into
+//!   that stem: one event-driven flip propagation per stem and chunk,
+//!   memoized, computes the exact per-pattern word of lanes in which
+//!   flipping the stem flips some observed net. Pattern lanes are
+//!   independent bit channels, so the composition
+//!   `excitation & path_sensitization & stem_observability` is exact
+//!   for every pattern, not an approximation.
 //!
 //! Deadline polling is re-derived in fault-eval units via
 //! [`crate::fsim::deadline_poll_stride`] so zero-budget sweeps grade
@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use crate::deadline::Deadline;
 use crate::fault::Fault;
-use crate::fsim::{deadline_poll_stride, FaultSimSummary, ParallelOptions, TestFrame};
+use crate::fsim::{deadline_poll_stride, fault_phase, FaultSimSummary, ParallelOptions, TestFrame};
 use crate::net::{GateKind, NetId, Netlist, SoaIr};
 use crate::stats::GradeStats;
 use crate::word::{self, PatternWord, WordWidth};
@@ -367,9 +367,8 @@ impl<const N: usize> WideTrace<N> {
                 for (i, w) in frame.pi.iter().enumerate() {
                     pi[i][j] = *w;
                 }
-                // Same rule as the reference engine: a frame without
-                // state words on a sequential circuit means all-zero
-                // state.
+                // Same rule as the oracle: a frame without state words
+                // on a sequential circuit means all-zero state.
                 let fw = if frame.ff.is_empty() && !nl.dffs().is_empty() {
                     &zero_ff
                 } else {
@@ -510,55 +509,15 @@ fn run<const N: usize>(
     let wall_good = good_start.elapsed();
     good_span.end();
 
-    let fault_span = hlstb_trace::span("fsim.fault");
-    let fault_start = Instant::now();
     let soa = nl.soa();
-    let threads = opts.effective_threads(faults.len());
     let drop_detected = opts.drop_detected;
     let deadline = opts.deadline;
-    let (detected, mut stats) = if threads == 1 {
-        grade_shard(soa, &obs, &trace, faults, drop_detected, deadline)
-    } else {
-        let chunk = faults.len().div_ceil(threads);
-        let mut merged = BTreeSet::new();
-        let mut counts = GradeStats::default();
-        std::thread::scope(|scope| {
-            let obs = &obs;
-            let trace = &trace;
-            let handles: Vec<_> = faults
-                .chunks(chunk)
-                .map(|shard| {
-                    scope
-                        .spawn(move || grade_shard(soa, obs, trace, shard, drop_detected, deadline))
-                })
-                .collect();
-            for handle in handles {
-                let (shard_detected, shard_counts) =
-                    handle.join().expect("grading worker panicked");
-                merged.extend(shard_detected);
-                counts.merge_counts(&shard_counts);
-            }
-        });
-        (merged, counts)
-    };
-    stats.faults = faults.len();
-    stats.frames = frames.len();
-    stats.threads = threads;
-    stats.wall_good = wall_good;
-    stats.wall_fault = fault_start.elapsed();
-    fault_span.end();
-    stats.trace_bridge();
-    (
-        FaultSimSummary {
-            detected,
-            total: faults.len(),
-        },
-        stats,
-    )
+    fault_phase(faults, frames.len(), wall_good, opts, |shard| {
+        grade_shard(soa, &obs, &trace, shard, drop_detected, deadline)
+    })
 }
 
-/// Entry point called by [`crate::fsim::comb_fault_sim_observed_opts`]
-/// when [`SimEngine::Soa`](crate::fsim::SimEngine) is selected:
+/// Entry point called by [`crate::fsim::comb_fault_sim_observed_opts`]:
 /// dispatches on the configured word width.
 pub(crate) fn grade_observed_opts(
     nl: &Netlist,
@@ -671,15 +630,12 @@ mod tests {
                 mask: u64::MAX,
             })
             .collect();
-        let reference = crate::fsim::comb_fault_sim(&nl, &faults, &frames);
+        let observed = crate::fsim::scan_observed(&nl);
+        let (oracle, _) = crate::fsim::comb_fault_sim_oracle(&nl, &faults, &frames, &observed);
         for width in WordWidth::ALL {
-            let opts = ParallelOptions {
-                engine: crate::fsim::SimEngine::Soa,
-                word_width: width,
-                ..ParallelOptions::default()
-            };
+            let opts = ParallelOptions::with_width(width);
             let (r, stats) = crate::fsim::comb_fault_sim_opts(&nl, &faults, &frames, &opts);
-            assert_eq!(r, reference, "width {width}");
+            assert_eq!(r, oracle, "width {width}");
             // The work ledger still accounts for every real
             // (fault, frame) pair at every width.
             let pairs = (stats.faults as u64 - stats.unobservable) * stats.frames as u64;

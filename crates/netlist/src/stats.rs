@@ -11,7 +11,9 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Work and timing counters from one grading run.
+/// Work and timing counters from one grading run. The stem-region
+/// counters come from the combinational engine ([`crate::soa`]);
+/// sequential grading and the naive oracle leave them zero.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GradeStats {
     /// Size of the graded fault universe.
@@ -29,17 +31,18 @@ pub struct GradeStats {
     /// Faults whose combinational fanout cone reaches no observation
     /// point — structurally undetectable for this observation set.
     pub unobservable: u64,
-    /// SoA engine only: stem-observability lookups answered by the
+    /// Stem-region grading: stem-observability lookups answered by the
     /// per-chunk memo (the fault's FFR stem was already resolved this
     /// chunk).
     pub stem_memo_hits: u64,
-    /// SoA engine only: stem lookups that had to run the event-driven
-    /// flip propagation.
+    /// Stem-region grading: stem lookups that had to run the
+    /// event-driven flip propagation.
     pub stem_memo_misses: u64,
-    /// SoA engine only: gate evaluations performed by the event-driven
-    /// flip propagation (the engine's true unit of hot-loop work).
+    /// Stem-region grading: gate evaluations performed by the
+    /// event-driven flip propagation (the engine's true unit of
+    /// hot-loop work).
     pub flip_events: u64,
-    /// SoA engine only: flip propagations cut short because the
+    /// Stem-region grading: flip propagations cut short because the
     /// observability word saturated (every parallel pattern already
     /// differed at an observation point).
     pub early_exits: u64,
@@ -48,7 +51,7 @@ pub struct GradeStats {
     /// ([`crate::fsim::ParallelOptions::min_faults_per_thread`]) may
     /// have reduced the requested `threads`.
     pub threads: usize,
-    /// Wall time of the good-machine phase (reference evaluations).
+    /// Wall time of the good-machine phase (fault-free evaluations).
     pub wall_good: Duration,
     /// Wall time of the faulty-machine phase (sharded grading).
     pub wall_fault: Duration,

@@ -1,7 +1,7 @@
 # `just ci` = the full tier-1 gate; individual recipes for local loops.
 
 # Everything CI checks, in order.
-ci: build test fmt clippy trace-smoke sweep-smoke sweep-fault-smoke sweep-workers-smoke sweep-tcp-smoke serve-smoke events-smoke soa-equiv perf-floor
+ci: build test fmt clippy trace-smoke sweep-smoke sweep-fault-smoke sweep-workers-smoke sweep-tcp-smoke serve-smoke events-smoke soa-equiv digest-smoke perf-floor
 
 # Release build (the tier-1 compile gate), all members and binaries.
 build:
@@ -241,9 +241,22 @@ events-smoke: build
         events_t4_canon.jsonl events_view.txt
 
 # SoA engine differential smoke: identical detected sets vs the
-# reference engine at every word width on two designs.
+# naive oracle at every word width on two designs.
 soa-equiv: build
     ./target/release/hlstb soa-check figure1 tseng
+
+# Digest smoke: a short perfbench run of the 297-point scoreboard sweep,
+# in-process and over TCP worker lanes, must reproduce the committed
+# per-design report digests (perfbench/digests.txt) bit for bit.
+digest-smoke:
+    #!/usr/bin/env sh
+    set -eu
+    for w in scoreboard scoreboard-lanes; do
+        cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 2 --trace 0 >digest_smoke.json
+        tail -n 1 digest_smoke.json | grep -q '"correct": true'
+    done
+    rm -f digest_smoke.json
 
 # The committed BENCH artifacts' headline metrics must stay at or above
 # their own `floors` objects. Reads the checked-in JSON, not a fresh

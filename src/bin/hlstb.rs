@@ -8,7 +8,7 @@
 //! hlstb sgraph <design> [--strategy S]      # DOT on stdout
 //! hlstb cdfg <design>                       # DOT on stdout
 //! hlstb trace-check <file> [span...]        # validate a Chrome trace
-//! hlstb soa-check [design...] [--grade N]   # SoA vs reference engines
+//! hlstb soa-check [design...] [--grade N]   # SoA engine vs naive oracle
 //! ```
 
 use std::process::ExitCode;
@@ -16,7 +16,9 @@ use std::process::ExitCode;
 use hlstb::cdfg::{benchmarks, Cdfg};
 use hlstb::flow::{DftStrategy, SynthesisFlow};
 use hlstb::netlist::fault::collapsed_faults;
-use hlstb::netlist::fsim::{comb_fault_sim_opts, ParallelOptions, SimEngine, TestFrame};
+use hlstb::netlist::fsim::{
+    comb_fault_sim_opts, comb_fault_sim_oracle, scan_observed, ParallelOptions, TestFrame,
+};
 use hlstb::netlist::word::WordWidth;
 use hlstb_dse::spec::{parse_policy, parse_scheduler, parse_strategy};
 use hlstb_dse::{run_sweep_with, run_sweep_workers, FailPlan, Recovery, SweepOptions, SweepSpec};
@@ -80,8 +82,8 @@ const USAGE: &str =
                                 against its own committed `floors` object;
                                 the CI perf gate
   soa-check [design...]         grade each design (default: all) with the
-                                reference engine and the SoA engine at
-                                every word width; fail on any detected-set
+                                naive oracle and the SoA engine at every
+                                word width; fail on any detected-set
                                 difference (--grade N patterns, default 256)
 options:
   --strategy  none|full-scan|gate-partial-scan|behavioral-partial-scan|
@@ -1177,9 +1179,9 @@ fn perf_floor(files: &[&str]) -> Result<(), String> {
     }
 }
 
-/// Grades one full-scan design with the reference engine, then with the
-/// SoA engine at every word width, and requires identical detected
-/// fault sets — the differential smoke behind `just soa-equiv`.
+/// Grades one full-scan design with the naive oracle, then with the SoA
+/// engine at every word width, and requires identical detected fault
+/// sets — the differential smoke behind `just soa-equiv`.
 fn soa_check(g: Cdfg, patterns: usize) -> Result<(), String> {
     let name = g.name().to_string();
     let d = SynthesisFlow::new(g)
@@ -1206,18 +1208,13 @@ fn soa_check(g: Cdfg, patterns: usize) -> Result<(), String> {
             )
         })
         .collect();
-    let reference = ParallelOptions {
-        drop_detected: true,
-        ..ParallelOptions::default()
-    };
-    let (base, _) = comb_fault_sim_opts(nl, &faults, &frames, &reference);
+    let (base, _) = comb_fault_sim_oracle(nl, &faults, &frames, &scan_observed(nl));
     for width in WordWidth::ALL {
-        let opts = ParallelOptions::soa(width);
-        debug_assert!(matches!(opts.engine, SimEngine::Soa));
+        let opts = ParallelOptions::with_width(width);
         let (got, _) = comb_fault_sim_opts(nl, &faults, &frames, &opts);
         if got != base {
             return Err(format!(
-                "soa-check: {name}: width {width} detected {} faults, reference {}",
+                "soa-check: {name}: width {width} detected {} faults, oracle {}",
                 got.detected.len(),
                 base.detected.len()
             ));

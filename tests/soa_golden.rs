@@ -1,13 +1,15 @@
 //! Fixed-seed golden grading results for every benchmark design: the
-//! reference engine's detected counts are pinned, and the SoA engine
-//! must reproduce the reference detected set exactly at every word
-//! width. This is the whole-design half of the differential suite (the
+//! naive oracle's detected counts are pinned, and the SoA engine must
+//! reproduce the oracle's detected set exactly at every word width.
+//! This is the whole-design half of the differential suite (the
 //! random-netlist half lives in `crates/netlist/tests/soa_equivalence.rs`).
 
 use hlstb::cdfg::benchmarks;
 use hlstb::flow::{DftStrategy, SynthesisFlow};
 use hlstb::netlist::fault::collapsed_faults;
-use hlstb::netlist::fsim::{comb_fault_sim_opts, ParallelOptions, TestFrame};
+use hlstb::netlist::fsim::{
+    comb_fault_sim_opts, comb_fault_sim_oracle, scan_observed, ParallelOptions, TestFrame,
+};
 use hlstb::netlist::word::WordWidth;
 
 /// splitmix64 — self-contained so the pinned values depend on nothing
@@ -65,16 +67,12 @@ fn every_design_matches_golden_at_every_width() {
             nl.inputs().len(),
             nl.dffs().len(),
         );
-        let reference = ParallelOptions {
-            drop_detected: true,
-            ..ParallelOptions::default()
-        };
-        let (base, _) = comb_fault_sim_opts(nl, &faults, &frames, &reference);
+        let (base, _) = comb_fault_sim_oracle(nl, &faults, &frames, &scan_observed(nl));
         assert_eq!(base.total, total, "{name}: fault universe");
-        assert_eq!(base.detected.len(), detected, "{name}: reference detects");
+        assert_eq!(base.detected.len(), detected, "{name}: oracle detects");
         for width in WordWidth::ALL {
             let (got, stats) =
-                comb_fault_sim_opts(nl, &faults, &frames, &ParallelOptions::soa(width));
+                comb_fault_sim_opts(nl, &faults, &frames, &ParallelOptions::with_width(width));
             assert_eq!(got, base, "{name} at width {width}");
             assert!(!stats.timed_out, "{name} at width {width}");
         }

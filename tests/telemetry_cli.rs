@@ -182,6 +182,6 @@ fn committed_bench_artifacts_pass_their_floors() {
         dse.to_str().unwrap(),
     ]);
     assert!(ok, "{stderr}");
-    assert!(out.contains("speedup_soa512_vs_drop"), "{out}");
+    assert!(out.contains("speedup_soa512_vs_naive"), "{out}");
     assert!(out.contains("speedup_cache_vs_nocache"), "{out}");
 }
