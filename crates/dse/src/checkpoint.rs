@@ -29,21 +29,18 @@
 //! ignored and its point recomputed.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use hlstb::report::TestabilityReport;
 use hlstb_trace::json::{self, Obj, Value};
 
+use crate::appendlog::{self, AppendLog};
 use crate::error::PointError;
 use crate::report::{PointMetrics, PointRecord};
 
-/// Streams completed points to a JSONL file (append mode, one flush
-/// per point). Shared by the worker pool behind a mutex.
+/// Streams completed points to a JSONL [`AppendLog`] (one flush per
+/// point), shared by the sweep's evaluating threads.
 ///
 /// A failing append (ENOSPC, a yanked volume) does not abort the
 /// sweep: callers route write errors through
@@ -52,59 +49,38 @@ use crate::report::{PointMetrics, PointRecord};
 /// checkpoint-less and the envelope carries a `checkpoint_degraded`
 /// flag.
 pub struct Checkpoint {
-    file: Mutex<File>,
-    degraded: AtomicBool,
+    log: AppendLog,
 }
 
 impl Checkpoint {
     /// Opens (creating if needed) the checkpoint for appending.
     pub fn open_append(path: &Path) -> Result<Checkpoint, PointError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| PointError::Io {
-                message: format!("checkpoint {}: {e}", path.display()),
-            })?;
         Ok(Checkpoint {
-            file: Mutex::new(file),
-            degraded: AtomicBool::new(false),
+            log: AppendLog::open(path, "checkpoint")?,
         })
     }
 
     /// Whether a write failure already downgraded this checkpoint to a
     /// no-op.
     pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
+        self.log.degraded()
     }
 
     /// Latches the checkpoint into degraded (no-op) mode, warning on
-    /// stderr only on the first call — concurrent workers all hitting
-    /// the same dead disk produce one line, not one per point.
+    /// stderr only on the first call.
     pub fn degrade(&self, why: &str) {
-        if !self.degraded.swap(true, Ordering::Relaxed) {
-            eprintln!("warning: {why}; continuing without checkpointing");
-        }
+        self.log
+            .degrade(&format!("{why}; continuing without checkpointing"));
     }
 
-    /// Appends one completed point. The record is written and flushed
-    /// atomically with respect to other workers — and, because the
-    /// whole line (newline included) goes down in **one** `write_all`
-    /// on an `O_APPEND` descriptor, also with respect to *other
-    /// processes* appending to the same file (a coordinator and a
-    /// resumed run never interleave partial lines).
+    /// Appends one completed point as a single line ([`AppendLog`]), so
+    /// a coordinator and a resumed run sharing the file never tear it.
     pub fn record(&self, key: u64, index: usize, canonical: &str) -> Result<(), PointError> {
-        if self.degraded() {
-            return Ok(());
-        }
-        let mut line = encode_line(key, index, canonical);
-        line.push('\n');
-        let io_err = |e: std::io::Error| PointError::Io {
-            message: format!("checkpoint write: {e}"),
-        };
-        let mut f = self.file.lock().expect("checkpoint lock");
-        f.write_all(line.as_bytes()).map_err(io_err)?;
-        f.flush().map_err(io_err)
+        self.log
+            .append(&encode_line(key, index, canonical))
+            .map_err(|e| PointError::Io {
+                message: format!("checkpoint write: {e}"),
+            })
     }
 }
 
@@ -152,28 +128,23 @@ impl RestoredSet {
     /// the whole resume). A missing file is an error — resuming from
     /// nothing is almost always a typo'd path.
     pub fn load(path: &Path) -> Result<RestoredSet, PointError> {
-        let text = std::fs::read_to_string(path).map_err(|e| PointError::Io {
+        let mut map = HashMap::new();
+        let skipped = appendlog::load(
+            path,
+            "resume checkpoint",
+            "the affected points recompute",
+            |line| {
+                // Later lines win: a re-run after an interrupted resume
+                // may append the same point again with identical content.
+                parse_line(line)
+                    .map(|(key, index, canonical)| map.insert((key, index), canonical))
+                    .is_some()
+            },
+        )
+        .map_err(|e| PointError::Io {
             message: format!("resume checkpoint {}: {e}", path.display()),
         })?;
-        let mut set = RestoredSet::default();
-        for line in text.lines() {
-            let Some((key, index, canonical)) = parse_line(line) else {
-                set.skipped += 1;
-                continue;
-            };
-            // Later lines win: a re-run after an interrupted resume may
-            // append the same point again with identical content.
-            set.map.insert((key, index), canonical);
-        }
-        if set.skipped > 0 {
-            eprintln!(
-                "warning: resume checkpoint {}: skipped {} malformed line(s) \
-                 (torn tail of an interrupted run?); the affected points recompute",
-                path.display(),
-                set.skipped
-            );
-        }
-        Ok(set)
+        Ok(RestoredSet { map, skipped })
     }
 
     /// How many malformed lines the load skipped (0 for a clean file).

@@ -1,6 +1,8 @@
-//! The sweep executor: a work-stealing pool over the point list with
-//! optional artifact memoization, panic isolation, per-point deadlines,
-//! bounded retries, and checkpoint/resume.
+//! The sweep executor: one [`SweepDriver`] per sweep — a work-stealing
+//! pool over the point list that every front end (in-process, scale-out
+//! coordinator, serve daemon) shares — with optional artifact
+//! memoization, panic isolation, per-point deadlines, bounded retries,
+//! and checkpoint/resume.
 //!
 //! # Determinism
 //!
@@ -58,7 +60,7 @@ use hlstb::netlist::random::{random_pattern_run_opts, CoveragePoint, RandomRun};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{ArtifactCache, CacheOutcome, DftOutput};
+use crate::cache::{ArtifactCache, CacheOutcome, CacheStats, DftOutput};
 use crate::checkpoint::{self, Checkpoint, RestoredSet};
 use crate::error::PointError;
 use crate::failpoint::{FailMode, FailPlan};
@@ -125,9 +127,9 @@ impl Default for SweepOptions {
     }
 }
 
-/// Live progress shared by the workers: one `\r`-rewritten stderr line
-/// per finished point.
-pub(crate) struct ProgressMeter {
+/// Live progress shared by the lanes: one `\r`-rewritten stderr line
+/// per settled point.
+struct ProgressMeter {
     total: usize,
     t0: Instant,
     done: AtomicUsize,
@@ -136,7 +138,7 @@ pub(crate) struct ProgressMeter {
 }
 
 impl ProgressMeter {
-    pub(crate) fn new(total: usize, t0: Instant) -> Self {
+    fn new(total: usize, t0: Instant) -> Self {
         ProgressMeter {
             total,
             t0,
@@ -146,7 +148,7 @@ impl ProgressMeter {
         }
     }
 
-    pub(crate) fn tick(
+    fn tick(
         &self,
         record: &PointRecord,
         retries: u64,
@@ -190,7 +192,7 @@ impl ProgressMeter {
     }
 
     /// Terminates the `\r` line so the next stderr write starts clean.
-    pub(crate) fn finish(&self) {
+    fn finish(&self) {
         if self.done.load(Ordering::Relaxed) > 0 {
             eprintln!();
         }
@@ -245,11 +247,10 @@ pub fn point_key(spec: &SweepSpec, design_keys: &[u64], p: Point) -> u64 {
 
 /// The shared per-point evaluator: the spec's enumerated points, their
 /// content keys, the stage cache, and the panic-isolated retry loop,
-/// bundled so the in-process pool ([`run_sweep_with`]) and the
-/// process-worker loop ([`crate::worker::worker_loop`]) evaluate
-/// points through literally the same code — which is what makes the
-/// multi-process splice byte-identical to a serial run by
-/// construction.
+/// bundled so the [`SweepDriver`]'s local lanes and the remote worker's
+/// lease loop ([`crate::worker::worker_loop`]) evaluate points through
+/// literally the same code — which is what makes the multi-process
+/// splice byte-identical to a serial run by construction.
 pub struct PointRunner<'a> {
     spec: &'a SweepSpec,
     opts: SweepOptions,
@@ -311,27 +312,22 @@ impl<'a> PointRunner<'a> {
     }
 
     /// Number of points in the sweep.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.points.len()
     }
 
-    /// Whether the spec enumerates no points at all.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// The content key of point `i` (checkpoint/wire identity).
-    pub fn key(&self, i: usize) -> u64 {
+    pub(crate) fn key(&self, i: usize) -> u64 {
         self.point_keys[i]
     }
 
     /// The stage cache, when enabled.
-    pub fn cache(&self) -> Option<&ArtifactCache> {
+    pub(crate) fn cache(&self) -> Option<&ArtifactCache> {
         self.cache.as_deref()
     }
 
     /// Retry attempts so far across all evaluated points.
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.retry_count.load(Ordering::Relaxed)
     }
 
@@ -339,7 +335,7 @@ impl<'a> PointRunner<'a> {
     /// before deciding whether the point restores from a checkpoint or
     /// evaluates, so the canonical journal shape is the same either
     /// way.
-    pub fn scheduled(&self, i: usize) {
+    pub(crate) fn scheduled(&self, i: usize) {
         let p = self.points[i];
         hlstb_trace::events::emit("point.scheduled", Some(p.index as u64), |e| {
             e.str("design", self.spec.designs[p.design].name())
@@ -349,7 +345,7 @@ impl<'a> PointRunner<'a> {
 
     /// Evaluates point `i` — panic-isolated, deadline-armed, retried —
     /// and journals its completion or typed failure.
-    pub fn eval(&self, i: usize) -> (PointRecord, Option<SynthesizedDesign>) {
+    pub(crate) fn eval(&self, i: usize) -> (PointRecord, Option<SynthesizedDesign>) {
         let p = self.points[i];
         let idx = p.index as u64;
         let point_span = hlstb_trace::span("dse.point");
@@ -384,6 +380,286 @@ impl<'a> PointRunner<'a> {
     }
 }
 
+/// A scale-out coordinator's remote lanes and their summed counters.
+#[derive(Default)]
+pub(crate) struct Fleet {
+    pub(crate) lanes: usize,
+    pub(crate) retries: u64,
+    pub(crate) cache: CacheStats,
+}
+
+type Slot = Mutex<Option<(PointRecord, Option<SynthesizedDesign>)>>;
+
+/// One sweep in flight: the single driver of a [`PointRunner`] behind
+/// the in-process pool ([`run_sweep_with`]), the scale-out coordinator
+/// ([`crate::worker::run_sweep_workers`]) and the serve daemon. It owns
+/// the runner, the resume set and checkpoint, the per-point result
+/// slots, the progress meter and hook, and the `dse.sweep` span with
+/// its `sweep.begin`/`sweep.end` records; front ends differ only in
+/// where points are evaluated.
+pub struct SweepDriver<'a> {
+    runner: PointRunner<'a>,
+    resume: Option<RestoredSet>,
+    checkpoint: Option<Checkpoint>,
+    slots: Vec<Slot>,
+    settled: AtomicUsize,
+    restored: AtomicUsize,
+    checkpoint_errors: AtomicUsize,
+    reissued: AtomicU64,
+    meter: Option<ProgressMeter>,
+    on_point: Option<Box<dyn Fn(usize) + Sync + 'a>>,
+    span: hlstb_trace::Span,
+    t0: Instant,
+}
+
+impl<'a> SweepDriver<'a> {
+    /// Starts a sweep over `runner`'s points with the checkpoint and
+    /// resume set `recovery` names (its fail plan rides in the runner)
+    /// and journals `sweep.begin`.
+    ///
+    /// # Errors
+    ///
+    /// [`PointError::Io`] when the checkpoint cannot be opened or the
+    /// resume file cannot be read.
+    pub fn open(runner: PointRunner<'a>, recovery: &Recovery) -> Result<Self, PointError> {
+        let span = hlstb_trace::span("dse.sweep");
+        let t0 = Instant::now();
+        let resume = match (&recovery.checkpoint, recovery.resume) {
+            (Some(path), true) => Some(RestoredSet::load(path)?),
+            (None, true) => {
+                return Err(PointError::Io {
+                    message: "resume requested without a checkpoint path".into(),
+                })
+            }
+            _ => None,
+        };
+        let checkpoint = recovery
+            .checkpoint
+            .as_deref()
+            .map(Checkpoint::open_append)
+            .transpose()?;
+        let (n, opts) = (runner.len(), runner.opts);
+        hlstb_trace::events::emit("sweep.begin", None, |e| {
+            e.u64("points", n as u64)
+                .volatile_u64("threads", opts.threads as u64)
+                .volatile_bool("cache", opts.cache);
+        });
+        Ok(SweepDriver {
+            runner,
+            resume,
+            checkpoint,
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+            settled: AtomicUsize::new(0),
+            restored: AtomicUsize::new(0),
+            checkpoint_errors: AtomicUsize::new(0),
+            reissued: AtomicU64::new(0),
+            meter: opts.progress.then(|| ProgressMeter::new(n, t0)),
+            on_point: None,
+            span,
+            t0,
+        })
+    }
+
+    /// Calls `hook` with the count of settled points each time a point
+    /// settles, however it settled.
+    pub fn on_point(mut self, hook: impl Fn(usize) + Sync + 'a) -> Self {
+        self.on_point = Some(Box::new(hook));
+        self
+    }
+
+    /// The sweep's evaluator (point count, content keys).
+    pub(crate) fn runner(&self) -> &PointRunner<'a> {
+        &self.runner
+    }
+
+    /// How many points have settled so far.
+    pub fn settled(&self) -> usize {
+        self.settled.load(Ordering::Relaxed)
+    }
+
+    /// Whether point `i` has settled.
+    pub(crate) fn is_settled(&self, i: usize) -> bool {
+        self.slots[i].lock().expect("slot lock").is_some()
+    }
+
+    /// Counts `n` leased points re-issued after their lane died.
+    pub(crate) fn reissue(&self, n: u64) {
+        self.reissued.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Settles point `i` from the resume set when it holds a record
+    /// under the point's content key; returns whether it did.
+    pub(crate) fn restore(&self, i: usize) -> bool {
+        let index = self.runner.points[i].index;
+        let Some(record) = self
+            .resume
+            .as_ref()
+            .and_then(|set| set.lookup(self.runner.key(i), index))
+            .and_then(checkpoint::record_from_canonical)
+        else {
+            return false;
+        };
+        self.runner.scheduled(i);
+        hlstb_trace::events::emit("point.restored", Some(index as u64), |_| {});
+        self.restored.fetch_add(1, Ordering::Relaxed);
+        self.settle(i, record, None);
+        true
+    }
+
+    /// Settles point `i` with a record evaluated on a local lane or
+    /// spliced from a remote worker's frame, appending it to the
+    /// checkpoint first.
+    pub(crate) fn complete(
+        &self,
+        i: usize,
+        record: PointRecord,
+        design: Option<SynthesizedDesign>,
+    ) {
+        if let Some(ck) = &self.checkpoint {
+            let index = self.runner.points[i].index;
+            // The `io:` fail-point targets the append itself: the point
+            // is fine, only its checkpoint write "fails" — exactly what
+            // a real ENOSPC looks like.
+            let injected = self.runner.fail_plan.as_ref().and_then(|fp| fp.mode(index))
+                == Some(FailMode::Io)
+                && !ck.degraded();
+            let written = if injected {
+                Err(PointError::Io {
+                    message: format!("checkpoint write: injected io fail-point at point {index}"),
+                })
+            } else {
+                ck.record(self.runner.key(i), index, &record.canonical_point_json())
+            };
+            if let Err(e) = written {
+                self.checkpoint_errors.fetch_add(1, Ordering::Relaxed);
+                ck.degrade(&e.to_string());
+            }
+        }
+        self.settle(i, record, design);
+    }
+
+    fn settle(&self, i: usize, record: PointRecord, design: Option<SynthesizedDesign>) {
+        if let Some(m) = &self.meter {
+            let (runner, reissued) = (&self.runner, self.reissued.load(Ordering::Relaxed));
+            m.tick(&record, runner.retries(), reissued, runner.cache());
+        }
+        *self.slots[i].lock().expect("slot lock") = Some((record, design));
+        let done = self.settled.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(hook) = &self.on_point {
+            hook(done);
+        }
+    }
+
+    /// Runs the points `indices` names on `lanes` local threads (1 =
+    /// inline), restoring each from the resume set or evaluating it.
+    /// Lanes claim indices from one shared atomic injector, so a slow
+    /// point never stalls the rest, and a slot lock is held only for
+    /// the final store, so a panicking point (caught by the runner)
+    /// can poison neither. A lane checks `stop` before running each
+    /// point it claims and quits once it holds, leaving the rest
+    /// unsettled.
+    pub fn run(&self, indices: &[usize], lanes: usize, stop: &(dyn Fn() -> bool + Sync)) {
+        let next = AtomicUsize::new(0);
+        let lane = |id: u32| {
+            hlstb_trace::events::set_worker(id);
+            while let Some(&i) = indices.get(next.fetch_add(1, Ordering::Relaxed)) {
+                if stop() {
+                    break;
+                }
+                if !self.restore(i) {
+                    self.runner.scheduled(i);
+                    let (record, design) = self.runner.eval(i);
+                    self.complete(i, record, design);
+                }
+            }
+        };
+        let lanes = lanes.clamp(1, indices.len().max(1));
+        if lanes == 1 {
+            lane(0);
+        } else {
+            // `&lane` is Copy, so every spawn can share the one closure;
+            // each thread gets a lane id for the journal's worker column.
+            let lane = &lane;
+            std::thread::scope(|s| {
+                for id in 0..lanes {
+                    s.spawn(move || lane(id as u32));
+                }
+            });
+        }
+    }
+
+    /// Assembles the [`SweepOutcome`] — the report in point-index order
+    /// whatever the completion order — and journals `sweep.end`.
+    ///
+    /// # Panics
+    ///
+    /// When a point never settled: callers settle every point first.
+    pub fn finish(self) -> SweepOutcome {
+        self.assemble(None)
+    }
+
+    /// [`finish`](Self::finish) for a scale-out sweep: the fleet's
+    /// lanes are the envelope's `workers`, and its retries and cache
+    /// counters add to the local ones.
+    pub(crate) fn finish_fleet(self, fleet: Fleet) -> SweepOutcome {
+        self.assemble(Some(fleet))
+    }
+
+    fn assemble(self, fleet: Option<Fleet>) -> SweepOutcome {
+        if let Some(m) = &self.meter {
+            m.finish();
+        }
+        let (records, designs): (Vec<PointRecord>, Vec<_>) = self
+            .slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("slot lock"))
+            .map(|settled| settled.expect("every point settled"))
+            .unzip();
+        let cpu = records.iter().map(|r| r.wall).sum();
+        let threads = self.runner.opts.threads;
+        let (threads, fleet) = match fleet {
+            Some(fleet) => (threads.max(1), fleet),
+            None => (threads.clamp(1, records.len().max(1)), Fleet::default()),
+        };
+        let retries = self.runner.retries() + fleet.retries;
+        let cache = self.runner.cache().map(|c| {
+            let mut stats = c.stats();
+            stats.merge(&fleet.cache);
+            stats
+        });
+        let reissued = self.reissued.into_inner();
+        hlstb_trace::counter("dse.points", records.len() as u64);
+        hlstb_trace::events::emit("sweep.end", None, |e| {
+            e.u64("points", records.len() as u64)
+                .u64(
+                    "failures",
+                    records.iter().filter(|r| r.outcome.is_err()).count() as u64,
+                )
+                .volatile_u64("wall_ms", self.t0.elapsed().as_millis() as u64)
+                .volatile_u64("retries", retries)
+                .volatile_u64("workers", fleet.lanes as u64)
+                .volatile_u64("reissued", reissued);
+        });
+        self.span.end();
+        SweepOutcome {
+            report: SweepReport {
+                points: records,
+                threads,
+                workers: fleet.lanes,
+                cache,
+                wall: self.t0.elapsed(),
+                cpu,
+                restored: self.restored.into_inner(),
+                retries,
+                reissued,
+                checkpoint_degraded: self.checkpoint.as_ref().is_some_and(Checkpoint::degraded),
+            },
+            designs,
+            checkpoint_write_errors: self.checkpoint_errors.into_inner(),
+        }
+    }
+}
+
 /// Runs every point of `spec` and collects a [`SweepReport`] ordered
 /// by point index regardless of completion order.
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepOutcome {
@@ -392,7 +668,8 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepOutcome {
 }
 
 /// [`run_sweep`] with fault-tolerance inputs: fail-point injection and
-/// checkpoint/resume.
+/// checkpoint/resume. The points run on `opts.threads` local lanes of
+/// a [`SweepDriver`].
 ///
 /// # Errors
 ///
@@ -404,146 +681,11 @@ pub fn run_sweep_with(
     opts: &SweepOptions,
     recovery: &Recovery,
 ) -> Result<SweepOutcome, PointError> {
-    let sweep_span = hlstb_trace::span("dse.sweep");
-    let t0 = Instant::now();
     let runner = PointRunner::new(spec, opts, recovery.fail_plan.clone());
-    let points = &runner.points;
-    let restored_set = match (&recovery.checkpoint, recovery.resume) {
-        (Some(path), true) => Some(RestoredSet::load(path)?),
-        (None, true) => {
-            return Err(PointError::Io {
-                message: "resume requested without a checkpoint path".into(),
-            })
-        }
-        _ => None,
-    };
-    let writer = match &recovery.checkpoint {
-        Some(path) => Some(Checkpoint::open_append(path)?),
-        None => None,
-    };
-    type Slot = Mutex<Option<(PointRecord, Option<SynthesizedDesign>)>>;
-    let slots: Vec<Slot> = points.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let restored_count = AtomicUsize::new(0);
-    let checkpoint_errors = AtomicUsize::new(0);
-    let meter = opts.progress.then(|| ProgressMeter::new(points.len(), t0));
-    hlstb_trace::events::emit("sweep.begin", None, |e| {
-        e.u64("points", points.len() as u64)
-            .volatile_u64("threads", opts.threads as u64)
-            .volatile_bool("cache", opts.cache);
-    });
-    // Work stealing via a shared injector: each worker claims the next
-    // unclaimed index until the list is drained, so a slow point never
-    // stalls the remaining work. The injector is a plain atomic and
-    // each slot lock is only held for the final store, so a panicking
-    // point (caught below) can poison neither.
-    let worker = |lane: u32| {
-        hlstb_trace::events::set_worker(lane);
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= points.len() {
-                break;
-            }
-            let p = points[i];
-            runner.scheduled(i);
-            if let Some(set) = &restored_set {
-                let hit = set
-                    .lookup(runner.key(i), p.index)
-                    .and_then(checkpoint::record_from_canonical);
-                if let Some(record) = hit {
-                    restored_count.fetch_add(1, Ordering::Relaxed);
-                    hlstb_trace::events::emit("point.restored", Some(p.index as u64), |_| {});
-                    if let Some(m) = &meter {
-                        m.tick(&record, runner.retries(), 0, runner.cache());
-                    }
-                    *slots[i].lock().expect("slot lock") = Some((record, None));
-                    continue;
-                }
-            }
-            let (record, design) = runner.eval(i);
-            if let Some(m) = &meter {
-                m.tick(&record, runner.retries(), 0, runner.cache());
-            }
-            if let Some(ck) = &writer {
-                // The `io:` fail-point targets the append itself: the
-                // point evaluated fine above, only its checkpoint write
-                // "fails" — exactly what a real ENOSPC looks like.
-                let injected = recovery.fail_plan.as_ref().and_then(|fp| fp.mode(p.index))
-                    == Some(FailMode::Io)
-                    && !ck.degraded();
-                let r = if injected {
-                    Err(PointError::Io {
-                        message: format!(
-                            "checkpoint write: injected io fail-point at point {}",
-                            p.index
-                        ),
-                    })
-                } else {
-                    ck.record(runner.key(i), p.index, &record.canonical_point_json())
-                };
-                if let Err(e) = r {
-                    checkpoint_errors.fetch_add(1, Ordering::Relaxed);
-                    ck.degrade(&e.to_string());
-                }
-            }
-            *slots[i].lock().expect("slot lock") = Some((record, design));
-        }
-    };
-    let threads = opts.threads.max(1).min(points.len().max(1));
-    if threads <= 1 {
-        worker(0);
-    } else {
-        // `&worker` is Copy, so every spawn can share the one closure;
-        // each thread gets a lane id for the journal's worker column.
-        let worker = &worker;
-        std::thread::scope(|s| {
-            for lane in 0..threads {
-                s.spawn(move || worker(lane as u32));
-            }
-        });
-    }
-    if let Some(m) = &meter {
-        m.finish();
-    }
-    let mut records = Vec::with_capacity(points.len());
-    let mut designs = Vec::with_capacity(points.len());
-    let mut cpu = Duration::ZERO;
-    for slot in slots {
-        let (record, design) = slot
-            .into_inner()
-            .expect("slot lock")
-            .expect("every point evaluated");
-        cpu += record.wall;
-        records.push(record);
-        designs.push(design);
-    }
-    hlstb_trace::counter("dse.points", records.len() as u64);
-    hlstb_trace::events::emit("sweep.end", None, |e| {
-        e.u64("points", records.len() as u64)
-            .u64(
-                "failures",
-                records.iter().filter(|r| r.outcome.is_err()).count() as u64,
-            )
-            .volatile_u64("wall_ms", t0.elapsed().as_millis() as u64)
-            .volatile_u64("retries", runner.retries());
-    });
-    sweep_span.end();
-    Ok(SweepOutcome {
-        report: SweepReport {
-            points: records,
-            threads,
-            workers: 0,
-            cache: runner.cache().map(ArtifactCache::stats),
-            wall: t0.elapsed(),
-            cpu,
-            restored: restored_count.into_inner(),
-            retries: runner.retries(),
-            reissued: 0,
-            checkpoint_degraded: writer.as_ref().is_some_and(Checkpoint::degraded),
-        },
-        designs,
-        checkpoint_write_errors: checkpoint_errors.into_inner(),
-    })
+    let driver = SweepDriver::open(runner, recovery)?;
+    let all: Vec<usize> = (0..driver.runner().len()).collect();
+    driver.run(&all, opts.threads, &|| false);
+    Ok(driver.finish())
 }
 
 fn make_record(

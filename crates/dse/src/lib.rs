@@ -11,8 +11,8 @@
 //! * [`spec::SweepSpec`] enumerates points over designs × schedulers ×
 //!   register policies × DFT strategies × widths × grading depths;
 //! * [`engine::run_sweep`] executes the points on a work-stealing pool
-//!   (`std::thread::scope` workers pulling from a shared atomic
-//!   injector — no new dependencies);
+//!   (`std::thread::scope` lanes of one [`engine::SweepDriver`] pulling
+//!   from a shared atomic injector — no new dependencies);
 //! * [`cache::ArtifactCache`] memoizes stage outputs under
 //!   content-derived keys so points differing only in DFT strategy
 //!   reuse everything up to DFT insertion, points whose marked data
@@ -33,11 +33,14 @@
 //!
 //! # Scale-out
 //!
-//! [`worker::run_sweep_workers`] shards a sweep over worker
-//! *processes* (`hlstb sweep --workers N`) speaking the newline-framed
-//! [`proto`] wire protocol over stdin/stdout pipes, with leases
-//! re-issued when a worker dies and results spliced byte-identically
-//! from checkpoint-format frames.
+//! [`worker::run_sweep_workers`] shards a sweep over worker processes
+//! on stdin/stdout pipes (`hlstb sweep --workers N`), and
+//! [`worker::run_sweep_listen`] over TCP workers that dial in (`hlstb
+//! sweep --listen ADDR`), all speaking the newline-framed [`proto`].
+//! Leases are re-issued when a worker dies, and results splice
+//! byte-identically from checkpoint-format frames through the same
+//! [`engine::SweepDriver`] that runs the local pool and the serve
+//! daemon's requests.
 //!
 //! # Fault tolerance
 //!
@@ -51,7 +54,8 @@
 //!   (`timed_out`) instead of hanging the pool, with bounded retries
 //!   at a shrinking budget for transient failures;
 //! * [`engine::Recovery`] streams completed points to a JSONL
-//!   [`checkpoint`] and resumes a killed sweep byte-identically;
+//!   [`checkpoint`] (an [`appendlog`] shared with the serve journal)
+//!   and resumes a killed sweep byte-identically;
 //! * [`failpoint::FailPlan`] injects deterministic failures so all of
 //!   the above is testable without timing races.
 
@@ -59,6 +63,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod appendlog;
 pub mod cache;
 pub mod checkpoint;
 pub mod engine;

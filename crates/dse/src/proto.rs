@@ -49,6 +49,7 @@
 //! peer is broken" verdict the coordinator answers by re-issuing the
 //! dead worker's leases elsewhere.
 
+use std::io::Write;
 use std::time::Duration;
 
 use hlstb::cdfg::{benchmarks, Cdfg};
@@ -312,6 +313,46 @@ pub fn spec_from_json(v: &Value) -> Result<SweepSpec, PointError> {
     })
 }
 
+/// Renders the evaluation options a peer may set — `cache`,
+/// `point_budget_ms`, `retries` — as their wire object. Public so the
+/// serve request protocol carries exactly the same object.
+pub fn opts_to_json(opts: &SweepOptions) -> String {
+    let mut o = Obj::new();
+    o.boolean("cache", opts.cache);
+    match opts.point_budget {
+        Some(b) => o.number_u64("point_budget_ms", b.as_millis() as u64),
+        None => o.raw("point_budget_ms", "null"),
+    };
+    o.number_u64("retries", u64::from(opts.retries));
+    o.finish()
+}
+
+/// Reads an `opts` wire object back. Absent fields take the
+/// [`SweepOptions`] defaults, and so does everything the wire does not
+/// carry: `threads`, `keep_designs` and `progress` are the receiver's
+/// decisions.
+pub fn opts_from_json(v: &Value) -> SweepOptions {
+    let defaults = SweepOptions::default();
+    let number = |key| v.get(key).and_then(Value::as_f64);
+    SweepOptions {
+        cache: v
+            .get("cache")
+            .and_then(Value::as_bool)
+            .unwrap_or(defaults.cache),
+        point_budget: number("point_budget_ms").map(|ms| Duration::from_millis(ms as u64)),
+        retries: number("retries").map_or(defaults.retries, |r| r as u32),
+        ..defaults
+    }
+}
+
+/// Writes one frame and its newline in a single `write_all`, then
+/// flushes — the one frame writer of both newline-JSON protocols.
+pub fn write_frame(out: &mut dyn Write, frame: &str) -> Result<(), PointError> {
+    out.write_all(format!("{frame}\n").as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| io_err(format!("write frame: {e}")))
+}
+
 /// Encodes the session-setup frame.
 pub fn encode_hello(
     worker: u32,
@@ -319,19 +360,12 @@ pub fn encode_hello(
     opts: &SweepOptions,
     fail_plan: Option<&FailPlan>,
 ) -> String {
-    let mut oo = Obj::new();
-    oo.boolean("cache", opts.cache);
-    match opts.point_budget {
-        Some(b) => oo.number_u64("point_budget_ms", b.as_millis() as u64),
-        None => oo.raw("point_budget_ms", "null"),
-    };
-    oo.number_u64("retries", u64::from(opts.retries));
     let mut o = Obj::new();
     o.string("type", "hello")
         .number_u64("v", PROTO_VERSION)
         .number_u64("worker", u64::from(worker))
         .raw("spec", &spec_to_json(spec))
-        .raw("opts", &oo.finish());
+        .raw("opts", &opts_to_json(opts));
     if let Some(plan) = fail_plan {
         o.string("fail_plan", &plan.to_spec());
     }
@@ -413,23 +447,10 @@ pub fn decode_to_worker(line: &str) -> Result<ToWorker, PointError> {
                 v.get("spec")
                     .ok_or_else(|| io_err("hello missing `spec`"))?,
             )?;
-            let opts_v = v
-                .get("opts")
-                .ok_or_else(|| io_err("hello missing `opts`"))?;
-            let opts = SweepOptions {
-                threads: 1,
-                cache: opts_v.get("cache").and_then(Value::as_bool).unwrap_or(true),
-                keep_designs: false,
-                point_budget: opts_v
-                    .get("point_budget_ms")
-                    .and_then(Value::as_f64)
-                    .map(|ms| Duration::from_millis(ms as u64)),
-                retries: opts_v
-                    .get("retries")
-                    .and_then(Value::as_f64)
-                    .map_or(1, |r| r as u32),
-                progress: false,
-            };
+            let opts = opts_from_json(
+                v.get("opts")
+                    .ok_or_else(|| io_err("hello missing `opts`"))?,
+            );
             let fail_plan = match v.get("fail_plan").and_then(Value::as_str) {
                 Some(s) => {
                     Some(FailPlan::parse(s).map_err(|e| io_err(format!("bad fail plan: {e}")))?)

@@ -13,25 +13,29 @@
 //! idles the fleet (the same injector discipline as the in-process
 //! pool, at range granularity to amortize framing).
 //!
-//! Two transports ship in-tree:
+//! Three transports ship in-tree:
 //!
 //! * [`process_spawner`] — `hlstb sweep-worker` child processes over
 //!   stdin/stdout pipe pairs (what `hlstb sweep --workers N` uses);
 //! * [`thread_spawner`] — in-process worker threads over loopback
-//!   byte pipes, used by the determinism tests and benchmarks.
+//!   byte pipes, used by the determinism tests and benchmarks;
+//! * [`run_sweep_listen`] — TCP workers ([`worker_connect`]) dialing
+//!   into a listener (`hlstb sweep --listen`).
 //!
-//! Both hand the coordinator a [`WorkerLink`] — a pair of anonymous
-//! ordered byte streams — which is the entire transport contract; a
-//! TCP socket satisfies it verbatim.
+//! Each hands the coordinator a [`WorkerLink`] — a pair of anonymous
+//! ordered byte streams — which is the entire transport contract.
 //!
 //! # Byte-identical splice
 //!
 //! Workers evaluate points through the same [`PointRunner`] the
 //! in-process pool uses and stream each completed point back in
 //! checkpoint-record form (canonical JSON verbatim, keyed by content
-//! key). The coordinator validates the key against its own
-//! [`point_key`] table and splices the embedded bytes into the report
-//! unchanged — so `--workers N` output is byte-identical to a serial
+//! key). The coordinator keeps only lanes, leases and frame
+//! validation: it checks each frame's key against the sweep's own
+//! content keys and hands the embedded bytes, unchanged, to the same
+//! [`SweepDriver`] that runs the in-process pool — which restores,
+//! checkpoints (`io:` fail-point included), meters and assembles the
+//! report. So `--workers N` output is byte-identical to a serial
 //! uncached run for the same reason checkpoint resume is.
 //!
 //! # Failure handling
@@ -40,9 +44,9 @@
 //! skew) surfaces as a typed [`PointError::Io`]-family verdict on its
 //! stream; the coordinator marks the lane dead, re-enqueues every
 //! leased-but-unreceived index, and the surviving workers absorb the
-//! re-issued ranges. If every lane dies, the coordinator evaluates the
-//! remainder inline — the sweep completes (byte-identically) as long
-//! as the coordinator itself lives.
+//! re-issued ranges. If every lane dies, the driver's local loop
+//! evaluates the remainder — the sweep completes (byte-identically) as
+//! long as the coordinator itself lives.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -51,12 +55,10 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{self, Checkpoint, RestoredSet};
-use crate::engine::{point_key, PointRunner, ProgressMeter, Recovery, SweepOptions, SweepOutcome};
+use crate::checkpoint;
+use crate::engine::{Fleet, PointRunner, Recovery, SweepDriver, SweepOptions, SweepOutcome};
 use crate::error::PointError;
-use crate::key;
-use crate::proto::{self, FromWorker, ToWorker};
-use crate::report::{PointRecord, SweepReport};
+use crate::proto::{self, write_frame, FromWorker, ToWorker};
 use crate::spec::SweepSpec;
 
 fn io_err(what: impl std::fmt::Display) -> PointError {
@@ -279,15 +281,6 @@ fn tcp_link(sock: std::net::TcpStream) -> Result<WorkerLink, PointError> {
 
 // ---------------------------------------------------------------------------
 // The worker side.
-
-fn write_frame(out: &mut dyn Write, frame: &str) -> Result<(), PointError> {
-    let mut line = String::with_capacity(frame.len() + 1);
-    line.push_str(frame);
-    line.push('\n');
-    out.write_all(line.as_bytes())
-        .and_then(|()| out.flush())
-        .map_err(|e| io_err(format!("write frame: {e}")))
-}
 
 /// How a worker session ended without an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -745,91 +738,118 @@ pub fn run_sweep_listen_with_timeout(
     )
 }
 
+/// The coordinator's lease book: every lane, the queue of unleased
+/// `[start, end)` ranges, and the lease size.
+struct Leases {
+    lanes: Vec<Lane>,
+    queue: VecDeque<(usize, usize)>,
+    chunk: usize,
+}
+
+impl Leases {
+    fn any_live(&self) -> bool {
+        self.lanes.iter().any(|l| l.live)
+    }
+
+    /// One lane's death: kill/close it, re-enqueue its leases.
+    fn fail(&mut self, w: usize, why: &str, driver: &SweepDriver<'_>) {
+        let lane = &mut self.lanes[w];
+        if !lane.live {
+            return;
+        }
+        lane.live = false;
+        lane.to = None;
+        if let Some(child) = &mut lane.child {
+            let _ = child.kill();
+        }
+        if let Some(sock) = lane.sock.take() {
+            // Hard shutdown both directions: an abandoned-but-alive TCP
+            // worker must see its stream die (its next write fails,
+            // prompting a redial as a fresh lane) rather than keep
+            // streaming into an untrusted lane.
+            let _ = sock.shutdown(std::net::Shutdown::Both);
+        }
+        let pending = std::mem::take(&mut lane.outstanding);
+        driver.reissue(pending.len() as u64);
+        eprintln!(
+            "sweep: worker {w} died ({why}); re-issuing {} leased points",
+            pending.len()
+        );
+        hlstb_trace::events::emit_volatile("worker.dead", None, |e| {
+            e.volatile_u64("worker", w as u64)
+                .volatile_str("why", why)
+                .volatile_u64("reissued", pending.len() as u64);
+        });
+        enqueue_leases(&mut self.queue, &pending, self.chunk);
+    }
+
+    /// Hands leases to every idle ready lane.
+    fn pump(&mut self, driver: &SweepDriver<'_>) {
+        loop {
+            let mut progressed = false;
+            for w in 0..self.lanes.len() {
+                let lane = &self.lanes[w];
+                if !(lane.live && lane.ready && lane.outstanding.is_empty()) {
+                    continue;
+                }
+                let Some((start, end)) = self.queue.pop_front() else {
+                    return;
+                };
+                let frame = proto::encode_lease(start, end);
+                let lane = &mut self.lanes[w];
+                if lane
+                    .to
+                    .as_mut()
+                    .is_some_and(|to| write_frame(to.as_mut(), &frame).is_ok())
+                {
+                    lane.outstanding = (start..end).collect();
+                    hlstb_trace::events::emit_volatile("worker.lease", None, |e| {
+                        e.volatile_u64("worker", w as u64)
+                            .volatile_u64("start", start as u64)
+                            .volatile_u64("end", end as u64);
+                    });
+                } else {
+                    self.queue.push_front((start, end));
+                    self.fail(w, "lease write failed", driver);
+                }
+                progressed = true;
+            }
+            if !progressed {
+                return;
+            }
+        }
+    }
+}
+
 fn coordinate(
     spec: &SweepSpec,
     opts: &SweepOptions,
     recovery: &Recovery,
     source: LaneSource<'_, '_>,
 ) -> Result<SweepOutcome, PointError> {
-    let sweep_span = hlstb_trace::span("dse.sweep");
-    let t0 = Instant::now();
     if opts.keep_designs {
         return Err(io_err(
             "scale-out sweeps cannot keep designs (they cannot cross a process boundary)",
         ));
     }
-    let expected_workers = match &source {
-        LaneSource::Fixed { workers, .. } => *workers,
-        LaneSource::Listen { .. } => 0,
+    let (expected_workers, hello_deadline) = match &source {
+        LaneSource::Fixed { workers, .. } => (*workers, None),
+        // Fixed-transport lanes handshake over pipes the coordinator
+        // just created; only listen-mode lanes face an untrusted
+        // network, so only they get a handshake deadline.
+        LaneSource::Listen { hello_timeout, .. } => (0, Some(*hello_timeout)),
     };
-    // Fixed-transport lanes handshake over pipes the coordinator just
-    // created; only listen-mode lanes face an untrusted network, so
-    // only they get a handshake deadline.
-    let hello_deadline = match &source {
-        LaneSource::Fixed { .. } => None,
-        LaneSource::Listen { hello_timeout, .. } => Some(*hello_timeout),
+    let runner = PointRunner::new(spec, opts, recovery.fail_plan.clone());
+    let driver = SweepDriver::open(runner, recovery)?;
+    let n = driver.runner().len();
+    let needed: Vec<usize> = (0..n).filter(|&i| !driver.restore(i)).collect();
+    let remaining = || n - driver.settled();
+    let mut fleet = Fleet {
+        lanes: expected_workers,
+        ..Fleet::default()
     };
-    let points = spec.points();
-    let n = points.len();
-    let design_keys: Vec<u64> = spec.designs.iter().map(key::hash_debug).collect();
-    let point_keys: Vec<u64> = points
-        .iter()
-        .map(|p| point_key(spec, &design_keys, *p))
-        .collect();
-    let restored_set = match (&recovery.checkpoint, recovery.resume) {
-        (Some(path), true) => Some(RestoredSet::load(path)?),
-        (None, true) => {
-            return Err(PointError::Io {
-                message: "resume requested without a checkpoint path".into(),
-            })
-        }
-        _ => None,
-    };
-    let writer = match &recovery.checkpoint {
-        Some(path) => Some(Checkpoint::open_append(path)?),
-        None => None,
-    };
-    let meter = opts.progress.then(|| ProgressMeter::new(n, t0));
-    hlstb_trace::events::emit("sweep.begin", None, |e| {
-        e.u64("points", n as u64)
-            .volatile_u64("threads", opts.threads as u64)
-            .volatile_u64("workers", expected_workers as u64)
-            .volatile_bool("cache", opts.cache);
-    });
 
-    let mut results: Vec<Option<PointRecord>> = (0..n).map(|_| None).collect();
-    let mut restored_count = 0usize;
-    let mut checkpoint_errors = 0usize;
-    // Dead-lane lease re-issues (transport recovery) — reported
-    // separately from `fleet_retries` (per-point transient retries the
-    // workers themselves performed, summed from their `done` frames).
-    let mut reissued: u64 = 0;
-    let mut fleet_retries: u64 = 0;
-    let mut fleet_cache = crate::cache::CacheStats::default();
-    let mut lanes_seen = expected_workers;
-    if let Some(set) = &restored_set {
-        for (i, p) in points.iter().enumerate() {
-            let hit = set
-                .lookup(point_keys[i], p.index)
-                .and_then(checkpoint::record_from_canonical);
-            if let Some(record) = hit {
-                hlstb_trace::events::emit("point.scheduled", Some(p.index as u64), |e| {
-                    e.str("design", spec.designs[p.design].name())
-                        .str("strategy", &crate::spec::strategy_name(p.strategy));
-                });
-                hlstb_trace::events::emit("point.restored", Some(p.index as u64), |_| {});
-                if let Some(m) = &meter {
-                    m.tick(&record, 0, reissued, None);
-                }
-                results[i] = Some(record);
-                restored_count += 1;
-            }
-        }
-    }
-    let needed: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
-    let mut remaining = needed.len();
-
-    if remaining > 0 {
+    if !needed.is_empty() {
         // Listen mode has no fixed lane count; size leases as if a
         // small fleet will dial in (re-issue handles the rest).
         let fanout = if expected_workers > 0 {
@@ -837,34 +857,32 @@ fn coordinate(
         } else {
             4
         };
-        let chunk = (needed.len() / (fanout * 4)).clamp(1, 32);
-        let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-        enqueue_leases(&mut queue, &needed, chunk);
+        let mut leases = Leases {
+            lanes: Vec::new(),
+            queue: VecDeque::new(),
+            chunk: (needed.len() / (fanout * 4)).clamp(1, 32),
+        };
+        enqueue_leases(&mut leases.queue, &needed, leases.chunk);
 
         // Build the lanes; each gets a reader thread forwarding
         // decoded frames (or its death) onto one mpsc channel. In
         // listen mode, an accept thread feeds new links into the same
         // channel for as long as the sweep runs.
         let (tx, rx) = mpsc::channel::<CoordEvent>();
-        let mut lanes: Vec<Lane> = Vec::new();
         let hello_for = |w: u32| proto::encode_hello(w, spec, opts, recovery.fail_plan.as_ref());
         let wait_for_lanes = matches!(source, LaneSource::Listen { .. });
-        let mut accept_stop: Option<(
-            Arc<AtomicBool>,
-            std::net::SocketAddr,
-            std::thread::JoinHandle<()>,
-        )> = None;
-        match source {
+        let accept_stop = match source {
             LaneSource::Fixed { workers, spawn } => {
                 for w in 0..workers {
                     match spawn(w as u32) {
-                        Ok(link) => attach_lane(&mut lanes, link, &hello_for, &tx),
+                        Ok(link) => attach_lane(&mut leases.lanes, link, &hello_for, &tx),
                         Err(e) => {
                             eprintln!("sweep: spawning worker {w} failed: {}", e.message());
-                            lanes.push(Lane::dead());
+                            leases.lanes.push(Lane::dead());
                         }
                     }
                 }
+                None
             }
             LaneSource::Listen { listener, .. } => {
                 let addr = listener
@@ -898,95 +916,17 @@ fn coordinate(
                         }
                     }
                 });
-                accept_stop = Some((stop, addr, handle));
+                Some((stop, addr, handle))
             }
-        }
-
-        // One lane's death: kill/close it, reclaim its leases.
-        fn fail_lane(
-            lanes: &mut [Lane],
-            w: usize,
-            why: &str,
-            queue: &mut VecDeque<(usize, usize)>,
-            chunk: usize,
-            reissued: &mut u64,
-        ) {
-            if !lanes[w].live {
-                return;
-            }
-            lanes[w].live = false;
-            lanes[w].to = None;
-            if let Some(child) = &mut lanes[w].child {
-                let _ = child.kill();
-            }
-            if let Some(sock) = lanes[w].sock.take() {
-                // Hard shutdown both directions: an abandoned-but-
-                // alive TCP worker must see its stream die (its next
-                // write fails, prompting a redial as a fresh lane)
-                // rather than keep streaming into an untrusted lane.
-                let _ = sock.shutdown(std::net::Shutdown::Both);
-            }
-            let pending = std::mem::take(&mut lanes[w].outstanding);
-            *reissued += pending.len() as u64;
-            eprintln!(
-                "sweep: worker {w} died ({why}); re-issuing {} leased points",
-                pending.len()
-            );
-            hlstb_trace::events::emit_volatile("worker.dead", None, |e| {
-                e.volatile_u64("worker", w as u64)
-                    .volatile_str("why", why)
-                    .volatile_u64("reissued", pending.len() as u64);
-            });
-            enqueue_leases(queue, &pending, chunk);
-        }
-
-        // Hand leases to every idle ready lane.
-        fn pump(
-            lanes: &mut [Lane],
-            queue: &mut VecDeque<(usize, usize)>,
-            chunk: usize,
-            reissued: &mut u64,
-        ) {
-            loop {
-                let mut progressed = false;
-                for w in 0..lanes.len() {
-                    if !(lanes[w].live && lanes[w].ready && lanes[w].outstanding.is_empty()) {
-                        continue;
-                    }
-                    let Some((start, end)) = queue.pop_front() else {
-                        return;
-                    };
-                    let frame = proto::encode_lease(start, end);
-                    let ok = lanes[w]
-                        .to
-                        .as_mut()
-                        .is_some_and(|to| write_frame(to.as_mut(), &frame).is_ok());
-                    if ok {
-                        lanes[w].outstanding = (start..end).collect();
-                        hlstb_trace::events::emit_volatile("worker.lease", None, |e| {
-                            e.volatile_u64("worker", w as u64)
-                                .volatile_u64("start", start as u64)
-                                .volatile_u64("end", end as u64);
-                        });
-                    } else {
-                        queue.push_front((start, end));
-                        fail_lane(lanes, w, "lease write failed", queue, chunk, reissued);
-                    }
-                    progressed = true;
-                }
-                if !progressed {
-                    return;
-                }
-            }
-        }
+        };
 
         let mut hello_timeouts: u64 = 0;
         // Fixed mode ends when the work or the lanes run out; listen
         // mode never gives up on lanes — it waits for (re)connects
         // until the work is done.
-        while remaining > 0 && (wait_for_lanes || lanes.iter().any(|l| l.live)) {
-            pump(&mut lanes, &mut queue, chunk, &mut reissued);
-            if remaining == 0 || !(wait_for_lanes || lanes.iter().any(|l| l.live)) {
+        while remaining() > 0 && (wait_for_lanes || leases.any_live()) {
+            leases.pump(&driver);
+            if remaining() == 0 || !(wait_for_lanes || leases.any_live()) {
                 break;
             }
             // While any accepted connection is mid-handshake, poll
@@ -994,7 +934,7 @@ fn coordinate(
             // deadline rather than pinning the loop (and its reader
             // thread) on a connection that will never speak.
             let mid_handshake =
-                hello_deadline.is_some() && lanes.iter().any(|l| l.live && !l.ready);
+                hello_deadline.is_some() && leases.lanes.iter().any(|l| l.live && !l.ready);
             let coord_event = if mid_handshake {
                 match rx.recv_timeout(Duration::from_millis(25)) {
                     Ok(ev) => Some(ev),
@@ -1008,19 +948,12 @@ fn coordinate(
                 }
             };
             if let Some(timeout) = hello_deadline {
-                for w in 0..lanes.len() {
-                    if lanes[w].live && !lanes[w].ready && lanes[w].attached_at.elapsed() >= timeout
-                    {
+                for w in 0..leases.lanes.len() {
+                    let lane = &leases.lanes[w];
+                    if lane.live && !lane.ready && lane.attached_at.elapsed() >= timeout {
                         hello_timeouts += 1;
                         hlstb_trace::counter("dse.worker.hello_timeout", 1);
-                        fail_lane(
-                            &mut lanes,
-                            w,
-                            "hello timeout",
-                            &mut queue,
-                            chunk,
-                            &mut reissued,
-                        );
+                        leases.fail(w, "hello timeout", &driver);
                     }
                 }
             }
@@ -1029,104 +962,50 @@ fn coordinate(
             };
             let (w, event) = match coord_event {
                 CoordEvent::Link(link) => {
-                    attach_lane(&mut lanes, *link, &hello_for, &tx);
+                    attach_lane(&mut leases.lanes, *link, &hello_for, &tx);
                     continue;
                 }
                 CoordEvent::Lane(w, event) => (w, event),
             };
             match event {
-                LaneEvent::Frame(FromWorker::Ready {
-                    points: worker_points,
-                    ..
-                }) => {
-                    if worker_points == n {
-                        lanes[w].ready = true;
-                    } else {
-                        fail_lane(
-                            &mut lanes,
-                            w,
-                            &format!("resolved {worker_points} points, coordinator has {n}"),
-                            &mut queue,
-                            chunk,
-                            &mut reissued,
-                        );
-                    }
+                LaneEvent::Frame(FromWorker::Ready { points, .. }) if points == n => {
+                    leases.lanes[w].ready = true;
+                }
+                LaneEvent::Frame(FromWorker::Ready { points, .. }) => {
+                    let why = format!("resolved {points} points, coordinator has {n}");
+                    leases.fail(w, &why, &driver);
                 }
                 LaneEvent::Frame(FromWorker::Point {
                     key,
                     index,
                     canonical,
                 }) => {
-                    if index >= n || key != point_keys[index] {
-                        fail_lane(
-                            &mut lanes,
-                            w,
-                            "point frame key/index mismatch",
-                            &mut queue,
-                            chunk,
-                            &mut reissued,
-                        );
-                    } else if results[index].is_some() {
+                    if index >= n || key != driver.runner().key(index) {
+                        leases.fail(w, "point frame key/index mismatch", &driver);
+                    } else if driver.is_settled(index) {
                         // Duplicate of an already-spliced point
                         // (re-issue race); drop it.
-                        lanes[w].outstanding.retain(|&x| x != index);
+                        leases.lanes[w].outstanding.retain(|&x| x != index);
                     } else if let Some(record) = checkpoint::record_from_canonical(&canonical) {
-                        if let Some(ck) = &writer {
-                            if let Err(e) = ck.record(key, index, &canonical) {
-                                checkpoint_errors += 1;
-                                ck.degrade(&e.to_string());
-                            }
-                        }
-                        if let Some(m) = &meter {
-                            let retries = lanes.iter().map(|l| l.stats.retries).sum();
-                            m.tick(&record, retries, reissued, None);
-                        }
-                        results[index] = Some(record);
-                        lanes[w].outstanding.retain(|&x| x != index);
-                        remaining -= 1;
+                        driver.complete(index, record, None);
+                        leases.lanes[w].outstanding.retain(|&x| x != index);
                     } else {
-                        fail_lane(
-                            &mut lanes,
-                            w,
-                            "unparseable canonical payload",
-                            &mut queue,
-                            chunk,
-                            &mut reissued,
-                        );
+                        leases.fail(w, "unparseable canonical payload", &driver);
                     }
                 }
                 LaneEvent::Frame(FromWorker::Done { stats, .. }) => {
-                    // Counters are cumulative per session, so the
-                    // latest snapshot supersedes the previous one.
-                    hlstb_trace::events::emit_volatile("worker.done", None, |e| {
-                        e.volatile_u64("worker", w as u64)
-                            .volatile_u64("points", stats.points)
-                            .volatile_u64("retries", stats.retries);
-                        if let Some(c) = &stats.cache {
-                            e.volatile_u64("hits", c.hits())
-                                .volatile_u64("misses", c.misses())
-                                .volatile_u64("coalesced", c.coalesced());
-                        }
-                    });
-                    lanes[w].stats = stats;
+                    lane_done(&mut leases.lanes[w], w, stats);
                 }
                 LaneEvent::Frame(FromWorker::Error { message }) => {
-                    fail_lane(&mut lanes, w, &message, &mut queue, chunk, &mut reissued);
+                    leases.fail(w, &message, &driver);
                 }
                 LaneEvent::Corrupt(e) => {
-                    lanes[w].reader_done = true;
-                    fail_lane(&mut lanes, w, e.message(), &mut queue, chunk, &mut reissued);
+                    leases.lanes[w].reader_done = true;
+                    leases.fail(w, e.message(), &driver);
                 }
                 LaneEvent::Eof => {
-                    lanes[w].reader_done = true;
-                    fail_lane(
-                        &mut lanes,
-                        w,
-                        "stream ended unexpectedly",
-                        &mut queue,
-                        chunk,
-                        &mut reissued,
-                    );
+                    leases.lanes[w].reader_done = true;
+                    leases.fail(w, "stream ended unexpectedly", &driver);
                 }
             }
         }
@@ -1137,14 +1016,15 @@ fn coordinate(
 
         // Stop accepting before the polite shutdowns: set the flag,
         // then self-connect to unblock `accept()` so the thread joins.
-        if let Some((stop, addr, handle)) = accept_stop.take() {
+        if let Some((stop, addr, handle)) = accept_stop {
             stop.store(true, Ordering::Relaxed);
             let _ = std::net::TcpStream::connect(addr);
             let _ = handle.join();
         }
 
         // Wind down: polite shutdown, close streams, reap children.
-        for lane in &mut lanes {
+        let lanes = &mut leases.lanes;
+        for lane in lanes.iter_mut() {
             if let Some(to) = &mut lane.to {
                 let _ = write_frame(to.as_mut(), &proto::encode_shutdown());
             }
@@ -1157,27 +1037,17 @@ fn coordinate(
         // Drain until every lane's reader signs off (each sends exactly
         // one Eof/Corrupt before exiting): the final cumulative `done`
         // frame per lane is usually still queued when the splice loop
-        // breaks at `remaining == 0`, and dropping it would undercount
-        // the fleet stats and the trace-view lane table.
-        let drain_deadline = std::time::Instant::now() + Duration::from_secs(5);
+        // breaks with every point settled, and dropping it would
+        // undercount the fleet stats and the trace-view lane table.
+        let drain_deadline = Instant::now() + Duration::from_secs(5);
         while lanes.iter().any(|l| !l.reader_done) {
-            let timeout = drain_deadline.saturating_duration_since(std::time::Instant::now());
+            let timeout = drain_deadline.saturating_duration_since(Instant::now());
             let Ok(coord_event) = rx.recv_timeout(timeout) else {
                 break;
             };
             match coord_event {
                 CoordEvent::Lane(w, LaneEvent::Frame(FromWorker::Done { stats, .. })) => {
-                    hlstb_trace::events::emit_volatile("worker.done", None, |e| {
-                        e.volatile_u64("worker", w as u64)
-                            .volatile_u64("points", stats.points)
-                            .volatile_u64("retries", stats.retries);
-                        if let Some(c) = &stats.cache {
-                            e.volatile_u64("hits", c.hits())
-                                .volatile_u64("misses", c.misses())
-                                .volatile_u64("coalesced", c.coalesced());
-                        }
-                    });
-                    lanes[w].stats = stats;
+                    lane_done(&mut lanes[w], w, stats);
                 }
                 CoordEvent::Lane(w, LaneEvent::Eof)
                 | CoordEvent::Lane(w, LaneEvent::Corrupt(_)) => {
@@ -1193,90 +1063,47 @@ fn coordinate(
         // A lane that died mid-lease keeps the stats of its last done
         // frame; work it redid on another lane is counted where it
         // actually ran.
-        lanes_seen = if wait_for_lanes {
-            lanes.len()
-        } else {
-            expected_workers
-        };
-        for lane in &lanes {
-            fleet_retries += lane.stats.retries;
+        if wait_for_lanes {
+            fleet.lanes = lanes.len();
+        }
+        for lane in lanes.iter() {
+            fleet.retries += lane.stats.retries;
             if let Some(c) = &lane.stats.cache {
-                fleet_cache.merge(c);
+                fleet.cache.merge(c);
             }
         }
 
-        // Every lane died with work left: finish inline so the sweep
-        // still completes (and stays byte-identical — same evaluator).
-        if remaining > 0 {
-            eprintln!("sweep: no live workers left; evaluating {remaining} points inline");
-            let runner = PointRunner::new(spec, opts, recovery.fail_plan.clone());
-            for i in 0..n {
-                if results[i].is_some() {
-                    continue;
-                }
-                runner.scheduled(i);
-                let (record, _) = runner.eval(i);
-                if let Some(ck) = &writer {
-                    if let Err(e) = ck.record(point_keys[i], i, &record.canonical_point_json()) {
-                        checkpoint_errors += 1;
-                        ck.degrade(&e.to_string());
-                    }
-                }
-                if let Some(m) = &meter {
-                    m.tick(
-                        &record,
-                        fleet_retries + runner.retries(),
-                        reissued,
-                        runner.cache(),
-                    );
-                }
-                results[i] = Some(record);
-            }
-            fleet_retries += runner.retries();
-            if let Some(c) = runner.cache() {
-                fleet_cache.merge(&c.stats());
-            }
+        // Every lane died with work left: finish on the driver's local
+        // loop, so the sweep still completes byte-identically (same
+        // evaluator).
+        if remaining() > 0 {
+            eprintln!(
+                "sweep: no live workers left; evaluating {} points inline",
+                remaining()
+            );
+            let left: Vec<usize> = (0..n).filter(|&i| !driver.is_settled(i)).collect();
+            driver.run(&left, 1, &|| false);
         }
     }
 
-    if let Some(m) = &meter {
-        m.finish();
-    }
-    let mut records = Vec::with_capacity(n);
-    let mut cpu = Duration::ZERO;
-    for slot in results {
-        let record = slot.expect("every point resolved");
-        cpu += record.wall;
-        records.push(record);
-    }
-    hlstb_trace::counter("dse.points", records.len() as u64);
-    hlstb_trace::events::emit("sweep.end", None, |e| {
-        e.u64("points", records.len() as u64)
-            .u64(
-                "failures",
-                records.iter().filter(|r| r.outcome.is_err()).count() as u64,
-            )
-            .volatile_u64("wall_ms", t0.elapsed().as_millis() as u64)
-            .volatile_u64("retries", fleet_retries)
-            .volatile_u64("reissued", reissued);
+    Ok(driver.finish_fleet(fleet))
+}
+
+/// Keeps a lane's latest cumulative `done` counters (they supersede
+/// the previous snapshot) and journals them for trace-view's lane
+/// table.
+fn lane_done(lane: &mut Lane, w: usize, stats: proto::DoneStats) {
+    hlstb_trace::events::emit_volatile("worker.done", None, |e| {
+        e.volatile_u64("worker", w as u64)
+            .volatile_u64("points", stats.points)
+            .volatile_u64("retries", stats.retries);
+        if let Some(c) = &stats.cache {
+            e.volatile_u64("hits", c.hits())
+                .volatile_u64("misses", c.misses())
+                .volatile_u64("coalesced", c.coalesced());
+        }
     });
-    sweep_span.end();
-    Ok(SweepOutcome {
-        report: SweepReport {
-            points: records,
-            threads: opts.threads.max(1),
-            workers: lanes_seen,
-            cache: opts.cache.then_some(fleet_cache),
-            wall: t0.elapsed(),
-            cpu,
-            restored: restored_count,
-            retries: fleet_retries,
-            reissued,
-            checkpoint_degraded: writer.as_ref().is_some_and(Checkpoint::degraded),
-        },
-        designs: (0..n).map(|_| None).collect(),
-        checkpoint_write_errors: checkpoint_errors,
-    })
+    lane.stats = stats;
 }
 
 #[cfg(test)]

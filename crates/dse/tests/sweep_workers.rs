@@ -696,3 +696,63 @@ fn tcp_repeated_torn_deaths_reissue_until_a_worker_survives() {
     assert!(outcome.report.reissued >= 2, "both torn leases re-issue");
     assert_eq!(outcome.report.workers, 3);
 }
+
+/// The `io:` fail-point fails a spliced point's checkpoint append on
+/// the coordinator exactly as it fails a local one in the in-process
+/// engine (`sweep_recovery.rs`): the checkpoint degrades once, every
+/// point still lands, and the report stays byte-identical — over
+/// loopback lanes and over TCP lanes alike.
+#[test]
+fn io_fail_point_degrades_the_coordinators_checkpoint() {
+    let spec = small_spec();
+    let serial = serial_canonical(&spec, &Recovery::default());
+    let dir = std::env::temp_dir().join(format!("hlstb-workers-io-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let recovery = |name: &str| {
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        Recovery {
+            fail_plan: Some(FailPlan::parse("io:1").unwrap()),
+            checkpoint: Some(path),
+            ..Recovery::default()
+        }
+    };
+
+    let mut spawn = thread_spawner(None);
+    let loopback = run_sweep_workers(
+        &spec,
+        &SweepOptions::default(),
+        &recovery("loopback.jsonl"),
+        2,
+        &mut spawn,
+    )
+    .unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let coord = {
+        let spec = spec.clone();
+        let recovery = recovery("tcp.jsonl");
+        std::thread::spawn(move || {
+            run_sweep_listen(&spec, &SweepOptions::default(), &recovery, listener).unwrap()
+        })
+    };
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || worker_connect(&addr, None))
+        })
+        .collect();
+    let tcp = coord.join().unwrap();
+    for w in workers {
+        w.join().unwrap().expect("worker exits cleanly on shutdown");
+    }
+
+    for outcome in [loopback, tcp] {
+        assert!(outcome.report.errors().is_empty());
+        assert!(outcome.report.checkpoint_degraded);
+        assert_eq!(outcome.checkpoint_write_errors, 1);
+        assert_eq!(serial, outcome.report.canonical_json());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,9 +1,10 @@
 //! A minimal blocking client for the serve protocol, used by the
 //! CLI's `serve-client` subcommand and the integration tests.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
+use hlstb_dse::proto::write_frame;
 use hlstb_dse::PointError;
 use hlstb_trace::json::{self, Value};
 
@@ -29,12 +30,8 @@ pub struct SweepOutcome {
 /// kind and message).
 pub fn run_sweep(addr: &str, req: &SweepRequest) -> Result<SweepOutcome, PointError> {
     let mut stream = TcpStream::connect(addr).map_err(|e| io(format!("connect {addr}: {e}")))?;
-    let mut line = proto::encode_sweep_request(req);
-    line.push('\n');
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.flush())
-        .map_err(|e| io(format!("send: {e}")))?;
+    write_frame(&mut stream, &proto::encode_sweep_request(req))
+        .map_err(|e| io(format!("send: {}", e.message())))?;
     let reader = BufReader::new(stream);
     let mut progress_frames = 0;
     let mut accepted = false;
@@ -84,11 +81,7 @@ pub fn run_sweep(addr: &str, req: &SweepRequest) -> Result<SweepOutcome, PointEr
 /// the single reply frame verbatim.
 pub fn control(addr: &str, request_line: &str) -> Result<String, PointError> {
     let mut stream = TcpStream::connect(addr).map_err(|e| io(format!("connect {addr}: {e}")))?;
-    stream
-        .write_all(request_line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .map_err(|e| io(format!("send: {e}")))?;
+    write_frame(&mut stream, request_line).map_err(|e| io(format!("send: {}", e.message())))?;
     let mut reader = BufReader::new(stream);
     let mut frame = String::new();
     reader

@@ -28,7 +28,7 @@
 //! `accepted` record is appended *before* the job enters the queue, so
 //! an executor's `completed` record can never precede it in the file.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,8 +36,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hlstb_dse::cache::{ArtifactCache, CacheBounds};
-use hlstb_dse::engine::PointRunner;
-use hlstb_dse::{PointError, SweepReport};
+use hlstb_dse::engine::{PointRunner, SweepDriver};
+use hlstb_dse::proto::write_frame;
+use hlstb_dse::{PointError, Recovery, SweepReport};
 
 use crate::admission::{Admission, AdmissionConfig, Refusal};
 use crate::journal::{self, Journal, Pending};
@@ -377,7 +378,7 @@ impl Daemon {
         match self.admission.submit(job, points) {
             Ok(depth) => {
                 hlstb_trace::counter("serve.accepted", 1);
-                write_frame(&mut w, &proto::encode_accepted(&id, depth));
+                let _ = write_frame(&mut *w, &proto::encode_accepted(&id, depth));
             }
             Err(refusal) => {
                 hlstb_trace::counter("serve.shed", 1);
@@ -398,7 +399,7 @@ impl Daemon {
                 if let Some(j) = &self.journal {
                     j.record_completed(&id, &frame);
                 }
-                write_frame(&mut w, &frame);
+                let _ = write_frame(&mut *w, &frame);
             }
         }
     }
@@ -446,11 +447,12 @@ impl Daemon {
         span.end();
     }
 
-    /// Evaluates the request's points against the shared cache,
-    /// streaming progress. The request deadline is checked when the
-    /// job leaves the queue and again between points, and the
-    /// remaining time maps onto the engine's per-point budget so a
-    /// single runaway point cannot blow through it.
+    /// Evaluates the request's points against the shared cache on one
+    /// lane of a [`SweepDriver`], streaming a `progress` frame per
+    /// point. The request deadline is checked when the job leaves the
+    /// queue and again before each point, and the remaining time maps
+    /// onto the engine's per-point budget so a single runaway point
+    /// cannot blow through it.
     fn execute(&self, job: &Job) -> Result<SweepReport, (ErrorKind, String)> {
         let req = &job.req;
         let mut opts = req.opts;
@@ -473,40 +475,23 @@ impl Daemon {
             });
         }
         let runner = PointRunner::with_cache(&req.spec, &opts, None, Arc::clone(&self.cache));
-        let t0 = Instant::now();
-        let mut records = Vec::with_capacity(runner.len());
-        let mut cpu = Duration::ZERO;
-        for i in 0..runner.len() {
-            if let Some(d) = req.deadline {
-                if job.accepted_at.elapsed() >= d {
-                    return Err((
-                        ErrorKind::Deadline,
-                        format!(
-                            "deadline of {} ms expired after {} of {total} points",
-                            d.as_millis(),
-                            records.len()
-                        ),
-                    ));
-                }
-            }
-            runner.scheduled(i);
-            let (record, _design) = runner.eval(i);
-            cpu += record.wall;
-            records.push(record);
-            send(&job.reply, &proto::encode_progress(&req.id, i + 1, total));
+        let driver = SweepDriver::open(runner, &Recovery::default())
+            .expect("a sweep without checkpoint I/O cannot fail to start")
+            .on_point(|done| send(&job.reply, &proto::encode_progress(&req.id, done, total)));
+        let expired = || req.deadline.is_some_and(|d| job.accepted_at.elapsed() >= d);
+        let all: Vec<usize> = (0..total).collect();
+        driver.run(&all, 1, &expired);
+        if let Some(d) = req.deadline.filter(|_| driver.settled() < total) {
+            return Err((
+                ErrorKind::Deadline,
+                format!(
+                    "deadline of {} ms expired after {} of {total} points",
+                    d.as_millis(),
+                    driver.settled()
+                ),
+            ));
         }
-        Ok(SweepReport {
-            points: records,
-            threads: 1,
-            workers: 0,
-            cache: None,
-            wall: t0.elapsed(),
-            cpu,
-            restored: 0,
-            retries: runner.retries(),
-            reissued: 0,
-            checkpoint_degraded: false,
-        })
+        Ok(driver.finish().report)
     }
 
     /// The metrics snapshot frame: admission counters, handshake
@@ -540,18 +525,10 @@ impl Daemon {
     }
 }
 
-/// Writes one newline-terminated frame, ignoring I/O errors — a gone
-/// client must not take the executor down; the journal already has the
-/// durable copy.
-fn write_frame(w: &mut TcpStream, frame: &str) {
-    let _ = w
-        .write_all(frame.as_bytes())
-        .and_then(|()| w.write_all(b"\n"))
-        .and_then(|()| w.flush());
-}
-
+/// Writes one frame, ignoring I/O errors — a gone client must not take
+/// the executor down; the journal already has the durable copy.
 fn send_shared(writer: &Arc<Mutex<TcpStream>>, frame: &str) {
-    write_frame(&mut writer.lock().expect("connection writer lock"), frame);
+    let _ = write_frame(&mut *writer.lock().expect("connection writer lock"), frame);
 }
 
 fn send(reply: &Option<Arc<Mutex<TcpStream>>>, frame: &str) {

@@ -3,10 +3,8 @@
 //! # Format
 //!
 //! One record per line, appended and flushed as the request crosses
-//! each durability boundary — the same checkpoint-record discipline as
-//! `hlstb_dse::checkpoint` (whole line in one `write_all` on an
-//! `O_APPEND` descriptor, so concurrent appenders never interleave
-//! partial lines):
+//! each durability boundary through [`hlstb_dse::appendlog`] (the sweep
+//! checkpoint's log too); this module owns only the record format:
 //!
 //! ```text
 //! {"v": 1, "kind": "accepted", "id": "<request id>", "request": "<the request line, verbatim>"}
@@ -30,12 +28,9 @@
 //! warning, requests keep serving, and the metrics frame reports
 //! `journal_degraded` — availability over durability, loudly.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use hlstb_dse::appendlog::{self, AppendLog};
 use hlstb_dse::PointError;
 use hlstb_trace::json::{self, Obj, Value};
 
@@ -46,80 +41,48 @@ const JOURNAL_VERSION: u64 = 1;
 /// threads.
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<File>,
-    degraded: AtomicBool,
-    write_errors: AtomicU64,
+    log: AppendLog,
 }
 
 impl Journal {
     /// Opens (creating if needed) the journal for appending.
     pub fn open_append(path: &Path) -> Result<Journal, PointError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| PointError::Io {
-                message: format!("serve journal {}: {e}", path.display()),
-            })?;
         Ok(Journal {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
-            degraded: AtomicBool::new(false),
-            write_errors: AtomicU64::new(0),
+            log: AppendLog::open(path, "serve journal")?,
         })
     }
 
     /// Whether a write failure already downgraded the journal to a
     /// no-op.
     pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Failed appends so far (at most one unless races overlap the
-    /// latch).
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors.load(Ordering::Relaxed)
+        self.log.degraded()
     }
 
     /// Journals an admitted request, verbatim request line included.
     pub fn record_accepted(&self, id: &str, request_line: &str) {
-        let mut o = Obj::new();
-        o.number_u64("v", JOURNAL_VERSION)
-            .string("kind", "accepted")
-            .string("id", id)
-            .string("request", request_line);
-        self.append(o.finish());
+        self.append("accepted", id, "request", request_line);
     }
 
     /// Journals a finished request, verbatim response frame included.
     pub fn record_completed(&self, id: &str, response_frame: &str) {
-        let mut o = Obj::new();
-        o.number_u64("v", JOURNAL_VERSION)
-            .string("kind", "completed")
-            .string("id", id)
-            .string("response", response_frame);
-        self.append(o.finish());
+        self.append("completed", id, "response", response_frame);
     }
 
-    /// Appends one record line, flushed. On failure the journal
-    /// degrades once (single stderr warning) and every later append is
-    /// a no-op — the daemon keeps serving without durability.
-    fn append(&self, mut line: String) {
-        if self.degraded() {
-            return;
-        }
-        line.push('\n');
-        let mut f = self.file.lock().expect("journal lock");
-        let r = f.write_all(line.as_bytes()).and_then(|()| f.flush());
-        drop(f);
-        if let Err(e) = r {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-            if !self.degraded.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: serve journal {}: {e}; continuing without durability",
-                    self.path.display()
-                );
-            }
+    /// Appends one record. On failure the journal degrades once and
+    /// every later append is a no-op — the daemon keeps serving without
+    /// durability.
+    fn append(&self, kind: &str, id: &str, field: &str, verbatim: &str) {
+        let mut o = Obj::new();
+        o.number_u64("v", JOURNAL_VERSION)
+            .string("kind", kind)
+            .string("id", id)
+            .string(field, verbatim);
+        if let Err(e) = self.log.append(&o.finish()) {
+            self.log.degrade(&format!(
+                "serve journal {}: {e}; continuing without durability",
+                self.path.display()
+            ));
         }
     }
 }
@@ -171,38 +134,35 @@ fn parse_record(line: &str) -> Option<Record> {
 /// warning, exactly like the sweep checkpoint loader — a crash tears
 /// at most the final line and must never block restart.
 pub fn load(path: &Path) -> Result<JournalState, PointError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(JournalState::default()),
-        Err(e) => {
-            return Err(PointError::Io {
-                message: format!("serve journal {}: {e}", path.display()),
-            })
-        }
-    };
     let mut state = JournalState::default();
-    for line in text.lines() {
-        match parse_record(line) {
+    let loaded = appendlog::load(
+        path,
+        "serve journal",
+        "fully journaled requests replay normally",
+        |line| match parse_record(line) {
             Some(Record::Accepted { id, request }) => {
                 // Later wins: a replayed-and-interrupted request may be
                 // re-accepted; only the newest acceptance is pending.
                 state.pending.retain(|p| p.id != id);
                 state.pending.push(Pending { id, request });
+                true
             }
             Some(Record::Completed { id }) => {
                 state.pending.retain(|p| p.id != id);
                 state.completed += 1;
+                true
             }
-            None => state.skipped += 1,
+            None => false,
+        },
+    );
+    match loaded {
+        Ok(skipped) => state.skipped = skipped,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => {
+            return Err(PointError::Io {
+                message: format!("serve journal {}: {e}", path.display()),
+            })
         }
-    }
-    if state.skipped > 0 {
-        eprintln!(
-            "warning: serve journal {}: skipped {} malformed line(s) \
-             (torn tail of a crash?); fully journaled requests replay normally",
-            path.display(),
-            state.skipped
-        );
     }
     Ok(state)
 }

@@ -1,12 +1,14 @@
 //! The serve wire protocol: newline-framed JSON, one request per line
 //! from the client, a stream of typed frames back from the daemon.
 //!
-//! The framing deliberately mirrors `hlstb_dse::proto` (the worker
-//! wire path): hand-rolled JSON over a `BufRead`/`Write` pair, every
-//! decode failure a typed error, never a panic. The sweep spec object
-//! embedded in a request *is* the worker protocol's spec object
-//! ([`hlstb_dse::proto::spec_to_json`]), design names plus a combined
-//! content hash — a version-skewed client fails loudly.
+//! The framing is `hlstb_dse::proto`'s (the worker wire path):
+//! hand-rolled JSON over a `BufRead`/`Write` pair, every frame written
+//! by [`hlstb_dse::proto::write_frame`], every decode failure a typed
+//! error, never a panic. The sweep spec and options objects embedded
+//! in a request *are* the worker protocol's
+//! ([`hlstb_dse::proto::spec_to_json`], design names plus a combined
+//! content hash, so a version-skewed client fails loudly; and
+//! [`hlstb_dse::proto::opts_to_json`]).
 //!
 //! # Requests (client → daemon)
 //!
@@ -34,7 +36,7 @@
 
 use std::time::Duration;
 
-use hlstb_dse::proto::{spec_from_json, spec_to_json};
+use hlstb_dse::proto::{opts_from_json, opts_to_json, spec_from_json, spec_to_json};
 use hlstb_dse::{PointError, SweepOptions, SweepSpec};
 use hlstb_trace::json::{self, Obj, Value};
 
@@ -102,19 +104,12 @@ fn bad(what: impl std::fmt::Display) -> PointError {
 /// Renders a sweep request line (no trailing newline). The client side
 /// of the protocol — also what the CLI's `serve-client` sends.
 pub fn encode_sweep_request(req: &SweepRequest) -> String {
-    let mut opts = Obj::new();
-    opts.boolean("cache", req.opts.cache);
-    match req.opts.point_budget {
-        Some(b) => opts.number_u64("point_budget_ms", b.as_millis() as u64),
-        None => opts.raw("point_budget_ms", "null"),
-    };
-    opts.number_u64("retries", u64::from(req.opts.retries));
     let mut o = Obj::new();
     o.number_u64("v", SERVE_VERSION)
         .string("type", "sweep")
         .string("id", &req.id)
         .raw("spec", &spec_to_json(&req.spec))
-        .raw("opts", &opts.finish());
+        .raw("opts", &opts_to_json(&req.opts));
     match req.deadline {
         Some(d) => o.number_u64("deadline_ms", d.as_millis() as u64),
         None => o.raw("deadline_ms", "null"),
@@ -173,18 +168,9 @@ pub fn decode_request(line: &str) -> Result<Request, PointError> {
             if spec.points().is_empty() {
                 return Err(bad("sweep request enumerates no points"));
             }
-            let mut opts = SweepOptions::default();
-            if let Some(o) = v.get("opts") {
-                opts.cache = o.get("cache").and_then(Value::as_bool).unwrap_or(true);
-                opts.point_budget = o
-                    .get("point_budget_ms")
-                    .and_then(Value::as_f64)
-                    .map(|ms| Duration::from_millis(ms as u64));
-                opts.retries = o
-                    .get("retries")
-                    .and_then(Value::as_f64)
-                    .map_or(1, |r| r as u32);
-            }
+            let opts = v
+                .get("opts")
+                .map_or_else(SweepOptions::default, opts_from_json);
             let deadline = v
                 .get("deadline_ms")
                 .and_then(Value::as_f64)

@@ -305,3 +305,86 @@ fn drain_finishes_inflight_requests() {
         .expect("daemon thread")
         .expect("drain exits cleanly");
 }
+
+/// A successful request streams exactly one `progress` frame per point
+/// before its result.
+#[test]
+fn a_request_streams_one_progress_frame_per_point() {
+    let server = Server::start(ServeConfig::default());
+    let outcome =
+        client::run_sweep(&server.addr(), &sweep_request("progress")).expect("sweep succeeds");
+    assert_eq!(outcome.progress_frames, small_spec().points().len());
+    server.shutdown();
+}
+
+/// With the only executor busy on a long request, a request whose
+/// deadline expires in the queue earns a typed `deadline` error frame,
+/// and the journal resolves it with a `completed` record carrying that
+/// frame.
+#[test]
+fn a_deadline_expired_in_the_queue_is_a_typed_journaled_error() {
+    let journal = std::env::temp_dir().join(format!(
+        "hlstb_serve_chaos_deadline_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&journal);
+    let server = Server::start(ServeConfig {
+        executors: 1,
+        journal: Some(journal.clone()),
+        ..ServeConfig::default()
+    });
+    // Long enough (88 graded points: 0.15 s in a release build on a
+    // 2-vCPU box) that the second request, whose admission can wait out
+    // the daemon's 25 ms accept poll, is queued while this one runs.
+    let mut long = sweep_request("long");
+    long.spec = SweepSpec::new(vec![
+        benchmarks::diffeq(),
+        benchmarks::ewf(),
+        benchmarks::tseng(),
+        benchmarks::gcd(),
+    ]);
+    long.spec.patterns = vec![1024, 8192];
+    let mut conn = TcpStream::connect(server.addr).expect("connect");
+    conn.write_all((proto::encode_sweep_request(&long) + "\n").as_bytes())
+        .expect("send");
+    let mut reader = BufReader::new(conn);
+    let mut next_frame_type = || {
+        let mut frame = String::new();
+        assert!(
+            reader.read_line(&mut frame).expect("frame") > 0,
+            "stream ended"
+        );
+        let v = json::parse(&frame).expect("frame parses");
+        v.get("type").and_then(Value::as_str).map(str::to_string)
+    };
+    // Its first progress frame shows the long request holds the only
+    // executor, with most of its points still to run.
+    while next_frame_type().as_deref() != Some("progress") {}
+    let mut short = sweep_request("short");
+    short.deadline = Some(Duration::from_millis(1));
+    let err = client::run_sweep(&server.addr(), &short).expect_err("deadline expires in the queue");
+    assert!(
+        err.message().contains("deadline: deadline of 1 ms expired"),
+        "typed kind in {}",
+        err.message()
+    );
+    while next_frame_type().as_deref() != Some("result") {}
+    let text = std::fs::read_to_string(&journal).expect("journal");
+    let completed = text
+        .lines()
+        .map(|line| json::parse(line).expect("journal line parses"))
+        .find(|r| {
+            r.get("kind").and_then(Value::as_str) == Some("completed")
+                && r.get("id").and_then(Value::as_str) == Some("short")
+        })
+        .expect("the expired request is journaled as completed");
+    let response = completed
+        .get("response")
+        .and_then(Value::as_str)
+        .expect("completed record carries the response frame");
+    let frame = json::parse(response).expect("response frame parses");
+    assert_eq!(frame.get("type").and_then(Value::as_str), Some("error"));
+    assert_eq!(frame.get("kind").and_then(Value::as_str), Some("deadline"));
+    server.shutdown();
+    let _ = std::fs::remove_file(&journal);
+}
