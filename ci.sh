@@ -240,10 +240,11 @@ rm -f coalesce_summary.txt
 
 # Digest smoke: a short perfbench run of the 297-point scoreboard sweep,
 # in-process and over TCP worker lanes, must reproduce the committed
-# per-design report digests (perfbench/digests.txt) bit for bit; the
-# last stdout line reports `"correct": true` only when every point
-# matched.
-for w in scoreboard scoreboard-lanes; do
+# per-design report digests (perfbench/digests.txt) bit for bit, and
+# every daemon response of a short serve-mix run must be byte-identical
+# to its serial uncached reference; the last stdout line reports
+# `"correct": true` only when every point and response matched.
+for w in scoreboard scoreboard-lanes serve-mix; do
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 2 --trace 0 >digest_smoke.json
     tail -n 1 digest_smoke.json | grep -q '"correct": true'

@@ -512,6 +512,20 @@ impl<T> Store<T> {
         }
     }
 
+    /// Every ready value, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn ready_values(&self) -> Vec<Arc<T>> {
+        let inner = self.inner.lock().expect("cache lock");
+        inner
+            .map
+            .values()
+            .filter_map(|slot| match slot {
+                Slot::Ready(e) => Some(Arc::clone(&e.value)),
+                Slot::InFlight(_) => None,
+            })
+            .collect()
+    }
+
     fn record_served(&self, waited: bool) -> CacheOutcome {
         if waited {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -546,10 +560,34 @@ impl<T> Store<T> {
 /// plans the strategy attached.
 #[derive(Debug, Clone)]
 pub struct DftOutput {
-    /// The data path with the strategy's scan marks applied.
-    pub datapath: Datapath,
+    datapath: Datapath,
+    datapath_hash: u64,
     /// BIST / test-point plans.
     pub plans: DftPlans,
+}
+
+impl DftOutput {
+    /// Wraps a DFT stage's result, hashing the marked data path once
+    /// so a cache hit never re-renders it.
+    pub fn new(datapath: Datapath, plans: DftPlans) -> Self {
+        DftOutput {
+            datapath_hash: crate::key::hash_debug(&datapath),
+            datapath,
+            plans,
+        }
+    }
+
+    /// The data path with the strategy's scan marks applied.
+    pub fn datapath(&self) -> &Datapath {
+        &self.datapath
+    }
+
+    /// [`key::hash_debug`](crate::key::hash_debug) of
+    /// [`datapath`](Self::datapath) — the content part of the netlist
+    /// key.
+    pub fn datapath_hash(&self) -> u64 {
+        self.datapath_hash
+    }
 }
 
 /// Per-stage artifact stores for one sweep.
@@ -574,7 +612,7 @@ fn facts_cost(_: &SgraphFacts) -> u64 {
 }
 
 fn dft_cost(v: &DftOutput) -> u64 {
-    1024 + 256 * v.datapath.registers().len() as u64
+    1024 + 256 * v.datapath().registers().len() as u64
 }
 
 fn netlist_cost(v: &ExpandedDatapath) -> u64 {

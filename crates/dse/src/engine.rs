@@ -870,7 +870,8 @@ fn grading_event(p: Point, stats: &hlstb::netlist::stats::GradeStats) {
 /// * netlist — *content* of the marked data path + width (+ reset
 ///   flag), so every strategy that leaves identical marks (all four
 ///   no-scan strategies: none, both BISTs, k-level points) shares one
-///   expansion;
+///   expansion; the content hash is taken once, when the DFT artifact
+///   is built, so a warm point costs lookups only;
 /// * grading run — the netlist key; evaluated once at the sweep's
 ///   deepest budget, read as a prefix for shallower ones.
 fn eval_cached(
@@ -908,20 +909,18 @@ fn eval_cached(
     let (dft, dft_hit) = cache.dft.get_or_try(dft_key, || {
         let mut fe = (*fe).clone();
         let plans = flow.apply_dft(&mut fe);
-        Ok::<_, PointError>(DftOutput {
-            datapath: fe.datapath,
-            plans,
-        })
+        Ok::<_, PointError>(DftOutput::new(fe.datapath, plans))
     })?;
     stage_event(p, "dft", Some(dft_hit), t.elapsed());
     let nl_key = key::combine(&[
-        key::hash_debug(&dft.datapath),
+        dft.datapath_hash(),
         u64::from(p.width),
         u64::from(spec.reset_controller),
     ]);
     let t = Instant::now();
     let (expanded, nl_hit) = cache.netlist.get_or_try(nl_key, || {
-        flow.expand_netlist(&dft.datapath).map_err(PointError::from)
+        flow.expand_netlist(dft.datapath())
+            .map_err(PointError::from)
     })?;
     stage_event(p, "netlist", Some(nl_hit), t.elapsed());
     let (coverage_percent, timed_out) = if p.patterns > 0 {
@@ -947,12 +946,12 @@ fn eval_cached(
     } else {
         (None, false)
     };
-    let report = flow.build_report(&dft.datapath, &expanded, dft.plans.bist.as_ref(), &facts);
+    let report = flow.build_report(dft.datapath(), &expanded, dft.plans.bist.as_ref(), &facts);
     let design_out = keep.then(|| SynthesizedDesign {
         cdfg: design.clone(),
         schedule: fe.schedule.clone(),
         binding: fe.binding.clone(),
-        datapath: dft.datapath.clone(),
+        datapath: dft.datapath().clone(),
         expanded: (*expanded).clone(),
         report: report.clone(),
         bist_plan: dft.plans.bist.clone(),
@@ -1041,6 +1040,7 @@ fn eval_direct(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheBounds;
     use hlstb::cdfg::benchmarks;
 
     fn tiny_spec() -> SweepSpec {
@@ -1197,6 +1197,53 @@ mod tests {
         assert_eq!(stats.grading.hits, 3, "{stats:?}");
         // ... and one front end serves everything.
         assert_eq!(stats.front.misses, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn a_warm_shared_cache_serves_a_rerun_from_lookups_alone() {
+        let spec = tiny_spec();
+        let opts = SweepOptions {
+            cache: true,
+            ..SweepOptions::default()
+        };
+        let cache = Arc::new(ArtifactCache::bounded(CacheBounds {
+            max_entries: Some(1024),
+            max_bytes: Some(64 << 20),
+        }));
+        let pass = || {
+            let runner = PointRunner::with_cache(&spec, &opts, None, Arc::clone(&cache));
+            let driver = SweepDriver::open(runner, &Recovery::default()).expect("no checkpoint");
+            let all: Vec<usize> = (0..driver.runner().len()).collect();
+            driver.run(&all, 1, &|| false);
+            driver.finish().report
+        };
+        let cold = pass().cache.expect("shared cache");
+        let rerun = pass();
+        let warm = rerun.cache.expect("shared cache");
+        for (store, before, after) in [
+            ("front", cold.front, warm.front),
+            ("facts", cold.facts, warm.facts),
+            ("dft", cold.dft, warm.dft),
+            ("netlist", cold.netlist, warm.netlist),
+            ("grading", cold.grading, warm.grading),
+        ] {
+            assert_eq!(after.misses, before.misses, "{store} missed: {warm:?}");
+            assert!(after.hits > before.hits, "{store} unused: {warm:?}");
+        }
+        let serial = run_sweep(
+            &spec,
+            &SweepOptions {
+                threads: 1,
+                cache: false,
+                ..SweepOptions::default()
+            },
+        );
+        assert_eq!(rerun.canonical_json(), serial.report.canonical_json());
+        let dft = cache.dft.ready_values();
+        assert!(!dft.is_empty());
+        for d in dft {
+            assert_eq!(d.datapath_hash(), key::hash_debug(d.datapath()));
+        }
     }
 
     #[test]

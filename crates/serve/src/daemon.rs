@@ -4,7 +4,9 @@
 //! # Thread structure
 //!
 //! ```text
-//! main thread          accept loop (nonblocking + 25 ms poll)
+//! main thread          accept loop (nonblocking listener; `poll(2)`
+//!                      wakes it when a connection is pending, or
+//!                      after 25 ms to re-check the stop flag)
 //! connection threads   read request lines, answer control requests,
 //!                      submit sweeps through admission
 //! executor threads     dequeue admitted jobs, run them against the
@@ -14,10 +16,10 @@
 //! All threads live inside one `std::thread::scope`, so shutdown is a
 //! join, not a detach-and-hope: once the stop flag (SIGTERM or an
 //! injected test flag) is observed, the accept loop stops accepting,
-//! admission begins draining, connection threads wind down at their
-//! next poll tick, executors finish the queue, and `run` returns
-//! `Ok(())` — exit code 0 with every accepted request resolved and
-//! journaled.
+//! admission begins draining, connection threads — handshaken or still
+//! silent — wind down at their next read slice, executors finish the
+//! queue, and `run` returns `Ok(())` — exit code 0 with every accepted
+//! request resolved and journaled.
 //!
 //! # Frame ordering
 //!
@@ -28,8 +30,10 @@
 //! `accepted` record is appended *before* the job enters the queue, so
 //! an executor's `completed` record can never precede it in the file.
 
+use std::ffi::c_ulong;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -44,12 +48,14 @@ use crate::admission::{Admission, AdmissionConfig, Refusal};
 use crate::journal::{self, Journal, Pending};
 use crate::proto::{self, ErrorKind, Request, SweepRequest};
 
-/// How long the accept loop sleeps when no connection is pending, and
-/// how often blocked reads re-check the stop flag.
+/// The longest the accept loop waits for a connection before it
+/// re-checks the stop flag, and how long it backs off after a real
+/// `poll` or `accept` error.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Read timeout on established connections: long enough to be cheap,
-/// short enough that drain is prompt.
+/// Read timeout on connections, before and after the handshake: every
+/// blocked read re-checks the stop flag this often — long enough to be
+/// cheap, short enough that drain is prompt.
 const IDLE_POLL: Duration = Duration::from_millis(200);
 
 /// SIGTERM, the graceful-drain signal.
@@ -57,8 +63,19 @@ const SIGTERM: i32 = 15;
 
 static TERM: AtomicBool = AtomicBool::new(false);
 
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+
 extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: i32) -> i32;
 }
 
 extern "C" fn on_sigterm(_signum: i32) {
@@ -72,6 +89,31 @@ fn install_sigterm() {
     // whole program lifetime and only performs an atomic store.
     unsafe {
         signal(SIGTERM, on_sigterm as *const () as usize);
+    }
+}
+
+/// Blocks until `listener` has a connection pending or `timeout`
+/// passes. A signal (SIGTERM) interrupting the wait counts as a
+/// wake-up, so the caller re-checks its stop flag. A listener in an
+/// error state also wakes the wait at once; the caller's next `accept`
+/// then fails with the real error, which it backs off from.
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is one valid, exclusively borrowed `pollfd` for the
+    // duration of the call, `nfds` is 1, and the borrowed listener
+    // keeps the descriptor open.
+    if unsafe { poll(&mut fd, 1, timeout_ms) } >= 0 {
+        return Ok(());
+    }
+    let e = std::io::Error::last_os_error();
+    match e.kind() {
+        std::io::ErrorKind::Interrupted => Ok(()),
+        _ => Err(e),
     }
 }
 
@@ -259,7 +301,10 @@ impl Daemon {
                         s.spawn(move || d.connection(stream));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
+                        if let Err(e) = wait_for_connection(&d.listener, POLL) {
+                            eprintln!("serve: poll: {e}");
+                            std::thread::sleep(POLL);
+                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => {
@@ -277,18 +322,15 @@ impl Daemon {
         Ok(())
     }
 
-    /// One connection: a handshake-timed first read, then a poll-timed
-    /// line loop. Every malformed line earns a typed `bad_request`
-    /// frame; the connection survives until EOF, an I/O error, a
-    /// silent handshake, or drain.
+    /// One connection: a line loop whose reads time out every
+    /// [`IDLE_POLL`] to re-check the stop flag. Before the first
+    /// request line the slices are cut short at the handshake deadline
+    /// (`hello_timeout` after accept). Every malformed line earns a
+    /// typed `bad_request` frame; the connection survives until EOF, an
+    /// I/O error, a silent handshake, or drain.
     fn connection(&self, stream: TcpStream) {
+        let connected = Instant::now();
         let _ = stream.set_nodelay(true);
-        if stream
-            .set_read_timeout(Some(self.cfg.hello_timeout))
-            .is_err()
-        {
-            return;
-        }
         let Ok(clone) = stream.try_clone() else {
             return;
         };
@@ -297,6 +339,25 @@ impl Daemon {
         let mut buf = String::new();
         let mut handshook = false;
         loop {
+            if !handshook {
+                let left = self.cfg.hello_timeout.saturating_sub(connected.elapsed());
+                if left.is_zero() {
+                    self.hello_timeouts.fetch_add(1, Ordering::Relaxed);
+                    hlstb_trace::counter("serve.hello_timeout", 1);
+                    eprintln!(
+                        "serve: dropping connection that sent no request within {:?}",
+                        self.cfg.hello_timeout
+                    );
+                    break;
+                }
+                if reader
+                    .get_ref()
+                    .set_read_timeout(Some(left.min(IDLE_POLL)))
+                    .is_err()
+                {
+                    break;
+                }
+            }
             match reader.read_line(&mut buf) {
                 Ok(0) => break,
                 Ok(_) => {
@@ -319,15 +380,8 @@ impl Daemon {
                 {
                     // Partial bytes (if any) stay buffered in `buf`;
                     // the next pass keeps accumulating the same line.
-                    if !handshook {
-                        self.hello_timeouts.fetch_add(1, Ordering::Relaxed);
-                        hlstb_trace::counter("serve.hello_timeout", 1);
-                        eprintln!(
-                            "serve: dropping connection that sent no request within {:?}",
-                            self.cfg.hello_timeout
-                        );
-                        break;
-                    }
+                    // A silent connection dropped by drain is not a
+                    // handshake timeout.
                     if self.stopping() {
                         break;
                     }

@@ -247,11 +247,13 @@ soa-equiv: build
 
 # Digest smoke: a short perfbench run of the 297-point scoreboard sweep,
 # in-process and over TCP worker lanes, must reproduce the committed
-# per-design report digests (perfbench/digests.txt) bit for bit.
+# per-design report digests (perfbench/digests.txt) bit for bit, and a
+# short serve-mix run must answer every request byte-identically to its
+# serial uncached reference.
 digest-smoke:
     #!/usr/bin/env sh
     set -eu
-    for w in scoreboard scoreboard-lanes; do
+    for w in scoreboard scoreboard-lanes serve-mix; do
         cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
             --workload "$w" --seed 1 --seconds 2 --trace 0 >digest_smoke.json
         tail -n 1 digest_smoke.json | grep -q '"correct": true'
