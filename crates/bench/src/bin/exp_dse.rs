@@ -5,30 +5,31 @@
 //! the working directory.
 //!
 //! `exp_dse [threads] [workers]` (defaults 4 and 4; workers 0 skips
-//! the sharded configuration). `exp_dse sweep-worker` is the hidden
-//! child end of the sharded run — protocol frames on stdout, not for
-//! humans.
+//! the sharded configuration). `exp_dse sweep-worker --connect ADDR`
+//! is the worker end of the sharded run, which launches it.
 
 fn main() {
-    // The worker mode must not initialize trace sinks: its stdout is
-    // the wire.
-    if std::env::args().nth(1).as_deref() == Some("sweep-worker") {
-        std::process::exit(hlstb_dse::worker::worker_main());
+    // The worker mode must not initialize trace sinks: the
+    // coordinator's sinks cover the sweep.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("sweep-worker") {
+        let code = match &args[1..] {
+            [flag, addr] if flag == "--connect" => hlstb_dse::worker::worker_connect_main(addr),
+            _ => {
+                eprintln!("usage: exp_dse sweep-worker --connect <addr>");
+                2
+            }
+        };
+        std::process::exit(code);
     }
     hlstb_bench::tracehook::init();
-    let threads: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4);
-    let workers: usize = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4);
+    let threads: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(4);
+    let workers: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(4);
     let spec = hlstb_bench::dse_exp::full_spec();
     let bench = if workers > 0 {
         let exe = std::env::current_exe().expect("own binary path");
-        let mut spawn = hlstb_dse::worker::process_spawner(exe, "sweep-worker");
-        hlstb_bench::dse_exp::bench_with_workers(&spec, threads, workers, &mut spawn)
+        let mut launch = hlstb_dse::worker::process_spawner(exe);
+        hlstb_bench::dse_exp::bench_with_workers(&spec, threads, workers, &mut launch)
     } else {
         hlstb_bench::dse_exp::bench_spec(&spec, threads)
     };

@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use hlstb_dse::worker::SpawnFn;
+use hlstb_dse::worker::LaunchFn;
 use hlstb_dse::{run_sweep, run_sweep_workers, CacheStats, Recovery, SweepOptions, SweepSpec};
 
 use crate::Table;
@@ -76,21 +76,22 @@ pub fn bench_spec(spec: &SweepSpec, threads: usize) -> DseBench {
 }
 
 /// [`bench_spec`] plus a fourth configuration: the same sweep sharded
-/// over `workers` worker lanes built by `spawn` (process pipes from
-/// `exp_dse`, loopback lanes in tests) and spliced byte-identically.
+/// over `workers` TCP worker lanes started by `launch` (worker
+/// processes from `exp_dse`, worker threads in tests) and spliced
+/// byte-identically.
 pub fn bench_with_workers(
     spec: &SweepSpec,
     threads: usize,
     workers: usize,
-    spawn: &mut SpawnFn<'_>,
+    launch: &mut LaunchFn<'_>,
 ) -> DseBench {
-    bench_impl(spec, threads, Some((workers, spawn)))
+    bench_impl(spec, threads, Some((workers, launch)))
 }
 
 fn bench_impl(
     spec: &SweepSpec,
     threads: usize,
-    workers: Option<(usize, &mut SpawnFn<'_>)>,
+    workers: Option<(usize, &mut LaunchFn<'_>)>,
 ) -> DseBench {
     let configs = [
         ("serial-nocache", 1usize, false),
@@ -128,7 +129,7 @@ fn bench_impl(
             timeouts: out.report.timeouts(),
         });
     }
-    if let Some((lanes, spawn)) = workers {
+    if let Some((lanes, launch)) = workers {
         let out = run_sweep_workers(
             spec,
             &SweepOptions {
@@ -138,7 +139,7 @@ fn bench_impl(
             },
             &Recovery::default(),
             lanes,
-            spawn,
+            launch,
         )
         .expect("workers sweep completes");
         let c = out.report.canonical_json();

@@ -248,7 +248,7 @@ pub fn point_key(spec: &SweepSpec, design_keys: &[u64], p: Point) -> u64 {
 /// The shared per-point evaluator: the spec's enumerated points, their
 /// content keys, the stage cache, and the panic-isolated retry loop,
 /// bundled so the [`SweepDriver`]'s local lanes and the remote worker's
-/// lease loop ([`crate::worker::worker_loop`]) evaluate points through
+/// lease loop ([`crate::worker::worker_connect`]) evaluate points through
 /// literally the same code — which is what makes the multi-process
 /// splice byte-identical to a serial run by construction.
 pub struct PointRunner<'a> {

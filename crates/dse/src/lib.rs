@@ -33,14 +33,15 @@
 //!
 //! # Scale-out
 //!
-//! [`worker::run_sweep_workers`] shards a sweep over worker processes
-//! on stdin/stdout pipes (`hlstb sweep --workers N`), and
-//! [`worker::run_sweep_listen`] over TCP workers that dial in (`hlstb
-//! sweep --listen ADDR`), all speaking the newline-framed [`proto`].
-//! Leases are re-issued when a worker dies, and results splice
-//! byte-identically from checkpoint-format frames through the same
-//! [`engine::SweepDriver`] that runs the local pool and the serve
-//! daemon's requests.
+//! A scale-out sweep's lanes are TCP connections from workers that
+//! dial the coordinator and speak the newline-framed [`proto`].
+//! [`worker::run_sweep_workers`] (`hlstb sweep --workers N`) launches
+//! N such workers against a loopback port and splices only results
+//! from them (a per-sweep token); [`worker::run_sweep_listen`] (`hlstb
+//! sweep --listen ADDR`) serves whoever dials in. Leases are re-issued
+//! when a worker dies, and results splice byte-identically from
+//! checkpoint-format frames through the same [`engine::SweepDriver`]
+//! that runs the local pool and the serve daemon's requests.
 //!
 //! # Fault tolerance
 //!

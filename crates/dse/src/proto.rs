@@ -3,18 +3,16 @@
 //! # Framing
 //!
 //! Line-delimited JSON in both directions — one object per `\n`-framed
-//! line, no length prefixes, no binary — so the transport only needs
-//! to be an ordered byte stream. Today that stream is a worker
-//! process's stdin/stdout pipe pair ([`crate::worker::WorkerLink`]) or
-//! an in-memory loopback; a TCP socket satisfies the same contract and
-//! can slot in without touching the frame layer.
+//! line, no length prefixes, no binary — over the TCP connection a
+//! worker dials to its coordinator ([`crate::worker`]). Nothing here is
+//! transport-aware: the frame layer needs only an ordered byte stream.
 //!
 //! # Frames
 //!
 //! Coordinator → worker ([`ToWorker`]):
 //!
 //! ```text
-//! {"type": "hello", "v": 2, "worker": 0, "spec": {…}, "opts": {…}}
+//! {"type": "hello", "v": 3, "worker": 0, "spec": {…}, "opts": {…}}
 //! {"type": "lease", "start": 0, "end": 4}
 //! {"type": "shutdown"}
 //! ```
@@ -22,13 +20,15 @@
 //! Worker → coordinator ([`FromWorker`]):
 //!
 //! ```text
-//! {"type": "ready", "worker": 0, "points": 297}
+//! {"type": "ready", "worker": 0, "points": 297, "token": "<32-hex>"}
 //! {"v": 1, "key": "<16-hex>", "index": 3, "canonical": "<escaped JSON>"}
 //! {"type": "done", "start": 0, "end": 4, "points": 4, "retries": 0, "cache": {…}}
 //! {"type": "error", "message": "…"}
 //! ```
 //!
-//! The `done` frame's trailing counters are cumulative over the
+//! `ready` echoes the launch token of a `--workers` sweep (omitted by a
+//! worker that has none; a listen-mode coordinator ignores it). The
+//! `done` frame's trailing counters are cumulative over the
 //! worker's session ([`DoneStats`]); the coordinator keeps the latest
 //! snapshot per lane and sums them fleet-wide into the report
 //! envelope. (The point frame's `"v"` is the checkpoint format
@@ -63,8 +63,9 @@ use crate::spec::{self, SweepSpec};
 use hlstb_trace::json::{self, Arr, Obj, Value};
 
 /// Protocol version; bumped on any frame-layout change (v2: the `done`
-/// frame grew cumulative per-worker counters and cache stats).
-pub const PROTO_VERSION: u64 = 2;
+/// frame grew cumulative per-worker counters and cache stats; v3:
+/// `ready` may echo a launch token).
+pub const PROTO_VERSION: u64 = 3;
 
 /// A frame the coordinator sends to a worker.
 #[derive(Debug, Clone)]
@@ -106,6 +107,8 @@ pub enum FromWorker {
         worker: u32,
         /// Points the worker's resolved spec enumerates.
         points: usize,
+        /// The launch token the worker was given, if any.
+        token: Option<String>,
     },
     /// One completed point in checkpoint-record form.
     Point {
@@ -388,12 +391,16 @@ pub fn encode_shutdown() -> String {
     o.finish()
 }
 
-/// Encodes a worker's handshake reply.
-pub fn encode_ready(worker: u32, points: usize) -> String {
+/// Encodes a worker's handshake reply, echoing its launch token when
+/// it has one.
+pub fn encode_ready(worker: u32, points: usize, token: Option<&str>) -> String {
     let mut o = Obj::new();
     o.string("type", "ready")
         .number_u64("worker", u64::from(worker))
         .number_u64("points", points as u64);
+    if let Some(token) = token {
+        o.string("token", token);
+    }
     o.finish()
 }
 
@@ -497,6 +504,7 @@ pub fn decode_from_worker(line: &str) -> Result<FromWorker, PointError> {
         Some("ready") => Ok(FromWorker::Ready {
             worker: field_usize(&v, "worker")? as u32,
             points: field_usize(&v, "points")?,
+            token: v.get("token").and_then(Value::as_str).map(str::to_string),
         }),
         Some("done") => Ok(FromWorker::Done {
             start: field_usize(&v, "start")?,
@@ -578,10 +586,19 @@ mod tests {
             ToWorker::Shutdown
         ));
         assert_eq!(
-            decode_from_worker(&encode_ready(2, 297)).unwrap(),
+            decode_from_worker(&encode_ready(2, 297, None)).unwrap(),
             FromWorker::Ready {
                 worker: 2,
-                points: 297
+                points: 297,
+                token: None
+            }
+        );
+        assert_eq!(
+            decode_from_worker(&encode_ready(2, 297, Some("00ff"))).unwrap(),
+            FromWorker::Ready {
+                worker: 2,
+                points: 297,
+                token: Some("00ff".into())
             }
         );
         let stats = DoneStats {

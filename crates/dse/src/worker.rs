@@ -1,29 +1,38 @@
 //! Scale-out sweep execution: a coordinator sharding the point list
-//! over worker processes (or threads) speaking the [`crate::proto`]
-//! wire protocol.
+//! over TCP worker lanes speaking the [`crate::proto`] wire protocol.
 //!
 //! # Topology
 //!
-//! The coordinator spawns N workers through a caller-supplied
-//! transport factory. Each worker gets a `hello` (spec by name + hash,
-//! options, fail plan), answers `ready`, and then pulls **leases** —
-//! contiguous point-index ranges carved from the spec's enumeration
-//! order. Work-stealing happens at the lease queue: a fast worker that
+//! Every lane is an accepted TCP connection from a worker that dialed
+//! the coordinator ([`worker_connect`]; `hlstb sweep-worker --connect
+//! ADDR`). The lanes come from one of two places:
+//!
+//! * [`run_sweep_workers`] (`hlstb sweep --workers N`) binds
+//!   `127.0.0.1:0` and *launches* N workers that dial it: child
+//!   processes ([`process_spawner`]) or in-process threads
+//!   ([`thread_spawner`], used by the tests and benchmarks);
+//! * [`run_sweep_listen`] (`hlstb sweep --listen ADDR`) binds where it
+//!   is told and serves whoever dials in, for as long as work remains.
+//!
+//! Each new lane gets a `hello` (spec by name + hash, options, fail
+//! plan), answers `ready`, and then pulls **leases** — contiguous
+//! point-index ranges carved from the spec's enumeration order.
+//! Work-stealing happens at the lease queue: a fast worker that
 //! finishes its range simply pulls the next one, so a slow point never
 //! idles the fleet (the same injector discipline as the in-process
 //! pool, at range granularity to amortize framing).
 //!
-//! Three transports ship in-tree:
+//! # Trust
 //!
-//! * [`process_spawner`] — `hlstb sweep-worker` child processes over
-//!   stdin/stdout pipe pairs (what `hlstb sweep --workers N` uses);
-//! * [`thread_spawner`] — in-process worker threads over loopback
-//!   byte pipes, used by the determinism tests and benchmarks;
-//! * [`run_sweep_listen`] — TCP workers ([`worker_connect`]) dialing
-//!   into a listener (`hlstb sweep --listen`).
-//!
-//! Each hands the coordinator a [`WorkerLink`] — a pair of anonymous
-//! ordered byte streams — which is the entire transport contract.
+//! A `--workers` sweep splices results only from the workers it
+//! launched. It draws a random token per sweep from the OS RNG and
+//! hands it to them through the environment ([`Invite::ENV`]), never
+//! on the command line; they echo it in `ready`, and a lane without it
+//! is abandoned like a garbage lane, so nothing else that dials the
+//! loopback port can inject points. `--listen` has no token: LAN
+//! semantics, with the `hello` design content hash as the integrity
+//! check. In both modes a point frame splices only from a live, ready
+//! lane and only for an index that lane holds a lease on.
 //!
 //! # Byte-identical splice
 //!
@@ -40,19 +49,27 @@
 //!
 //! # Failure handling
 //!
-//! A worker that dies (EOF, kill, torn frame, key mismatch, version
+//! A lane that dies (EOF, kill, torn frame, key mismatch, version
 //! skew) surfaces as a typed [`PointError::Io`]-family verdict on its
-//! stream; the coordinator marks the lane dead, re-enqueues every
-//! leased-but-unreceived index, and the surviving workers absorb the
-//! re-issued ranges. If every lane dies, the driver's local loop
-//! evaluates the remainder — the sweep completes (byte-identically) as
-//! long as the coordinator itself lives.
+//! stream; the coordinator shuts its socket, re-enqueues every
+//! leased-but-unreceived index, and the surviving lanes absorb the
+//! re-issued ranges. A listen-mode sweep waits for the next dialer;
+//! a `--workers` sweep with no live lane and every launched worker
+//! exited evaluates the remainder on the driver's local loop, so it
+//! completes (byte-identically) as long as the coordinator lives.
+//!
+//! No launched worker outlives the call: once the work is done every
+//! lane gets `shutdown`, and the coordinator keeps accepting until each
+//! launched worker has exited — one that attaches late (between
+//! redials) gets `hello` and then `shutdown`.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::checkpoint;
@@ -100,228 +117,138 @@ impl WorkerFail {
 }
 
 // ---------------------------------------------------------------------------
-// Loopback byte pipe (the in-process transport).
+// Launching workers.
 
-#[derive(Default)]
-struct PipeState {
-    buf: VecDeque<u8>,
-    closed: bool,
+/// What a launched worker needs to join a [`run_sweep_workers`] sweep:
+/// the coordinator's loopback address and the sweep's token.
+#[derive(Debug, Clone)]
+pub struct Invite {
+    /// The coordinator's listening address.
+    pub addr: String,
+    /// The per-sweep token the worker echoes in `ready`.
+    pub token: String,
 }
 
-type PipeShared = Arc<(Mutex<PipeState>, Condvar)>;
+impl Invite {
+    /// The environment variable that carries the token to a launched
+    /// `sweep-worker --connect` process (argv is readable by every
+    /// local user; a process's environment is not).
+    pub const ENV: &'static str = "HLSTB_WORKER_TOKEN";
 
-/// The write half of a loopback pipe. Dropping it closes the pipe
-/// (readers see EOF), mirroring a process's stdout going away.
-pub struct PipeWriter(PipeShared);
-
-/// The read half of a loopback pipe. Dropping it makes further writes
-/// fail with `BrokenPipe`, mirroring a dead peer.
-pub struct PipeReader(PipeShared);
-
-/// An anonymous in-memory byte pipe: ordered, blocking reads, EOF on
-/// writer drop. The loopback stand-in for a process pipe or socket.
-pub fn pipe() -> (PipeWriter, PipeReader) {
-    let shared: PipeShared = Arc::new((Mutex::new(PipeState::default()), Condvar::new()));
-    (PipeWriter(Arc::clone(&shared)), PipeReader(shared))
-}
-
-fn pipe_lock(shared: &PipeShared) -> std::sync::MutexGuard<'_, PipeState> {
-    shared.0.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        let mut st = pipe_lock(&self.0);
-        if st.closed {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "loopback peer closed",
-            ));
-        }
-        st.buf.extend(data);
-        self.0 .1.notify_all();
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
+    /// Serves this sweep as a launched worker: [`worker_connect`] with
+    /// the token echoed in `ready`.
+    ///
+    /// # Errors
+    ///
+    /// As [`worker_connect`].
+    pub fn connect(&self, fail: Option<WorkerFail>) -> Result<(), PointError> {
+        dial(&self.addr, Some(&self.token), fail)
     }
 }
 
-impl Drop for PipeWriter {
-    fn drop(&mut self) {
-        pipe_lock(&self.0).closed = true;
-        self.0 .1.notify_all();
-    }
+/// A launched worker, which [`run_sweep_workers`] waits on before it
+/// returns.
+pub enum Launched {
+    /// An in-process worker thread.
+    Thread(JoinHandle<()>),
+    /// A worker child process.
+    Process(Child),
 }
 
-impl Read for PipeReader {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let mut st = pipe_lock(&self.0);
-        loop {
-            // Drain strictly from what the buffer holds *now*: a
-            // writer that closed between the wakeup and this check
-            // must surface as EOF (n == 0), never as fabricated
-            // bytes, so re-test emptiness on every wakeup.
-            if !st.buf.is_empty() {
-                let n = st.buf.len().min(out.len());
-                for (slot, byte) in out.iter_mut().zip(st.buf.drain(..n)) {
-                    *slot = byte;
-                }
-                return Ok(n);
+impl Launched {
+    /// Blocks until the worker has exited.
+    fn wait(self) {
+        match self {
+            Launched::Thread(handle) => {
+                let _ = handle.join();
             }
-            if st.closed {
-                return Ok(0);
+            Launched::Process(mut child) => {
+                let _ = child.wait();
             }
-            st = self.0 .1.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
-impl Drop for PipeReader {
-    fn drop(&mut self) {
-        pipe_lock(&self.0).closed = true;
-        self.0 .1.notify_all();
-    }
-}
+/// A worker launcher: called once per requested worker with the
+/// sweep's [`Invite`].
+pub type LaunchFn<'a> = dyn FnMut(&Invite) -> Result<Launched, PointError> + 'a;
 
-// ---------------------------------------------------------------------------
-// Transport links and factories.
-
-/// One worker's transport as the coordinator sees it: a byte sink
-/// toward the worker, a byte source from it, and (for process
-/// transports) the child handle for kill/reap.
-pub struct WorkerLink {
-    /// Coordinator → worker stream.
-    pub to: Box<dyn Write + Send>,
-    /// Worker → coordinator stream.
-    pub from: Box<dyn BufRead + Send>,
-    /// The child process, when the transport is a process pipe.
-    pub child: Option<std::process::Child>,
-    /// The raw socket, when the transport is TCP: kept so an abandoned
-    /// lane can be hard-shut (both directions), which is what tells a
-    /// still-alive worker on the far end to give up or redial.
-    pub sock: Option<std::net::TcpStream>,
-}
-
-/// A transport factory: called once per worker lane id.
-pub type SpawnFn<'a> = dyn FnMut(u32) -> Result<WorkerLink, PointError> + 'a;
-
-/// A [`WorkerLink`] factory running [`worker_loop`] on an in-process
-/// thread over loopback pipes — the protocol-exercising transport the
-/// determinism tests and benchmarks use (no processes, same frames).
-/// `fail` injects a worker death exactly as [`WorkerFail::from_env`]
-/// would in a real worker process.
+/// A launcher running each worker as an in-process thread on
+/// [`Invite::connect`]: real TCP lanes without processes, for the
+/// tests and benchmarks. `fail` injects a worker death exactly as
+/// [`WorkerFail::from_env`] would in a worker process.
 pub fn thread_spawner(
     fail: Option<WorkerFail>,
-) -> impl FnMut(u32) -> Result<WorkerLink, PointError> {
-    move |_w| {
-        let (coord_to_worker, worker_input) = pipe();
-        let (worker_output, coord_from_worker) = pipe();
-        std::thread::spawn(move || {
-            // A worker death (injected or real) is reported on the
-            // coordinator's stream; the thread itself just ends.
-            let _ = worker_loop(BufReader::new(worker_input), worker_output, fail);
-        });
-        Ok(WorkerLink {
-            to: Box::new(coord_to_worker),
-            from: Box::new(BufReader::new(coord_from_worker)),
-            child: None,
-            sock: None,
-        })
+) -> impl FnMut(&Invite) -> Result<Launched, PointError> {
+    move |invite: &Invite| {
+        let invite = invite.clone();
+        Ok(Launched::Thread(std::thread::spawn(move || {
+            // A worker death (injected or real) shows on its lane; the
+            // thread itself just ends.
+            let _ = invite.connect(fail);
+        })))
     }
 }
 
-/// A [`WorkerLink`] factory spawning `exe worker_arg` child processes
-/// with piped stdin/stdout (stderr inherited, environment inherited).
+/// A launcher running each worker as an `exe sweep-worker --connect
+/// ADDR` child process, with the token in [`Invite::ENV`] and stderr
+/// and the rest of the environment inherited.
 pub fn process_spawner(
     exe: std::path::PathBuf,
-    worker_arg: &'static str,
-) -> impl FnMut(u32) -> Result<WorkerLink, PointError> {
-    move |w| {
-        let mut child = std::process::Command::new(&exe)
-            .arg(worker_arg)
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
+) -> impl FnMut(&Invite) -> Result<Launched, PointError> {
+    move |invite: &Invite| {
+        Command::new(&exe)
+            .args(["sweep-worker", "--connect", &invite.addr])
+            .env(Invite::ENV, &invite.token)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
             .spawn()
-            .map_err(|e| io_err(format!("spawn worker {w} ({}): {e}", exe.display())))?;
-        let to = child
-            .stdin
-            .take()
-            .ok_or_else(|| io_err("worker child has no stdin"))?;
-        let from = child
-            .stdout
-            .take()
-            .ok_or_else(|| io_err("worker child has no stdout"))?;
-        Ok(WorkerLink {
-            to: Box::new(to),
-            from: Box::new(BufReader::new(from)),
-            child: Some(child),
-            sock: None,
-        })
+            .map(Launched::Process)
+            .map_err(|e| io_err(format!("launch {}: {e}", exe.display())))
     }
 }
 
-/// Wraps one accepted TCP connection as a coordinator-side lane: the
-/// two stream halves are clones of the same socket, and the socket
-/// itself rides along for hard shutdown on lane abandonment.
-fn tcp_link(sock: std::net::TcpStream) -> Result<WorkerLink, PointError> {
-    let _ = sock.set_nodelay(true);
-    let clone = |what| {
-        sock.try_clone()
-            .map_err(|e| io_err(format!("clone accepted socket ({what}): {e}")))
-    };
-    Ok(WorkerLink {
-        to: Box::new(clone("write half")?),
-        from: Box::new(BufReader::new(clone("read half")?)),
-        child: None,
-        sock: Some(sock),
-    })
+/// Draws a sweep token: 128 bits from the OS RNG, as hex.
+fn sweep_token() -> Result<String, PointError> {
+    let mut bytes = [0u8; 16];
+    std::fs::File::open("/dev/urandom")
+        .and_then(|mut f| f.read_exact(&mut bytes))
+        .map_err(|e| io_err(format!("draw a sweep token: {e}")))?;
+    Ok(bytes.iter().map(|b| format!("{b:02x}")).collect())
 }
 
 // ---------------------------------------------------------------------------
 // The worker side.
 
 /// How a worker session ended without an error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionEnd {
+enum SessionEnd {
     /// The coordinator sent `shutdown`: the sweep is over.
     Shutdown,
     /// The stream ended without a shutdown frame — the coordinator
-    /// vanished or dropped the connection. A connect-mode worker
-    /// answers this by redialing; a pipe-mode worker just exits.
+    /// vanished or dropped the connection, so the worker redials.
     Eof,
 }
 
-/// The worker half of the protocol, generic over the transport's byte
-/// streams (process stdio, loopback pipes, a socket): handshake, then
-/// evaluate leases point by point through a [`PointRunner`] — the same
-/// evaluator the in-process pool uses — streaming each result back as
-/// a checkpoint-format frame, until `shutdown` or input EOF.
+/// The worker half of the protocol over one connection: handshake
+/// (echoing `token` in `ready`), then evaluate leases point by point
+/// through a [`PointRunner`] — the same evaluator the in-process pool
+/// uses — streaming each result back as a checkpoint-format frame,
+/// until `shutdown` or input EOF. `handshaken` is set once the hello
+/// was accepted and `ready` went out, so the caller can tell a broken
+/// session (redial) from a rejected handshake (fatal — a
+/// version-skewed or garbage coordinator will not improve on the next
+/// dial).
 ///
 /// # Errors
 ///
 /// [`PointError::Io`] on a malformed coordinator frame or a dead
 /// output stream; [`PointError::Panic`] on an injected [`WorkerFail`]
-/// death. Either way the error is for the *caller's* exit code — the
-/// coordinator learns of it from the stream going quiet or torn.
-pub fn worker_loop(
-    input: impl BufRead,
-    output: impl Write,
-    fail: Option<WorkerFail>,
-) -> Result<SessionEnd, PointError> {
-    worker_session(input, output, fail, &mut false)
-}
-
-/// [`worker_loop`] plus a handshake flag for the connect-mode redial
-/// policy: `handshaken` is set once the hello was accepted and `ready`
-/// went out, so the caller can tell a broken session (redial) from a
-/// rejected handshake (fatal — a version-skewed or garbage coordinator
-/// will not improve on the next dial).
+/// death.
 fn worker_session(
     mut input: impl BufRead,
     mut output: impl Write,
     fail: Option<WorkerFail>,
+    token: Option<&str>,
     handshaken: &mut bool,
 ) -> Result<SessionEnd, PointError> {
     let mut line = String::new();
@@ -354,7 +281,7 @@ fn worker_session(
     let runner = PointRunner::new(&hello.spec, &hello.opts, hello.fail_plan.clone());
     write_frame(
         &mut output,
-        &proto::encode_ready(hello.worker, runner.len()),
+        &proto::encode_ready(hello.worker, runner.len(), token),
     )?;
     *handshaken = true;
     let mut emitted = 0usize;
@@ -409,22 +336,6 @@ fn worker_session(
     }
 }
 
-/// The entry point behind a `sweep-worker` argv subcommand: speak the
-/// protocol over real stdin/stdout, honoring [`WorkerFail::ENV`].
-/// Returns the process exit code (0 clean, 3 on a protocol error or
-/// injected death).
-pub fn worker_main() -> i32 {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match worker_loop(stdin.lock(), stdout.lock(), WorkerFail::from_env()) {
-        Ok(_) => 0,
-        Err(e) => {
-            eprintln!("sweep-worker: {}: {}", e.kind(), e.message());
-            3
-        }
-    }
-}
-
 /// Capped exponential redial delay for [`worker_connect`].
 fn backoff(attempt: u32) -> Duration {
     Duration::from_millis((50u64 << attempt.min(4)).min(500))
@@ -438,7 +349,9 @@ fn backoff(attempt: u32) -> Duration {
 /// streamed are kept, so nothing completed is recomputed). Fatal
 /// conditions never redial: a rejected handshake (version skew,
 /// unknown designs) or an injected [`WorkerFail`] death, which
-/// simulates a real process kill.
+/// simulates a real process kill. The `ready` frame carries no token,
+/// so a [`run_sweep_workers`] coordinator abandons this worker; it
+/// serves [`run_sweep_listen`] sweeps.
 ///
 /// # Errors
 ///
@@ -446,11 +359,16 @@ fn backoff(attempt: u32) -> Duration {
 /// accumulate (the counter resets on every completed handshake), or
 /// the fatal conditions above.
 pub fn worker_connect(addr: &str, fail: Option<WorkerFail>) -> Result<(), PointError> {
+    dial(addr, None, fail)
+}
+
+/// [`worker_connect`] echoing `token` in every session's `ready`.
+fn dial(addr: &str, token: Option<&str>, fail: Option<WorkerFail>) -> Result<(), PointError> {
     /// Consecutive failed dial/handshake attempts before giving up.
     const MAX_DIALS: u32 = 6;
     let mut failures = 0u32;
     loop {
-        let sock = match std::net::TcpStream::connect(addr) {
+        let sock = match TcpStream::connect(addr) {
             Ok(s) => s,
             Err(e) => {
                 failures += 1;
@@ -468,7 +386,7 @@ pub fn worker_connect(addr: &str, fail: Option<WorkerFail>) -> Result<(), PointE
             .try_clone()
             .map_err(|e| io_err(format!("clone socket: {e}")))?;
         let mut handshaken = false;
-        let result = worker_session(BufReader::new(reader), &sock, fail, &mut handshaken);
+        let result = worker_session(BufReader::new(reader), &sock, fail, token, &mut handshaken);
         if handshaken {
             failures = 0;
         }
@@ -492,11 +410,13 @@ pub fn worker_connect(addr: &str, fail: Option<WorkerFail>) -> Result<(), PointE
     }
 }
 
-/// The entry point behind `sweep-worker --connect <addr>`: like
-/// [`worker_main`] but over a dialed TCP stream with redial. Returns
-/// the process exit code (0 clean, 3 on error or injected death).
+/// The entry point behind `sweep-worker --connect <addr>`: dial with
+/// redial, echoing the token a launching coordinator put in
+/// [`Invite::ENV`] and honoring [`WorkerFail::ENV`]. Returns the
+/// process exit code (0 clean, 3 on error or injected death).
 pub fn worker_connect_main(addr: &str) -> i32 {
-    match worker_connect(addr, WorkerFail::from_env()) {
+    let token = std::env::var(Invite::ENV).ok();
+    match dial(addr, token.as_deref(), WorkerFail::from_env()) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("sweep-worker: {}: {}", e.kind(), e.message());
@@ -515,129 +435,44 @@ enum LaneEvent {
 }
 
 /// Everything the coordinator's event loop can be woken by: a frame
-/// (or death) on an existing lane, or — in listen mode — a newly
-/// accepted connection to attach as a fresh lane.
+/// (or death) on a lane, a newly accepted connection, or a launched
+/// worker's exit.
 enum CoordEvent {
     Lane(usize, LaneEvent),
-    Link(Box<WorkerLink>),
+    Accepted(TcpStream),
+    Exited,
 }
 
 struct Lane {
-    to: Option<Box<dyn Write + Send>>,
-    child: Option<std::process::Child>,
-    sock: Option<std::net::TcpStream>,
+    /// The connection (the reader thread reads its own handle of it).
+    conn: TcpStream,
+    /// The reader thread, joined when the sweep ends.
+    reader: JoinHandle<()>,
+    /// Frames may still be written to the lane: cleared when it is shut
+    /// down, politely or hard.
+    live: bool,
     /// Leased indices not yet received back.
     outstanding: Vec<usize>,
-    live: bool,
     ready: bool,
     /// Latest cumulative session counters from the lane's `done`
     /// frames (fleet aggregation sums these at sweep end).
     stats: proto::DoneStats,
     /// The lane's reader thread has signed off (sent `Eof` or
-    /// `Corrupt`); the wind-down drain waits on this so the final
-    /// `done` frame of every lane is counted.
+    /// `Corrupt`); the wind-down waits on this so the final `done`
+    /// frame of every lane is counted.
     reader_done: bool,
-    /// When the lane was attached — the listen-mode handshake deadline
-    /// measures `hello` completion from here.
+    /// When the lane was attached — the handshake deadline measures
+    /// `hello` completion from here.
     attached_at: Instant,
 }
 
 impl Lane {
-    fn dead() -> Lane {
-        Lane {
-            to: None,
-            child: None,
-            sock: None,
-            outstanding: Vec::new(),
-            live: false,
-            ready: false,
-            stats: proto::DoneStats::default(),
-            reader_done: true,
-            attached_at: Instant::now(),
+    /// The polite end: `shutdown`, leaving the close to the worker.
+    fn close(&mut self) {
+        if std::mem::take(&mut self.live) {
+            let _ = write_frame(&mut self.conn, &proto::encode_shutdown());
         }
     }
-}
-
-/// Where the coordinator's lanes come from: a fixed set built up front
-/// by a transport factory (processes, loopback threads), or a TCP
-/// listener that keeps accepting workers — including replacements for
-/// dead lanes — for as long as work remains.
-enum LaneSource<'s, 'f> {
-    Fixed {
-        workers: usize,
-        spawn: &'s mut SpawnFn<'f>,
-    },
-    Listen {
-        listener: std::net::TcpListener,
-        hello_timeout: Duration,
-    },
-}
-
-/// Writes the hello and starts the reader thread for one new lane,
-/// whose id is its slot in `lanes` (listen-mode reconnects therefore
-/// get fresh ids — a returning worker is indistinguishable from a new
-/// one, by design).
-fn attach_lane(
-    lanes: &mut Vec<Lane>,
-    link: WorkerLink,
-    hello_for: &dyn Fn(u32) -> String,
-    tx: &mpsc::Sender<CoordEvent>,
-) {
-    let w = lanes.len();
-    let mut to = link.to;
-    let hello_ok = write_frame(to.as_mut(), &hello_for(w as u32)).is_ok();
-    let mut from = link.from;
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match from.read_line(&mut line) {
-                Ok(0) => {
-                    let _ = tx.send(CoordEvent::Lane(w, LaneEvent::Eof));
-                    break;
-                }
-                Ok(_) if !line.ends_with('\n') => {
-                    // A final line with no newline is a peer killed
-                    // mid-record.
-                    let _ = tx.send(CoordEvent::Lane(
-                        w,
-                        LaneEvent::Corrupt(io_err("torn frame at stream end")),
-                    ));
-                    break;
-                }
-                Ok(_) => match proto::decode_from_worker(&line) {
-                    Ok(f) => {
-                        if tx.send(CoordEvent::Lane(w, LaneEvent::Frame(f))).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send(CoordEvent::Lane(w, LaneEvent::Corrupt(e)));
-                        break;
-                    }
-                },
-                Err(e) => {
-                    let _ = tx.send(CoordEvent::Lane(
-                        w,
-                        LaneEvent::Corrupt(io_err(format!("read: {e}"))),
-                    ));
-                    break;
-                }
-            }
-        }
-    });
-    lanes.push(Lane {
-        to: Some(to),
-        child: link.child,
-        sock: link.sock,
-        outstanding: Vec::new(),
-        live: hello_ok,
-        ready: false,
-        stats: proto::DoneStats::default(),
-        reader_done: false,
-        attached_at: Instant::now(),
-    });
 }
 
 /// Splits `indices` (sorted, unique) into contiguous `[start, end)`
@@ -655,36 +490,40 @@ fn enqueue_leases(queue: &mut VecDeque<(usize, usize)>, indices: &[usize], chunk
     }
 }
 
-/// Runs `spec` sharded over `workers` worker lanes built by `spawn`,
-/// splicing streamed results byte-identically (see the module docs).
-/// `opts.cache`, `opts.point_budget`, and `opts.retries` ship to the
-/// workers in the handshake; `opts.threads` is reported in the
-/// envelope but each worker evaluates its leases serially — the lane
-/// count is the parallelism. Checkpoint/resume and the fail plan in
-/// `recovery` work exactly as in [`crate::run_sweep_with`].
+/// Runs `spec` sharded over `workers` workers started by `launch`,
+/// which dial a loopback listener this call binds (see the module
+/// docs), splicing streamed results byte-identically. `opts.cache`,
+/// `opts.point_budget`, and `opts.retries` ship to the workers in the
+/// handshake; `opts.threads` is reported in the envelope but each
+/// worker evaluates its leases serially — the lane count is the
+/// parallelism. Checkpoint/resume and the fail plan in `recovery` work
+/// exactly as in [`crate::run_sweep_with`]. Every launched worker has
+/// exited when this returns.
 ///
 /// # Errors
 ///
-/// [`PointError::Io`] on checkpoint open/read failures or
-/// `keep_designs` (designs cannot cross a process boundary). Worker
-/// deaths are *not* errors: their leases are re-issued to surviving
-/// lanes, and with no lanes left the coordinator evaluates the
-/// remainder inline.
+/// [`PointError::Io`] on checkpoint open/read failures, a listener or
+/// token failure, or `keep_designs` (designs cannot cross a process
+/// boundary). Worker deaths are *not* errors: their leases are
+/// re-issued to surviving lanes, and with no lanes left the
+/// coordinator evaluates the remainder inline.
 pub fn run_sweep_workers(
     spec: &SweepSpec,
     opts: &SweepOptions,
     recovery: &Recovery,
     workers: usize,
-    spawn: &mut SpawnFn<'_>,
+    launch: &mut LaunchFn<'_>,
 ) -> Result<SweepOutcome, PointError> {
+    let listener =
+        TcpListener::bind("127.0.0.1:0").map_err(|e| io_err(format!("bind loopback: {e}")))?;
+    let launch = Some((workers.max(1), launch));
     coordinate(
         spec,
         opts,
         recovery,
-        LaneSource::Fixed {
-            workers: workers.max(1),
-            spawn,
-        },
+        listener,
+        DEFAULT_HELLO_TIMEOUT,
+        launch,
     )
 }
 
@@ -693,50 +532,53 @@ pub fn run_sweep_workers(
 /// accepted connection becomes a fresh lane, a dropped connection's
 /// leases are re-issued, and the coordinator keeps accepting
 /// replacement workers until the sweep completes — a worker killed
-/// mid-lease plus a redial still splices byte-identically, exactly the
-/// fixed-transport dead-worker path. The listener closes when the
-/// sweep finishes; stragglers see refused connections and give up on
-/// their own bounded redial budget. No authentication: LAN semantics,
-/// with the `hello` design content hash as the integrity check.
+/// mid-lease plus a redial still splices byte-identically. A worker
+/// that dials in while the sweep winds down gets `shutdown`; then the
+/// listener closes, and later stragglers see refused connections and
+/// give up on their own bounded redial budget. No authentication: LAN
+/// semantics, with the `hello` design content hash as the integrity
+/// check.
 ///
 /// # Errors
 ///
-/// As [`run_sweep_workers`], plus listener address failures.
+/// As [`run_sweep_workers`].
 pub fn run_sweep_listen(
     spec: &SweepSpec,
     opts: &SweepOptions,
     recovery: &Recovery,
-    listener: std::net::TcpListener,
+    listener: TcpListener,
 ) -> Result<SweepOutcome, PointError> {
     run_sweep_listen_with_timeout(spec, opts, recovery, listener, DEFAULT_HELLO_TIMEOUT)
 }
 
-/// The default listen-mode handshake deadline: generous for a LAN, yet
-/// bounded — a silent TCP connect can pin a reader thread for at most
-/// this long.
+/// The default handshake deadline: generous for a LAN, yet bounded —
+/// a silent TCP connect can pin a reader thread for at most this long.
 pub const DEFAULT_HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// [`run_sweep_listen`] with an explicit handshake deadline: an
 /// accepted connection that has not completed `hello` within
 /// `hello_timeout` is dropped (socket shut down, reader released) and
 /// counted, so a stuck or hostile dialer cannot wedge the accept path.
+///
+/// # Errors
+///
+/// As [`run_sweep_workers`].
 pub fn run_sweep_listen_with_timeout(
     spec: &SweepSpec,
     opts: &SweepOptions,
     recovery: &Recovery,
-    listener: std::net::TcpListener,
+    listener: TcpListener,
     hello_timeout: Duration,
 ) -> Result<SweepOutcome, PointError> {
-    coordinate(
-        spec,
-        opts,
-        recovery,
-        LaneSource::Listen {
-            listener,
-            hello_timeout,
-        },
-    )
+    coordinate(spec, opts, recovery, listener, hello_timeout, None)
 }
+
+/// How often the event loop re-checks handshake deadlines and the
+/// wind-down while anything is pending.
+const POLL: Duration = Duration::from_millis(25);
+
+/// How long the wind-down waits for lanes' final `done` frames.
+const DRAIN: Duration = Duration::from_secs(5);
 
 /// The coordinator's lease book: every lane, the queue of unleased
 /// `[start, end)` ranges, and the lease size.
@@ -751,24 +593,81 @@ impl Leases {
         self.lanes.iter().any(|l| l.live)
     }
 
-    /// One lane's death: kill/close it, re-enqueue its leases.
+    /// Writes the hello to a new connection and starts its reader
+    /// thread; the lane's id is its slot in `lanes` (a redialing worker
+    /// therefore gets a fresh id — a returning worker is
+    /// indistinguishable from a new one, by design).
+    fn attach(
+        &mut self,
+        mut conn: TcpStream,
+        hello_for: &dyn Fn(u32) -> String,
+        tx: &mpsc::Sender<CoordEvent>,
+    ) -> Option<&mut Lane> {
+        let w = self.lanes.len();
+        let _ = conn.set_nodelay(true);
+        let from = match conn.try_clone() {
+            Ok(from) => from,
+            Err(e) => {
+                eprintln!("sweep: accepting worker: clone socket: {e}");
+                return None;
+            }
+        };
+        let live = write_frame(&mut conn, &hello_for(w as u32)).is_ok();
+        if !live {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        let tx = tx.clone();
+        let reader = std::thread::spawn(move || {
+            let mut from = BufReader::new(from);
+            let mut line = String::new();
+            loop {
+                line.clear();
+                let event = match from.read_line(&mut line) {
+                    Ok(0) => LaneEvent::Eof,
+                    // A final line with no newline is a peer killed
+                    // mid-record.
+                    Ok(_) if !line.ends_with('\n') => {
+                        LaneEvent::Corrupt(io_err("torn frame at stream end"))
+                    }
+                    Ok(_) => match proto::decode_from_worker(&line) {
+                        Ok(f) => {
+                            if tx.send(CoordEvent::Lane(w, LaneEvent::Frame(f))).is_err() {
+                                break;
+                            }
+                            continue;
+                        }
+                        Err(e) => LaneEvent::Corrupt(e),
+                    },
+                    Err(e) => LaneEvent::Corrupt(io_err(format!("read: {e}"))),
+                };
+                let _ = tx.send(CoordEvent::Lane(w, event));
+                break;
+            }
+        });
+        self.lanes.push(Lane {
+            conn,
+            reader,
+            live,
+            outstanding: Vec::new(),
+            ready: false,
+            stats: proto::DoneStats::default(),
+            reader_done: false,
+            attached_at: Instant::now(),
+        });
+        self.lanes.last_mut()
+    }
+
+    /// One lane's death: hard-shut its socket, re-enqueue its leases.
     fn fail(&mut self, w: usize, why: &str, driver: &SweepDriver<'_>) {
         let lane = &mut self.lanes[w];
-        if !lane.live {
+        if !std::mem::take(&mut lane.live) {
             return;
         }
-        lane.live = false;
-        lane.to = None;
-        if let Some(child) = &mut lane.child {
-            let _ = child.kill();
-        }
-        if let Some(sock) = lane.sock.take() {
-            // Hard shutdown both directions: an abandoned-but-alive TCP
-            // worker must see its stream die (its next write fails,
-            // prompting a redial as a fresh lane) rather than keep
-            // streaming into an untrusted lane.
-            let _ = sock.shutdown(std::net::Shutdown::Both);
-        }
+        // Hard shutdown both directions: an abandoned-but-alive worker
+        // must see its stream die (its next write fails, prompting a
+        // redial as a fresh lane) rather than keep streaming into an
+        // untrusted lane.
+        let _ = lane.conn.shutdown(Shutdown::Both);
         let pending = std::mem::take(&mut lane.outstanding);
         driver.reissue(pending.len() as u64);
         eprintln!(
@@ -797,11 +696,7 @@ impl Leases {
                 };
                 let frame = proto::encode_lease(start, end);
                 let lane = &mut self.lanes[w];
-                if lane
-                    .to
-                    .as_mut()
-                    .is_some_and(|to| write_frame(to.as_mut(), &frame).is_ok())
-                {
+                if write_frame(&mut lane.conn, &frame).is_ok() {
                     lane.outstanding = (start..end).collect();
                     hlstb_trace::events::emit_volatile("worker.lease", None, |e| {
                         e.volatile_u64("worker", w as u64)
@@ -819,273 +714,263 @@ impl Leases {
             }
         }
     }
+
+    /// Applies one lane event. `token` is the sweep's launch token,
+    /// which `ready` must echo when set.
+    fn on_lane(
+        &mut self,
+        w: usize,
+        event: LaneEvent,
+        token: Option<&str>,
+        driver: &SweepDriver<'_>,
+    ) {
+        let n = driver.runner().len();
+        match event {
+            LaneEvent::Frame(FromWorker::Ready {
+                points,
+                token: echoed,
+                ..
+            }) => {
+                if points != n {
+                    let why = format!("resolved {points} points, coordinator has {n}");
+                    self.fail(w, &why, driver);
+                } else if token.is_some() && echoed.as_deref() != token {
+                    self.fail(w, "ready without this sweep's token", driver);
+                } else {
+                    self.lanes[w].ready = true;
+                }
+            }
+            LaneEvent::Frame(FromWorker::Point {
+                key,
+                index,
+                canonical,
+            }) => {
+                // A shut lane holds no lease, so its stragglers land
+                // here too (and `fail` leaves it as it is).
+                let lane = &self.lanes[w];
+                if !lane.ready
+                    || !lane.outstanding.contains(&index)
+                    || key != driver.runner().key(index)
+                {
+                    self.fail(w, "point frame outside its lease", driver);
+                } else if let Some(record) = checkpoint::record_from_canonical(&canonical) {
+                    self.lanes[w].outstanding.retain(|&x| x != index);
+                    driver.complete(index, record, None);
+                } else {
+                    self.fail(w, "unparseable canonical payload", driver);
+                }
+            }
+            LaneEvent::Frame(FromWorker::Done { stats, .. }) => {
+                // Only a lane that passed the handshake reports stats.
+                if self.lanes[w].ready {
+                    lane_done(&mut self.lanes[w], w, stats);
+                }
+            }
+            LaneEvent::Frame(FromWorker::Error { message }) => self.fail(w, &message, driver),
+            LaneEvent::Corrupt(e) => {
+                self.lanes[w].reader_done = true;
+                self.fail(w, e.message(), driver);
+            }
+            LaneEvent::Eof => {
+                self.lanes[w].reader_done = true;
+                self.fail(w, "stream ended unexpectedly", driver);
+            }
+        }
+    }
 }
 
+/// The one coordinator loop behind both front doors. `launch` is a
+/// `--workers` sweep's fleet: how many workers, and how to start one.
 fn coordinate(
     spec: &SweepSpec,
     opts: &SweepOptions,
     recovery: &Recovery,
-    source: LaneSource<'_, '_>,
+    listener: TcpListener,
+    hello_timeout: Duration,
+    launch: Option<(usize, &mut LaunchFn<'_>)>,
 ) -> Result<SweepOutcome, PointError> {
     if opts.keep_designs {
         return Err(io_err(
             "scale-out sweeps cannot keep designs (they cannot cross a process boundary)",
         ));
     }
-    let (expected_workers, hello_deadline) = match &source {
-        LaneSource::Fixed { workers, .. } => (*workers, None),
-        // Fixed-transport lanes handshake over pipes the coordinator
-        // just created; only listen-mode lanes face an untrusted
-        // network, so only they get a handshake deadline.
-        LaneSource::Listen { hello_timeout, .. } => (0, Some(*hello_timeout)),
-    };
     let runner = PointRunner::new(spec, opts, recovery.fail_plan.clone());
     let driver = SweepDriver::open(runner, recovery)?;
     let n = driver.runner().len();
     let needed: Vec<usize> = (0..n).filter(|&i| !driver.restore(i)).collect();
     let remaining = || n - driver.settled();
     let mut fleet = Fleet {
-        lanes: expected_workers,
+        lanes: launch.as_ref().map_or(0, |&(workers, _)| workers),
         ..Fleet::default()
     };
+    if needed.is_empty() {
+        return Ok(driver.finish_fleet(fleet));
+    }
+    let addr = listener
+        .local_addr()
+        .map_err(|e| io_err(format!("listener address: {e}")))?;
+    let token = launch.as_ref().map(|_| sweep_token()).transpose()?;
 
-    if !needed.is_empty() {
-        // Listen mode has no fixed lane count; size leases as if a
-        // small fleet will dial in (re-issue handles the rest).
-        let fanout = if expected_workers > 0 {
-            expected_workers
-        } else {
-            4
+    // Listen mode has no fixed lane count; size leases as if a small
+    // fleet will dial in (re-issue handles the rest).
+    let fanout = launch.as_ref().map_or(4, |&(workers, _)| workers);
+    let mut leases = Leases {
+        lanes: Vec::new(),
+        queue: VecDeque::new(),
+        chunk: (needed.len() / (fanout * 4)).clamp(1, 32),
+    };
+    enqueue_leases(&mut leases.queue, &needed, leases.chunk);
+
+    // One channel wakes the event loop: frames (or deaths) from each
+    // lane's reader thread, connections from the accept thread, and
+    // exits from the launched workers' waiter threads.
+    let (tx, rx) = mpsc::channel::<CoordEvent>();
+    let hello_for = |w: u32| proto::encode_hello(w, spec, opts, recovery.fail_plan.as_ref());
+    let stop_accepting = Arc::new(AtomicBool::new(false));
+    let acceptor = {
+        let stop = Arc::clone(&stop_accepting);
+        let tx = tx.clone();
+        std::thread::spawn(move || loop {
+            match listener.accept() {
+                // The wind-down self-connect lands here; the flag tells
+                // it apart from a worker.
+                Ok(_) if stop.load(Ordering::Relaxed) => break,
+                Ok((sock, _peer)) => {
+                    if tx.send(CoordEvent::Accepted(sock)).is_err() {
+                        break;
+                    }
+                }
+                Err(e) => {
+                    eprintln!("sweep: listener: {e}");
+                    break;
+                }
+            }
+        })
+    };
+    let launching = launch.is_some();
+    let mut waiters = Vec::new();
+    if let (Some((workers, launch)), Some(token)) = (launch, &token) {
+        let invite = Invite {
+            addr: addr.to_string(),
+            token: token.clone(),
         };
-        let mut leases = Leases {
-            lanes: Vec::new(),
-            queue: VecDeque::new(),
-            chunk: (needed.len() / (fanout * 4)).clamp(1, 32),
-        };
-        enqueue_leases(&mut leases.queue, &needed, leases.chunk);
-
-        // Build the lanes; each gets a reader thread forwarding
-        // decoded frames (or its death) onto one mpsc channel. In
-        // listen mode, an accept thread feeds new links into the same
-        // channel for as long as the sweep runs.
-        let (tx, rx) = mpsc::channel::<CoordEvent>();
-        let hello_for = |w: u32| proto::encode_hello(w, spec, opts, recovery.fail_plan.as_ref());
-        let wait_for_lanes = matches!(source, LaneSource::Listen { .. });
-        let accept_stop = match source {
-            LaneSource::Fixed { workers, spawn } => {
-                for w in 0..workers {
-                    match spawn(w as u32) {
-                        Ok(link) => attach_lane(&mut leases.lanes, link, &hello_for, &tx),
-                        Err(e) => {
-                            eprintln!("sweep: spawning worker {w} failed: {}", e.message());
-                            leases.lanes.push(Lane::dead());
-                        }
-                    }
+        for w in 0..workers {
+            match launch(&invite) {
+                Ok(worker) => {
+                    let tx = tx.clone();
+                    waiters.push(std::thread::spawn(move || {
+                        worker.wait();
+                        let _ = tx.send(CoordEvent::Exited);
+                    }));
                 }
-                None
+                Err(e) => eprintln!("sweep: launching worker {w} failed: {}", e.message()),
             }
-            LaneSource::Listen { listener, .. } => {
-                let addr = listener
-                    .local_addr()
-                    .map_err(|e| io_err(format!("listener address: {e}")))?;
-                let stop = Arc::new(AtomicBool::new(false));
-                let thread_stop = Arc::clone(&stop);
-                let thread_tx = tx.clone();
-                let handle = std::thread::spawn(move || loop {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            // The wind-down self-connect lands here;
-                            // the flag tells it apart from a worker.
-                            if thread_stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            match tcp_link(sock) {
-                                Ok(link) => {
-                                    if thread_tx.send(CoordEvent::Link(Box::new(link))).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(e) => {
-                                    eprintln!("sweep: accepting worker: {}", e.message());
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("sweep: listener: {e}");
-                            break;
-                        }
-                    }
-                });
-                Some((stop, addr, handle))
-            }
-        };
-
-        let mut hello_timeouts: u64 = 0;
-        // Fixed mode ends when the work or the lanes run out; listen
-        // mode never gives up on lanes — it waits for (re)connects
-        // until the work is done.
-        while remaining() > 0 && (wait_for_lanes || leases.any_live()) {
-            leases.pump(&driver);
-            if remaining() == 0 || !(wait_for_lanes || leases.any_live()) {
-                break;
-            }
-            // While any accepted connection is mid-handshake, poll
-            // instead of blocking so a silent dialer is dropped at its
-            // deadline rather than pinning the loop (and its reader
-            // thread) on a connection that will never speak.
-            let mid_handshake =
-                hello_deadline.is_some() && leases.lanes.iter().any(|l| l.live && !l.ready);
-            let coord_event = if mid_handshake {
-                match rx.recv_timeout(Duration::from_millis(25)) {
-                    Ok(ev) => Some(ev),
-                    Err(mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            } else {
-                match rx.recv() {
-                    Ok(ev) => Some(ev),
-                    Err(_) => break,
-                }
-            };
-            if let Some(timeout) = hello_deadline {
-                for w in 0..leases.lanes.len() {
-                    let lane = &leases.lanes[w];
-                    if lane.live && !lane.ready && lane.attached_at.elapsed() >= timeout {
-                        hello_timeouts += 1;
-                        hlstb_trace::counter("dse.worker.hello_timeout", 1);
-                        leases.fail(w, "hello timeout", &driver);
-                    }
-                }
-            }
-            let Some(coord_event) = coord_event else {
-                continue;
-            };
-            let (w, event) = match coord_event {
-                CoordEvent::Link(link) => {
-                    attach_lane(&mut leases.lanes, *link, &hello_for, &tx);
-                    continue;
-                }
-                CoordEvent::Lane(w, event) => (w, event),
-            };
-            match event {
-                LaneEvent::Frame(FromWorker::Ready { points, .. }) if points == n => {
-                    leases.lanes[w].ready = true;
-                }
-                LaneEvent::Frame(FromWorker::Ready { points, .. }) => {
-                    let why = format!("resolved {points} points, coordinator has {n}");
-                    leases.fail(w, &why, &driver);
-                }
-                LaneEvent::Frame(FromWorker::Point {
-                    key,
-                    index,
-                    canonical,
-                }) => {
-                    if index >= n || key != driver.runner().key(index) {
-                        leases.fail(w, "point frame key/index mismatch", &driver);
-                    } else if driver.is_settled(index) {
-                        // Duplicate of an already-spliced point
-                        // (re-issue race); drop it.
-                        leases.lanes[w].outstanding.retain(|&x| x != index);
-                    } else if let Some(record) = checkpoint::record_from_canonical(&canonical) {
-                        driver.complete(index, record, None);
-                        leases.lanes[w].outstanding.retain(|&x| x != index);
-                    } else {
-                        leases.fail(w, "unparseable canonical payload", &driver);
-                    }
-                }
-                LaneEvent::Frame(FromWorker::Done { stats, .. }) => {
-                    lane_done(&mut leases.lanes[w], w, stats);
-                }
-                LaneEvent::Frame(FromWorker::Error { message }) => {
-                    leases.fail(w, &message, &driver);
-                }
-                LaneEvent::Corrupt(e) => {
-                    leases.lanes[w].reader_done = true;
-                    leases.fail(w, e.message(), &driver);
-                }
-                LaneEvent::Eof => {
-                    leases.lanes[w].reader_done = true;
-                    leases.fail(w, "stream ended unexpectedly", &driver);
-                }
-            }
-        }
-
-        if hello_timeouts > 0 {
-            eprintln!("sweep: dropped {hello_timeouts} connection(s) that never completed hello");
-        }
-
-        // Stop accepting before the polite shutdowns: set the flag,
-        // then self-connect to unblock `accept()` so the thread joins.
-        if let Some((stop, addr, handle)) = accept_stop {
-            stop.store(true, Ordering::Relaxed);
-            let _ = std::net::TcpStream::connect(addr);
-            let _ = handle.join();
-        }
-
-        // Wind down: polite shutdown, close streams, reap children.
-        let lanes = &mut leases.lanes;
-        for lane in lanes.iter_mut() {
-            if let Some(to) = &mut lane.to {
-                let _ = write_frame(to.as_mut(), &proto::encode_shutdown());
-            }
-            lane.to = None;
-            if let Some(mut child) = lane.child.take() {
-                let _ = child.wait();
-            }
-        }
-
-        // Drain until every lane's reader signs off (each sends exactly
-        // one Eof/Corrupt before exiting): the final cumulative `done`
-        // frame per lane is usually still queued when the splice loop
-        // breaks with every point settled, and dropping it would
-        // undercount the fleet stats and the trace-view lane table.
-        let drain_deadline = Instant::now() + Duration::from_secs(5);
-        while lanes.iter().any(|l| !l.reader_done) {
-            let timeout = drain_deadline.saturating_duration_since(Instant::now());
-            let Ok(coord_event) = rx.recv_timeout(timeout) else {
-                break;
-            };
-            match coord_event {
-                CoordEvent::Lane(w, LaneEvent::Frame(FromWorker::Done { stats, .. })) => {
-                    lane_done(&mut lanes[w], w, stats);
-                }
-                CoordEvent::Lane(w, LaneEvent::Eof)
-                | CoordEvent::Lane(w, LaneEvent::Corrupt(_)) => {
-                    lanes[w].reader_done = true;
-                }
-                // Late dialers and stray frames past the finish line:
-                // the work is done, drop them.
-                _ => {}
-            }
-        }
-
-        // Fleet aggregation: sum the latest per-lane session counters.
-        // A lane that died mid-lease keeps the stats of its last done
-        // frame; work it redid on another lane is counted where it
-        // actually ran.
-        if wait_for_lanes {
-            fleet.lanes = lanes.len();
-        }
-        for lane in lanes.iter() {
-            fleet.retries += lane.stats.retries;
-            if let Some(c) = &lane.stats.cache {
-                fleet.cache.merge(c);
-            }
-        }
-
-        // Every lane died with work left: finish on the driver's local
-        // loop, so the sweep still completes byte-identically (same
-        // evaluator).
-        if remaining() > 0 {
-            eprintln!(
-                "sweep: no live workers left; evaluating {} points inline",
-                remaining()
-            );
-            let left: Vec<usize> = (0..n).filter(|&i| !driver.is_settled(i)).collect();
-            driver.run(&left, 1, &|| false);
         }
     }
 
+    let mut exited = 0;
+    let mut hello_timeouts: u64 = 0;
+    // Set once the work is done (or stranded): every lane has been
+    // sent `shutdown`, and the loop only waits out launched workers
+    // and final `done` frames until this drain deadline.
+    let mut wind_down: Option<Instant> = None;
+    loop {
+        if wind_down.is_none() {
+            leases.pump(&driver);
+            // A launch with no live lane and no worker left to dial in
+            // is stranded; listen mode instead waits for the next
+            // dialer.
+            let stranded = launching && !leases.any_live() && exited == waiters.len();
+            if remaining() == 0 || stranded {
+                leases.lanes.iter_mut().for_each(Lane::close);
+                wind_down = Some(Instant::now() + DRAIN);
+            }
+        }
+        if let Some(deadline) = wind_down {
+            // Each reader sends exactly one Eof/Corrupt before exiting,
+            // so `reader_done` everywhere means every lane's final
+            // cumulative `done` frame has been counted.
+            let drained = leases.lanes.iter().all(|l| l.reader_done) || Instant::now() >= deadline;
+            if exited == waiters.len() && drained {
+                break;
+            }
+        }
+        // While the wind-down runs or any connection is mid-handshake,
+        // poll instead of blocking, so a silent dialer is dropped at its
+        // deadline rather than pinning the loop.
+        let polling = wind_down.is_some() || leases.lanes.iter().any(|l| l.live && !l.ready);
+        let event = if polling {
+            rx.recv_timeout(POLL).ok()
+        } else {
+            rx.recv().ok()
+        };
+        for w in 0..leases.lanes.len() {
+            let lane = &leases.lanes[w];
+            if lane.live && !lane.ready && lane.attached_at.elapsed() >= hello_timeout {
+                hello_timeouts += 1;
+                hlstb_trace::counter("dse.worker.hello_timeout", 1);
+                leases.fail(w, "hello timeout", &driver);
+            }
+        }
+        match event {
+            Some(CoordEvent::Accepted(sock)) => {
+                let late = wind_down.is_some();
+                if let Some(lane) = leases.attach(sock, &hello_for, &tx) {
+                    if late {
+                        // A worker dialing in after the work is done
+                        // (between redials): hello, then shutdown.
+                        lane.close();
+                    }
+                }
+            }
+            Some(CoordEvent::Exited) => exited += 1,
+            Some(CoordEvent::Lane(w, event)) => {
+                leases.on_lane(w, event, token.as_deref(), &driver);
+            }
+            None => {}
+        }
+    }
+
+    if hello_timeouts > 0 {
+        eprintln!("sweep: dropped {hello_timeouts} connection(s) that never completed hello");
+    }
+    // Stop accepting: set the flag, then self-connect to unblock
+    // `accept()` so the thread joins and the listener closes.
+    stop_accepting.store(true, Ordering::Relaxed);
+    let _ = TcpStream::connect(addr);
+    let _ = acceptor.join();
+    for waiter in waiters {
+        let _ = waiter.join();
+    }
+
+    // Fleet aggregation: sum the latest per-lane session counters. A
+    // lane that died mid-lease keeps the stats of its last done frame;
+    // work it redid on another lane is counted where it actually ran.
+    // Every reader is joined; shutting its connection first releases
+    // one still waiting on a silent peer past the drain deadline.
+    if !launching {
+        fleet.lanes = leases.lanes.len();
+    }
+    for lane in leases.lanes {
+        fleet.retries += lane.stats.retries;
+        if let Some(c) = &lane.stats.cache {
+            fleet.cache.merge(c);
+        }
+        let _ = lane.conn.shutdown(Shutdown::Both);
+        let _ = lane.reader.join();
+    }
+
+    // Every lane died with work left: finish on the driver's local
+    // loop, so the sweep still completes byte-identically (same
+    // evaluator).
+    if remaining() > 0 {
+        eprintln!(
+            "sweep: no live workers left; evaluating {} points inline",
+            remaining()
+        );
+        let left: Vec<usize> = (0..n).filter(|&i| !driver.is_settled(i)).collect();
+        driver.run(&left, 1, &|| false);
+    }
     Ok(driver.finish_fleet(fleet))
 }
 
@@ -1109,7 +994,6 @@ fn lane_done(lane: &mut Lane, w: usize, stats: proto::DoneStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
 
     #[test]
     fn worker_fail_parses_and_rejects() {
@@ -1132,22 +1016,11 @@ mod tests {
     }
 
     #[test]
-    fn loopback_pipe_orders_bytes_and_signals_eof() {
-        let (mut w, mut r) = pipe();
-        w.write_all(b"hello ").unwrap();
-        w.write_all(b"world").unwrap();
-        drop(w);
-        let mut s = String::new();
-        r.read_to_string(&mut s).unwrap();
-        assert_eq!(s, "hello world");
-    }
-
-    #[test]
-    fn loopback_write_after_reader_drop_is_broken_pipe() {
-        let (mut w, r) = pipe();
-        drop(r);
-        let e = w.write_all(b"x").unwrap_err();
-        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe);
+    fn sweep_tokens_are_fresh_hex() {
+        let (a, b) = (sweep_token().unwrap(), sweep_token().unwrap());
+        assert_eq!(a.len(), 32);
+        assert!(a.bytes().all(|c| c.is_ascii_hexdigit()));
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -1158,10 +1031,15 @@ mod tests {
     }
 
     #[test]
-    fn worker_loop_rejects_a_leading_non_hello_frame() {
+    fn worker_session_rejects_a_leading_non_hello_frame() {
         let input = format!("{}\n", proto::encode_lease(0, 1));
         let mut out = Vec::new();
-        let err = worker_loop(input.as_bytes(), &mut out, None).unwrap_err();
+        let mut handshaken = false;
+        let Err(err) = worker_session(input.as_bytes(), &mut out, None, None, &mut handshaken)
+        else {
+            panic!("a leading lease was accepted");
+        };
         assert_eq!(err.kind(), "io");
+        assert!(!handshaken);
     }
 }

@@ -156,3 +156,38 @@ fn cache_hits_never_change_a_points_report() {
         );
     }
 }
+
+/// Every design's data path renders to one content hash however often
+/// it is rebuilt in a process — as the front end builds it and as each
+/// DFT strategy marks it, which is what a cached sweep keys its
+/// netlists on. Each rebuild draws fresh hash maps with fresh
+/// per-instance seeds, so any iteration over a `HashMap` on that path
+/// shows up here as a second hash (and a duplicated netlist in a
+/// cached sweep).
+#[test]
+fn every_designs_data_path_hashes_the_same_on_every_build() {
+    use hlstb::flow::SynthesisFlow;
+    use std::collections::BTreeSet;
+
+    let spec = SweepSpec::all_benchmarks();
+    for design in &spec.designs {
+        for &strategy in &spec.strategies {
+            let flow = SynthesisFlow::new(design.clone()).strategy(strategy);
+            let hashes: BTreeSet<(u64, u64)> = (0..8)
+                .map(|_| {
+                    let mut fe = flow.front_end().expect("front end builds");
+                    let front = hlstb_dse::key::hash_debug(&fe.datapath);
+                    flow.apply_dft(&mut fe);
+                    (front, hlstb_dse::key::hash_debug(&fe.datapath))
+                })
+                .collect();
+            assert_eq!(
+                hashes.len(),
+                1,
+                "{} ({strategy:?}): {} distinct data-path hashes",
+                design.name(),
+                hashes.len()
+            );
+        }
+    }
+}

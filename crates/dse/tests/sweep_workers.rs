@@ -1,16 +1,17 @@
 //! Property and fault-injection tests for scale-out sweeps: sharding a
-//! sweep over worker lanes (loopback transport — real wire protocol,
-//! no processes) must splice a report byte-identical to a serial
-//! uncached run, for any worker count, under injected point failures,
-//! under worker death mid-lease, and through checkpoint resume. The
-//! process transport itself is exercised end-to-end by
-//! `tests/sweep_workers_cli.rs` at the workspace root.
+//! sweep over worker lanes (launched worker threads dialing a loopback
+//! port — real wire protocol and sockets, no processes) must splice a
+//! report byte-identical to a serial uncached run, for any worker
+//! count, under injected point failures, under worker death mid-lease,
+//! and through checkpoint resume. Launched worker processes are
+//! exercised end-to-end by `tests/sweep_workers_cli.rs` at the
+//! workspace root.
 
 use hlstb::cdfg::{benchmarks, Cdfg};
 use hlstb::flow::{DftStrategy, RegisterPolicy, Scheduler};
 use hlstb_dse::worker::{
     run_sweep_listen, run_sweep_listen_with_timeout, run_sweep_workers, thread_spawner,
-    worker_connect, WorkerFail, WorkerLink,
+    worker_connect, Invite, Launched, WorkerFail,
 };
 use hlstb_dse::{proto, run_sweep_with, FailMode, FailPlan, Recovery, SweepOptions, SweepSpec};
 use proptest::prelude::*;
@@ -170,24 +171,22 @@ fn killed_worker_lease_reissue_is_counted() {
 
 /// A lane that streams garbage instead of protocol frames is detected
 /// as a typed decode failure and abandoned; the sweep still completes
-/// byte-identically (here via the inline fallback, since the garbage
-/// lane is the only one).
+/// byte-identically (here via the inline fallback, since the only
+/// launched worker speaks garbage and then exits).
 #[test]
 fn garbage_speaking_worker_is_abandoned_not_trusted() {
     let mut spec = SweepSpec::new(vec![benchmarks::figure1()]);
     spec.strategies = vec![DftStrategy::None, DftStrategy::FullScan];
     let recovery = Recovery::default();
     let serial = serial_canonical(&spec, &recovery);
-    let mut spawn = |_w: u32| -> Result<WorkerLink, hlstb_dse::PointError> {
-        let garbage = b"{\"v\":1,\"key\":\"nope\nnot json at all\n".to_vec();
-        Ok(WorkerLink {
-            to: Box::new(std::io::sink()),
-            from: Box::new(std::io::BufReader::new(std::io::Cursor::new(garbage))),
-            child: None,
-            sock: None,
-        })
+    let mut launch = |invite: &Invite| -> Result<Launched, hlstb_dse::PointError> {
+        let addr = invite.addr.clone();
+        Ok(Launched::Thread(std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).expect("dial the coordinator");
+            let _ = conn.write_all(b"{\"v\":1,\"key\":\"nope\nnot json at all\n");
+        })))
     };
-    let outcome = run_sweep_workers(&spec, &SweepOptions::default(), &recovery, 1, &mut spawn)
+    let outcome = run_sweep_workers(&spec, &SweepOptions::default(), &recovery, 1, &mut launch)
         .expect("sweep completes despite the garbage lane");
     assert_eq!(serial, outcome.report.canonical_json());
 }
@@ -296,7 +295,7 @@ fn valid_frames() -> Vec<String> {
         proto::encode_hello(3, &spec, &SweepOptions::default(), Some(&plan)),
         proto::encode_lease(0, 7),
         proto::encode_shutdown(),
-        proto::encode_ready(3, 7),
+        proto::encode_ready(3, 7, None),
         proto::encode_point(0xdead_beef, 4, "{\"index\": 4}"),
         proto::encode_done(0, 7, &proto::DoneStats::default()),
         proto::encode_error("boom"),
@@ -754,5 +753,183 @@ fn io_fail_point_degrades_the_coordinators_checkpoint() {
         assert_eq!(outcome.checkpoint_write_errors, 1);
         assert_eq!(serial, outcome.report.canonical_json());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Launch trust and lifetime: a `--workers` sweep splices only from the
+// workers it launched, and none of them outlives the call.
+
+/// A forger dialing a `--workers` sweep's port: after the hello it
+/// either sends `forged` point frames unsolicited (`handshake` false)
+/// or answers `ready` without the token (`handshake` true); either way
+/// it then answers every lease with the forged frames for its range,
+/// until the coordinator drops the lane or shuts the sweep down.
+fn forge(addr: &str, forged: &[String], handshake: bool) {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut from = std::io::BufReader::new(conn.try_clone().unwrap());
+    let Ok(proto::ToWorker::Hello(hello)) = proto::decode_to_worker(&read_frame_line(&mut from))
+    else {
+        panic!("expected a hello");
+    };
+    let send = |conn: &mut TcpStream, frames: &[String]| {
+        frames
+            .iter()
+            .all(|f| conn.write_all(format!("{f}\n").as_bytes()).is_ok())
+    };
+    if handshake {
+        let ready = proto::encode_ready(hello.worker, hello.spec.points().len(), None);
+        write_frame_line(&mut conn, &ready);
+    } else if !send(&mut conn, forged) {
+        return;
+    }
+    let mut line = String::new();
+    while matches!(std::io::BufRead::read_line(&mut from, &mut line), Ok(n) if n > 0) {
+        match proto::decode_to_worker(&line) {
+            Ok(proto::ToWorker::Lease { start, end }) if send(&mut conn, &forged[start..end]) => {}
+            _ => return,
+        }
+        line.clear();
+    }
+}
+
+/// Dialers without the sweep's token have nothing spliced: one that
+/// streams forged point frames (each with the right key and another
+/// point's payload) straight after the hello, and one that completes a
+/// valid handshake without the token and would answer leases with the
+/// same forgeries. The report stays byte-identical to a serial
+/// uncached run. The launched workers dial in only once both forgers'
+/// lanes have been dropped, so the forgeries land while every point is
+/// still open.
+#[test]
+fn a_tokenless_dialer_has_nothing_spliced() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let spec = small_spec();
+    let serial = serial_canonical(&spec, &Recovery::default());
+    // A checkpoint line is a point frame: take the genuine ones and
+    // re-label each with its neighbour's payload.
+    let dir = std::env::temp_dir().join(format!("hlstb-workers-forge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("genuine.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let checkpointed = Recovery {
+        checkpoint: Some(path.clone()),
+        ..Recovery::default()
+    };
+    run_sweep_with(&spec, &SweepOptions::default(), &checkpointed).unwrap();
+    let mut genuine: Vec<(u64, usize, String)> = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(|line| match proto::decode_from_worker(line) {
+            Ok(proto::FromWorker::Point {
+                key,
+                index,
+                canonical,
+            }) => (key, index, canonical),
+            other => panic!("not a point frame: {other:?}"),
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    genuine.sort_by_key(|&(_, index, _)| index);
+    assert_eq!(genuine.len(), spec.points().len());
+    let forged: Vec<String> = genuine
+        .iter()
+        .enumerate()
+        .map(|(i, (key, index, _))| {
+            let (_, _, payload) = &genuine[(i + 1) % genuine.len()];
+            proto::encode_point(*key, *index, payload)
+        })
+        .collect();
+
+    let forgers_done = Arc::new(AtomicBool::new(false));
+    let mut forgers = None;
+    let mut launch = |invite: &Invite| -> Result<Launched, hlstb_dse::PointError> {
+        if forgers.is_none() {
+            let (addr, forged, done) = (
+                invite.addr.clone(),
+                forged.clone(),
+                Arc::clone(&forgers_done),
+            );
+            forgers = Some(std::thread::spawn(move || {
+                forge(&addr, &forged, false);
+                forge(&addr, &forged, true);
+                done.store(true, Ordering::SeqCst);
+            }));
+        }
+        let (invite, done) = (invite.clone(), Arc::clone(&forgers_done));
+        Ok(Launched::Thread(std::thread::spawn(move || {
+            while !done.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            invite.connect(None).expect("launched worker exits cleanly");
+        })))
+    };
+    let outcome = run_sweep_workers(
+        &spec,
+        &SweepOptions::default(),
+        &Recovery::default(),
+        2,
+        &mut launch,
+    )
+    .unwrap();
+    forgers.take().unwrap().join().unwrap();
+    assert_eq!(serial, outcome.report.canonical_json());
+    assert_eq!(outcome.report.workers, 2);
+}
+
+/// `run_sweep_workers` returns only once every launched worker has
+/// exited — including one that dials in after the work is done, which
+/// gets `hello` and then `shutdown` (a clean exit, not a redial loop
+/// against a closed port).
+#[test]
+fn every_launched_worker_has_exited_when_the_sweep_returns() {
+    use std::sync::{Arc, Mutex};
+
+    let mut spec = SweepSpec::new(vec![benchmarks::figure1()]);
+    spec.strategies = vec![DftStrategy::None, DftStrategy::FullScan];
+    let n = spec.points().len();
+    let serial = serial_canonical(&spec, &Recovery::default());
+    let dir = std::env::temp_dir().join(format!("hlstb-workers-late-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("late.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let recovery = Recovery {
+        checkpoint: Some(path.clone()),
+        ..Recovery::default()
+    };
+    // Every worker thread holds a clone of `alive` until its body ends.
+    let alive = Arc::new(());
+    let results = Arc::new(Mutex::new(Vec::new()));
+    let mut launched = 0;
+    let mut launch = |invite: &Invite| -> Result<Launched, hlstb_dse::PointError> {
+        let late = launched > 0;
+        launched += 1;
+        let (invite, alive, results) = (invite.clone(), Arc::clone(&alive), Arc::clone(&results));
+        let path = path.clone();
+        Ok(Launched::Thread(std::thread::spawn(move || {
+            let _alive = alive;
+            // The late worker dials only once the checkpoint holds every
+            // point: the coordinator appends a point before settling
+            // it, so by then the first worker has done all the work.
+            while late && std::fs::read_to_string(&path).map_or(0, |c| c.lines().count()) < n {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            let result = invite.connect(None).map_err(|e| e.to_string());
+            results.lock().unwrap().push(result);
+        })))
+    };
+    let outcome =
+        run_sweep_workers(&spec, &SweepOptions::default(), &recovery, 2, &mut launch).unwrap();
+    assert_eq!(
+        Arc::strong_count(&alive),
+        1,
+        "a launched worker outlived the sweep"
+    );
+    assert_eq!(serial, outcome.report.canonical_json());
+    let results = results.lock().unwrap();
+    assert_eq!(results.len(), 2);
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -196,7 +196,10 @@ impl Datapath {
             birth_abs: u32,
             stages: Vec<usize>, // register indices of D1..Dmax
         }
-        let mut delays: std::collections::HashMap<VarId, Delay> = std::collections::HashMap::new();
+        // Ordered by variable, so the delay lines (and `copy_edges`) come
+        // out in one order on every build.
+        let mut delays: std::collections::BTreeMap<VarId, Delay> =
+            std::collections::BTreeMap::new();
         for v in cdfg.vars() {
             if matches!(v.kind, VarKind::Constant(_)) {
                 continue;

@@ -106,9 +106,11 @@ sweep options (axes are comma-separated lists; defaults in parentheses):
   --widths     width axis in bits (4)
   --grade      grading-budget axis in patterns, 0 = ungraded (0)
   --threads    worker threads (1)
-  --workers    shard the sweep over N `sweep-worker` child processes
-               (0 = in-process); results splice byte-identically and a
-               killed worker's leased points are re-issued
+  --workers    shard the sweep over N `sweep-worker --connect` child
+               processes dialing a loopback port (0 = in-process);
+               results splice byte-identically, only from workers this
+               sweep launched, and a killed worker's leased points are
+               re-issued
   --listen <addr>  bind a TCP listener (e.g. 0.0.0.0:7777) and shard
                the sweep over workers that dial in with
                `hlstb sweep-worker --connect <addr>`; dropped
@@ -169,11 +171,11 @@ environment:
                      nothing more (testing/CI)
   HLSTB_WORKER_FAIL  kill sweep worker W after it emits K points, e.g.
                      \"1:2\"; the coordinator re-issues its leases
-sweep-worker options:
-  --connect <addr>   dial a `sweep --listen` coordinator over TCP
+sweep-worker --connect <addr>
+                     dial a `sweep --listen` coordinator over TCP
                      (redials with bounded backoff if the stream
-                     drops) instead of speaking over stdin/stdout
-                     (testing/CI)
+                     drops); `sweep --workers` launches these itself,
+                     with its per-sweep token in HLSTB_WORKER_TOKEN
   HLSTB_TRACE / HLSTB_TRACE_METRICS / HLSTB_TRACE_EVENTS /
   HLSTB_TRACE_SUMMARY   equivalent sinks for the bench binaries";
 
@@ -505,8 +507,8 @@ fn run(args: &[String]) -> Result<(), String> {
             } else if workers > 0 {
                 let exe = std::env::current_exe()
                     .map_err(|e| format!("sweep --workers: resolving own binary: {e}"))?;
-                let mut spawn = hlstb_dse::worker::process_spawner(exe, "sweep-worker");
-                run_sweep_workers(&spec, &opts, &recovery, workers, &mut spawn)
+                let mut launch = hlstb_dse::worker::process_spawner(exe);
+                run_sweep_workers(&spec, &opts, &recovery, workers, &mut launch)
                     .map_err(|e| e.to_string())?
             } else {
                 run_sweep_with(&spec, &opts, &recovery).map_err(|e| e.to_string())?
@@ -528,19 +530,17 @@ fn run(args: &[String]) -> Result<(), String> {
             eprintln!("{}", outcome.report.summary());
             Ok(())
         }
-        // The remote end of a sweep coordinator. With `--connect` it
-        // dials a `sweep --listen` coordinator over TCP; without
-        // arguments it is the hidden child end of `sweep --workers N`
-        // and speaks the hlstb-dse wire protocol over stdin/stdout.
-        "sweep-worker" => match args.get(1).map(String::as_str) {
-            Some("--connect") => {
-                let addr = args
-                    .get(2)
-                    .ok_or_else(|| "--connect needs an address".to_string())?;
+        // The remote end of a sweep coordinator: dials a `sweep
+        // --listen` coordinator, or the loopback port of the `sweep
+        // --workers N` run that launched it, and speaks the hlstb-dse
+        // wire protocol over TCP.
+        "sweep-worker" => match &args[1..] {
+            [flag, addr] if flag == "--connect" => {
                 std::process::exit(hlstb_dse::worker::worker_connect_main(addr));
             }
-            None => std::process::exit(hlstb_dse::worker::worker_main()),
-            Some(other) => Err(format!("unknown sweep-worker option {other}\n{USAGE}")),
+            _ => Err(format!(
+                "usage: hlstb sweep-worker --connect <addr>\n{USAGE}"
+            )),
         },
         // The persistent synthesis-as-a-service daemon: accepts
         // newline-framed JSON sweep requests over TCP, shares one
