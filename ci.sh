@@ -48,6 +48,9 @@ step_trace_smoke() {
 # Sweep smoke: a tiny two-design sweep must be byte-identical between
 # the serial uncached and parallel cached paths, and the cached run
 # must actually hit the cache (nonzero hits in the stderr summary).
+# The same holds at a budget that is not a multiple of 64 beside a
+# deeper one: the cached 40-pattern points must grade at 40 patterns,
+# not read the 128-pattern run.
 step_sweep_smoke() {
     ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 128 \
@@ -59,6 +62,14 @@ step_sweep_smoke() {
     grep "cache hits:" sweep_summary.txt
     ! grep -q "cache hits: 0," sweep_summary.txt || exit 1
     rm -f sweep_serial.json sweep_parallel.json sweep_summary.txt
+    ./target/release/hlstb sweep --designs figure1,tseng \
+        --strategies none,full-scan,bist-shared --grade 40,128 \
+        --threads 1 --no-cache --json >sweep_partial_serial.json
+    ./target/release/hlstb sweep --designs figure1,tseng \
+        --strategies none,full-scan,bist-shared --grade 40,128 \
+        --threads 4 --cache --json >sweep_partial_parallel.json
+    cmp sweep_partial_serial.json sweep_partial_parallel.json
+    rm -f sweep_partial_serial.json sweep_partial_parallel.json
 }
 
 step_sweep_fault_smoke() {
@@ -182,9 +193,10 @@ step_sweep_tcp_smoke() {
 # Serve smoke: the persistent daemon must (1) answer four concurrent
 # identical sweep requests byte-identically with the shared cache
 # actually re-serving artifacts across requests (nonzero cache_hits in
-# the metrics frame), (2) drain cleanly on SIGTERM with exit 0, and
-# (3) replay a kill-9'd (SIGABRT via HLSTB_SERVE_FAIL) mid-request
-# journal byte-identically on restart.
+# the metrics frame), then answer a deeper fifth request with its own
+# depth, not a read of the shallow runs it holds, (2) drain cleanly on
+# SIGTERM with exit 0, and (3) replay a kill-9'd (SIGABRT via
+# HLSTB_SERVE_FAIL) mid-request journal byte-identically on restart.
 step_serve_smoke() {
     rm -f serve_journal.jsonl serve_crash_journal.jsonl
     ./target/release/hlstb serve --listen 127.0.0.1:0 \
@@ -220,6 +232,15 @@ step_serve_smoke() {
     grep -q '"cache_hits"' serve_metrics.json
     ! grep -q '"cache_hits": 0,' serve_metrics.json || exit 1
     grep -q '"completed": 4,' serve_metrics.json
+    # A deeper request after the shallow ones reads its own depth.
+    ./target/release/hlstb serve-client --connect "$serve_addr" \
+        --id smoke-deep --designs figure1,tseng \
+        --strategies none,full-scan,bist-shared --grade 1024 \
+        >serve_out_deep.json 2>/dev/null
+    ./target/release/hlstb sweep --designs figure1,tseng \
+        --strategies none,full-scan,bist-shared --grade 1024 \
+        --json >serve_local_deep.json
+    cmp serve_out_deep.json serve_local_deep.json
     # Graceful drain: SIGTERM must exit 0.
     kill -TERM $serve_pid
     wait $serve_pid
@@ -253,7 +274,8 @@ step_serve_smoke() {
     rm -f serve_journal.jsonl serve_crash_journal.jsonl serve_log.txt \
         serve_crash_log.txt serve_out_1.json serve_out_2.json \
         serve_out_3.json serve_out_4.json serve_local.json \
-        serve_metrics.json serve_replayed.line serve_baseline.line
+        serve_metrics.json serve_replayed.line serve_baseline.line \
+        serve_out_deep.json serve_local_deep.json
 }
 
 # Single-flight smoke: a contended threaded cached sweep (consecutive

@@ -631,17 +631,16 @@ impl SynthesisFlow {
         report
     }
 
-    /// Runs the flow without consuming the builder: the DSE engine fans
-    /// one configured flow out across many points, so the builder must
-    /// survive the call. Composes the public stages —
+    /// Runs the flow, composing the public stages —
     /// [`Self::front_end`] → [`Self::apply_dft`] →
     /// [`Self::expand_netlist`] → [`Self::sgraph_facts`] →
-    /// [`Self::build_report`] — exactly as [`Self::run`] always has.
+    /// [`Self::build_report`]. The builder survives the call, so one
+    /// configured flow can run many times.
     ///
     /// # Errors
     ///
     /// Returns the first pipeline stage failure as a [`FlowError`].
-    pub fn run_ref(&self) -> Result<SynthesizedDesign, FlowError> {
+    pub fn run(&self) -> Result<SynthesizedDesign, FlowError> {
         let mut fe = self.front_end()?;
         let plans = self.apply_dft(&mut fe);
         let expanded = self.expand_netlist(&fe.datapath)?;
@@ -657,16 +656,6 @@ impl SynthesisFlow {
             bist_plan: plans.bist,
             kcontrol_plan: plans.kcontrol,
         })
-    }
-
-    /// Runs the flow, consuming the builder — a thin wrapper over
-    /// [`Self::run_ref`] kept for call-site ergonomics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first pipeline stage failure as a [`FlowError`].
-    pub fn run(self) -> Result<SynthesizedDesign, FlowError> {
-        self.run_ref()
     }
 }
 
@@ -825,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn run_ref_matches_run_and_keeps_the_builder() {
+    fn run_keeps_the_builder_and_repeats_its_report() {
         for strategy in [
             DftStrategy::None,
             DftStrategy::FullScan,
@@ -837,20 +826,10 @@ mod tests {
             let flow = SynthesisFlow::new(benchmarks::figure1())
                 .strategy(strategy)
                 .grade_random(64);
-            let by_ref = flow.run_ref().unwrap();
-            // The builder survives run_ref: run it again, and consume it.
-            let again = flow.run_ref().unwrap();
-            assert_eq!(
-                detimed(by_ref.report.clone()),
-                detimed(again.report),
-                "{strategy:?}"
-            );
-            let consumed = flow.run().unwrap();
-            assert_eq!(
-                detimed(by_ref.report),
-                detimed(consumed.report),
-                "{strategy:?}"
-            );
+            let first = flow.run().unwrap();
+            // The builder survives run: run it again.
+            let again = flow.run().unwrap();
+            assert_eq!(detimed(first.report), detimed(again.report), "{strategy:?}");
         }
     }
 
@@ -866,7 +845,7 @@ mod tests {
         assert_eq!(before, after);
         let expanded = flow.expand_netlist(&fe.datapath).unwrap();
         let report = flow.build_report(&fe.datapath, &expanded, plans.bist.as_ref(), &after);
-        let whole = flow.run_ref().unwrap();
+        let whole = flow.run().unwrap();
         assert_eq!(report, whole.report);
     }
 

@@ -18,19 +18,25 @@
 //! flight. Lock discipline is unchanged: a store's mutex is held only
 //! for the lookup and the insert, never across a compute or a wait.
 //!
+//! A grading run serves only some budgets (`depth_serves`), so the
+//! grading store looks up with `Store::get_or_try_where`: a ready run
+//! that cannot serve the lookup is graded afresh under the same single
+//! flight and replaced only by a deeper run.
+//!
 //! A bounded cache enforces [`CacheBounds`] per stage store: every hit
 //! stamps the entry with a monotone use tick, and an insert that takes
 //! the store over its entry or (approximate) byte cap evicts
 //! least-recently-used *ready* entries until it fits. In-flight slots
-//! are never evicted — a leader always gets to publish, and eviction
-//! can only forget finished artifacts (a later lookup simply
-//! recomputes). Evictions and occupancy are surfaced through
-//! [`ArtifactCache::occupancy`] for the serve metrics snapshot;
-//! [`CacheStats`] (the wire-protocol payload) is unchanged.
+//! live apart from ready entries and are never evicted — a leader
+//! always gets to publish, and eviction can only forget finished
+//! artifacts (a later lookup simply recomputes). Evictions and
+//! occupancy are surfaced through [`ArtifactCache::occupancy`] for the
+//! serve metrics snapshot; [`CacheStats`] (the wire-protocol payload)
+//! is unchanged.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use hlstb::flow::{DftPlans, FrontEnd, SgraphFacts};
 use hlstb::hls::datapath::Datapath;
@@ -321,21 +327,15 @@ struct ReadyEntry<T> {
     cost: u64,
 }
 
-/// A slot in a store's map: either the finished artifact or a flight
-/// the current leader is still computing.
-enum Slot<T> {
-    Ready(ReadyEntry<T>),
-    InFlight(Arc<Flight>),
-}
-
-/// The lock-guarded half of a store: the slot map plus the LRU tick
-/// and the running byte total of ready entries (in-flight slots cost
-/// nothing until they publish).
+/// The lock-guarded half of a store: the finished artifacts, the
+/// flights their leaders are still computing (a key can have both
+/// while a run that did not serve a lookup is graded afresh), the LRU
+/// tick, and the running byte total of ready entries.
 struct Inner<T> {
-    map: HashMap<u64, Slot<T>>,
+    ready: HashMap<u64, ReadyEntry<T>>,
+    flights: HashMap<u64, Arc<Flight>>,
     tick: u64,
     bytes: u64,
-    ready: u64,
 }
 
 /// One stage's store: keyed `Arc` values with single-flight misses and
@@ -354,29 +354,22 @@ pub(crate) struct Store<T> {
     coalesced_counter: &'static str,
 }
 
-/// Removes a leader's in-flight slot and wakes its waiters unless the
-/// leader disarmed it after publishing a ready value. Runs on the
-/// error return *and* during unwinding, so a panicking compute (the
-/// engine catches point panics) can never strand waiters on a flight
-/// nobody is working on.
+/// Removes a leader's flight and wakes its waiters once the leader is
+/// done — published, failed, or unwinding — so a panicking compute
+/// (the engine catches point panics) can never strand waiters on a
+/// flight nobody is working on.
 struct FlightGuard<'a, T> {
     store: &'a Store<T>,
     key: u64,
     flight: Arc<Flight>,
-    armed: bool,
 }
 
 impl<T> Drop for FlightGuard<'_, T> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
+        // Only this leader's guard removes the key's flight, and no
+        // other flight of the key can start until it has.
         let mut inner = self.store.inner.lock().expect("cache lock");
-        if let Some(Slot::InFlight(f)) = inner.map.get(&self.key) {
-            if Arc::ptr_eq(f, &self.flight) {
-                inner.map.remove(&self.key);
-            }
-        }
+        inner.flights.remove(&self.key);
         drop(inner);
         self.flight.settle();
     }
@@ -392,10 +385,10 @@ impl<T> Store<T> {
     ) -> Self {
         Store {
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
+                ready: HashMap::new(),
+                flights: HashMap::new(),
                 tick: 0,
                 bytes: 0,
-                ready: 0,
             }),
             bounds,
             cost_fn,
@@ -420,38 +413,50 @@ impl<T> Store<T> {
         key: u64,
         compute: impl FnOnce() -> Result<T, E>,
     ) -> Result<(Arc<T>, CacheOutcome), E> {
+        self.get_or_try_where(key, |_| true, |_, _| true, compute)
+    }
+
+    /// [`get_or_try`](Self::get_or_try) for values that serve only
+    /// some lookups: a ready value serves this one only when `serves`
+    /// holds for it. Otherwise this caller waits out any flight of
+    /// `key`, then computes afresh as its leader, and publishes its
+    /// value over the ready one only when `replaces(new, old)` holds.
+    pub(crate) fn get_or_try_where<E>(
+        &self,
+        key: u64,
+        serves: impl Fn(&T) -> bool,
+        replaces: impl Fn(&T, &T) -> bool,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(Arc<T>, CacheOutcome), E> {
         let mut waited = false;
         loop {
             let flight = {
                 let mut inner = self.inner.lock().expect("cache lock");
                 inner.tick += 1;
                 let tick = inner.tick;
-                match inner.map.get_mut(&key) {
-                    Some(Slot::Ready(e)) => {
-                        e.last_used = tick;
-                        let v = Arc::clone(&e.value);
-                        drop(inner);
-                        return Ok((v, self.record_served(waited)));
-                    }
-                    Some(Slot::InFlight(f)) => Arc::clone(f),
+                if let Some(e) = inner.ready.get_mut(&key).filter(|e| serves(&e.value)) {
+                    e.last_used = tick;
+                    let v = Arc::clone(&e.value);
+                    drop(inner);
+                    return Ok((v, self.record_served(waited)));
+                }
+                match inner.flights.get(&key) {
+                    Some(f) => Arc::clone(f),
                     None => {
-                        let f = Arc::new(Flight::new());
-                        inner.map.insert(key, Slot::InFlight(Arc::clone(&f)));
+                        let flight = Arc::new(Flight::new());
+                        inner.flights.insert(key, Arc::clone(&flight));
                         drop(inner);
                         self.misses.fetch_add(1, Ordering::Relaxed);
                         hlstb_trace::counter(self.miss_counter, 1);
-                        let mut guard = FlightGuard {
+                        // Dropped on every exit, an Err or a panic
+                        // included: the flight goes and waiters wake.
+                        let _guard = FlightGuard {
                             store: self,
                             key,
-                            flight: f,
-                            armed: true,
+                            flight,
                         };
-                        // An Err (or a panic) drops the armed guard,
-                        // which evicts the flight and wakes waiters.
                         let v = Arc::new(compute()?);
-                        self.publish(key, Arc::clone(&v));
-                        guard.armed = false;
-                        guard.flight.settle();
+                        self.publish(key, Arc::clone(&v), replaces);
                         return Ok((v, CacheOutcome::Miss));
                     }
                 }
@@ -461,52 +466,45 @@ impl<T> Store<T> {
         }
     }
 
-    /// Installs a leader's finished value, then evicts
+    /// Installs a leader's finished value — unless a ready value of
+    /// the key outranks it under `replaces` — then evicts
     /// least-recently-used ready entries until the store is back under
-    /// its bounds. In-flight slots are untouchable: they carry waiters
-    /// and no bytes. The freshly published entry holds the newest use
-    /// tick, so LRU only claims it when it alone exceeds the byte cap
-    /// — an artifact the store cannot hold at all.
-    fn publish(&self, key: u64, value: Arc<T>) {
+    /// its bounds. Flights are untouchable: they carry waiters and no
+    /// bytes. The freshly published entry holds the newest use tick,
+    /// so LRU only claims it when it alone exceeds the byte cap — an
+    /// artifact the store cannot hold at all.
+    fn publish(&self, key: u64, value: Arc<T>, replaces: impl Fn(&T, &T) -> bool) {
         let cost = (self.cost_fn)(value.as_ref());
         let mut inner = self.inner.lock().expect("cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let old = inner.map.insert(
-            key,
-            Slot::Ready(ReadyEntry {
-                value,
-                last_used: tick,
-                cost,
-            }),
-        );
-        inner.bytes += cost;
-        inner.ready += 1;
-        if let Some(Slot::Ready(e)) = old {
-            // A re-publish over an existing ready slot (possible when
-            // a guard-evicted leader's waiter recomputed first).
-            inner.bytes -= e.cost;
-            inner.ready -= 1;
+        if inner
+            .ready
+            .get(&key)
+            .is_some_and(|old| !replaces(&value, &old.value))
+        {
+            return;
         }
+        inner.tick += 1;
+        let last_used = inner.tick;
+        let old = inner.ready.insert(
+            key,
+            ReadyEntry {
+                value,
+                last_used,
+                cost,
+            },
+        );
+        inner.bytes = inner.bytes + cost - old.map_or(0, |e| e.cost);
         let over = |inner: &Inner<T>| {
             self.bounds
                 .max_entries
-                .is_some_and(|cap| inner.ready as usize > cap)
+                .is_some_and(|cap| inner.ready.len() > cap)
                 || self.bounds.max_bytes.is_some_and(|cap| inner.bytes > cap)
         };
         while over(&inner) {
-            let victim = inner
-                .map
-                .iter()
-                .filter_map(|(k, slot)| match slot {
-                    Slot::Ready(e) => Some((e.last_used, *k)),
-                    Slot::InFlight(_) => None,
-                })
-                .min();
-            let Some((_, victim_key)) = victim else { break };
-            if let Some(Slot::Ready(e)) = inner.map.remove(&victim_key) {
+            let victim = inner.ready.iter().map(|(k, e)| (e.last_used, *k)).min();
+            let Some((_, victim)) = victim else { break };
+            if let Some(e) = inner.ready.remove(&victim) {
                 inner.bytes -= e.cost;
-                inner.ready -= 1;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -516,14 +514,7 @@ impl<T> Store<T> {
     #[cfg(test)]
     pub(crate) fn ready_values(&self) -> Vec<Arc<T>> {
         let inner = self.inner.lock().expect("cache lock");
-        inner
-            .map
-            .values()
-            .filter_map(|slot| match slot {
-                Slot::Ready(e) => Some(Arc::clone(&e.value)),
-                Slot::InFlight(_) => None,
-            })
-            .collect()
+        inner.ready.values().map(|e| Arc::clone(&e.value)).collect()
     }
 
     fn record_served(&self, waited: bool) -> CacheOutcome {
@@ -549,30 +540,32 @@ impl<T> Store<T> {
     fn occupancy(&self) -> StoreOccupancy {
         let inner = self.inner.lock().expect("cache lock");
         StoreOccupancy {
-            entries: inner.ready,
+            entries: inner.ready.len() as u64,
             bytes: inner.bytes,
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 }
 
-/// The DFT stage's cached output: the scan-marked data path plus the
-/// plans the strategy attached.
+/// The DFT stage's output: the scan-marked data path plus the plans
+/// the strategy attached.
 #[derive(Debug, Clone)]
 pub struct DftOutput {
     datapath: Datapath,
-    datapath_hash: u64,
+    datapath_hash: OnceLock<u64>,
     /// BIST / test-point plans.
     pub plans: DftPlans,
 }
 
 impl DftOutput {
-    /// Wraps a DFT stage's result, hashing the marked data path once
-    /// so a cache hit never re-renders it.
+    /// Wraps a DFT stage's result. The data path is hashed on first
+    /// use of [`datapath_hash`](Self::datapath_hash) only, so a cache
+    /// hit never re-renders it and a run without stores never renders
+    /// it at all.
     pub fn new(datapath: Datapath, plans: DftPlans) -> Self {
         DftOutput {
-            datapath_hash: crate::key::hash_debug(&datapath),
             datapath,
+            datapath_hash: OnceLock::new(),
             plans,
         }
     }
@@ -586,8 +579,29 @@ impl DftOutput {
     /// [`datapath`](Self::datapath) — the content part of the netlist
     /// key.
     pub fn datapath_hash(&self) -> u64 {
-        self.datapath_hash
+        *self
+            .datapath_hash
+            .get_or_init(|| crate::key::hash_debug(&self.datapath))
     }
+}
+
+/// The grading stage's output: a pseudorandom run and the pattern
+/// budget it was graded to.
+#[derive(Debug, Clone)]
+pub(crate) struct GradingRun {
+    /// The budget the run was asked for.
+    pub(crate) depth: usize,
+    /// The run itself.
+    pub(crate) run: RandomRun,
+}
+
+/// Whether a run graded to `depth` reads at `budget` exactly as a
+/// fresh run at `budget` does. Every batch but the last is a whole
+/// 64-pattern word drawn identically at any depth, but a budget that
+/// is not a multiple of 64 masks lanes in its last batch. So a run
+/// serves its own depth and every whole-batch budget within it.
+pub(crate) fn depth_serves(depth: usize, budget: usize) -> bool {
+    budget == depth || (budget.is_multiple_of(64) && budget <= depth)
 }
 
 /// Per-stage artifact stores for one sweep.
@@ -596,7 +610,7 @@ pub struct ArtifactCache {
     pub(crate) facts: Store<SgraphFacts>,
     pub(crate) dft: Store<DftOutput>,
     pub(crate) netlist: Store<ExpandedDatapath>,
-    pub(crate) grading: Store<RandomRun>,
+    pub(crate) grading: Store<GradingRun>,
 }
 
 /// Coarse per-artifact cost estimates for the byte cap. Exact heap
@@ -619,8 +633,8 @@ fn netlist_cost(v: &ExpandedDatapath) -> u64 {
     1024 + 64 * v.netlist.num_gates() as u64
 }
 
-fn grading_cost(v: &RandomRun) -> u64 {
-    256 + 64 * v.curve.len() as u64
+fn grading_cost(v: &GradingRun) -> u64 {
+    256 + 64 * v.run.curve.len() as u64
 }
 
 impl ArtifactCache {
@@ -938,6 +952,38 @@ mod tests {
             cycles,
             mfvs_size: 1,
         }
+    }
+
+    /// A ready value that cannot serve a lookup is computed afresh;
+    /// the fresh value goes back to its caller either way, but replaces
+    /// the stored one only when it outranks it, and a failed compute
+    /// leaves the stored one in place.
+    #[test]
+    fn an_unserving_value_is_recomputed_and_replaced_only_when_deeper() {
+        let cache = ArtifactCache::new();
+        let lookup = |want: usize, computed: Result<usize, &'static str>| {
+            cache.facts.get_or_try_where(
+                1,
+                |v| v.cycles == want || v.cycles >= 2 * want,
+                |new, old| new.cycles > old.cycles,
+                || computed.map(facts_of),
+            )
+        };
+        let got = |r: Result<(Arc<SgraphFacts>, CacheOutcome), &'static str>| {
+            r.map(|(v, outcome)| (v.cycles, outcome))
+        };
+        assert_eq!(got(lookup(4, Ok(4))), Ok((4, CacheOutcome::Miss)));
+        assert_eq!(got(lookup(2, Ok(99))), Ok((4, CacheOutcome::Hit)));
+        assert_eq!(got(lookup(8, Ok(8))), Ok((8, CacheOutcome::Miss)));
+        // Shallower than the stored 8: returned, not stored.
+        assert_eq!(got(lookup(5, Ok(5))), Ok((5, CacheOutcome::Miss)));
+        assert_eq!(got(lookup(4, Ok(99))), Ok((8, CacheOutcome::Hit)));
+        // A failed compute keeps the stored value serving.
+        assert_eq!(got(lookup(16, Err("cut"))), Err("cut"));
+        assert_eq!(got(lookup(8, Ok(99))), Ok((8, CacheOutcome::Hit)));
+        let s = cache.stats().facts;
+        assert_eq!((s.misses, s.hits, s.coalesced), (4, 3, 0), "{s:?}");
+        assert_eq!(cache.occupancy().facts.entries, 1);
     }
 
     /// An entry-capped store evicts in least-recently-used order: a

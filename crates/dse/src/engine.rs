@@ -11,11 +11,13 @@
 //! spec's enumeration order, and the cache changes only *where* an
 //! artifact is computed, never *what* it is:
 //!
-//! * a cached grading run is evaluated once at the sweep's deepest
-//!   pattern budget and shallower budgets read a curve prefix — the
-//!   batch loop of `random_pattern_run_opts` draws frames and drops
-//!   faults identically whether or not later batches follow, so the
-//!   prefix equals a direct run at the shallow budget;
+//! * a stored grading run serves a budget only when reading it equals
+//!   a fresh run at that budget (`cache::depth_serves`): its own
+//!   depth, or a multiple of 64 within it — the batch loop of
+//!   `random_pattern_run_opts` draws frames and drops faults
+//!   identically whether or not later batches follow, but a budget
+//!   that is not a multiple of 64 masks lanes in its last batch. A
+//!   lookup the stored run cannot serve grades afresh;
 //! * every other stage returns the same artifact for the same key by
 //!   construction (content-derived keys over deterministic stages).
 //!
@@ -38,12 +40,12 @@
 //! [`SweepOptions::point_budget`] arms a cooperative
 //! [`Deadline`](hlstb::netlist::deadline::Deadline) that the netlist
 //! grading loops poll: a point that overruns reports *partial* coverage
-//! flagged `timed_out` rather than hanging the pool. Note that real
-//! (non-injected) timeouts depend on wall-clock behavior and therefore
-//! trade away byte-determinism — a cached deep grading run truncated
-//! under one point's budget serves its prefix to sibling points. A
-//! zero budget is deterministic (every poll fires on first check) and
-//! is what the tests pin down.
+//! flagged `timed_out` rather than hanging the pool. A run cut short
+//! is never stored, so one point's deadline cannot reach another
+//! point's report. Real (non-injected) timeouts still depend on
+//! wall-clock behavior and so trade away byte-determinism; a zero
+//! budget is deterministic (every poll fires on first check) and is
+//! what the tests pin down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -53,6 +55,7 @@ use std::time::{Duration, Instant};
 
 use hlstb::cdfg::Cdfg;
 use hlstb::flow::{DftStrategy, SynthesisFlow, SynthesizedDesign};
+use hlstb::hls::expand::ExpandedDatapath;
 use hlstb::netlist::deadline::Deadline;
 use hlstb::netlist::fault::collapsed_faults;
 use hlstb::netlist::fsim::ParallelOptions;
@@ -60,7 +63,9 @@ use hlstb::netlist::random::{random_pattern_run_opts, CoveragePoint, RandomRun};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{ArtifactCache, CacheOutcome, CacheStats, DftOutput};
+use crate::cache::{
+    depth_serves, ArtifactCache, CacheOutcome, CacheStats, DftOutput, GradingRun, Store,
+};
 use crate::checkpoint::{self, Checkpoint, RestoredSet};
 use crate::error::PointError;
 use crate::failpoint::{FailMode, FailPlan};
@@ -82,11 +87,13 @@ pub fn coverage_at(curve: &[CoveragePoint], patterns: usize) -> f64 {
     curve.get(idx).map_or(0.0, |c| c.coverage_percent)
 }
 
-/// Whether a grading run's deadline truncation actually short-changed
-/// a point's own budget (a curve cut past the point's budget still
-/// serves a complete prefix).
+/// Whether a point reading `run` at `budget` got less than its budget:
+/// the run timed out and the point reads its last curve point, which
+/// the fault shards may have cut mid-batch (they poll the deadline
+/// inside a batch). A curve cut past the budget's batch still holds
+/// the budget's complete point.
 fn grading_truncated(run: &RandomRun, budget: usize) -> bool {
-    run.timed_out && run.curve.last().is_none_or(|c| c.patterns < budget)
+    run.timed_out && budget.div_ceil(64) >= run.curve.len()
 }
 
 /// How a sweep executes (never *what* it computes — except that a
@@ -350,16 +357,7 @@ impl<'a> PointRunner<'a> {
         let idx = p.index as u64;
         let point_span = hlstb_trace::span("dse.point");
         let t = Instant::now();
-        let (outcome, design) = eval_with_retry(
-            self.spec,
-            &self.design_keys,
-            p,
-            self.cache.as_deref(),
-            self.max_patterns,
-            &self.opts,
-            self.fail_plan.as_ref(),
-            &self.retry_count,
-        );
+        let (outcome, design) = self.eval_with_retry(p);
         point_span.end();
         let record = make_record(self.spec, p, outcome, t.elapsed());
         match &record.outcome {
@@ -377,6 +375,237 @@ impl<'a> PointRunner<'a> {
             }),
         }
         (record, design)
+    }
+
+    /// Panic-isolated, deadline-armed, bounded-retry evaluation of one
+    /// point. Panics and timeouts retry up to `opts.retries` times with
+    /// a halved budget each attempt; flow errors are final on first
+    /// sight.
+    fn eval_with_retry(
+        &self,
+        p: Point,
+    ) -> (Result<PointMetrics, PointError>, Option<SynthesizedDesign>) {
+        let mut attempt: u32 = 0;
+        loop {
+            let deadline = match self.opts.point_budget {
+                Some(b) => Deadline::after(b / 2u32.saturating_pow(attempt.min(20))),
+                None => Deadline::none(),
+            };
+            let caught = catch_unwind(AssertUnwindSafe(|| self.eval_point(p, deadline, attempt)));
+            let error = match caught {
+                Ok(Ok((metrics, design))) => return (Ok(metrics), design),
+                Ok(Err(e)) => e,
+                Err(payload) => PointError::Panic {
+                    message: panic_message(payload),
+                },
+            };
+            if error.retryable() && attempt < self.opts.retries {
+                attempt += 1;
+                self.retry_count.fetch_add(1, Ordering::Relaxed);
+                hlstb_trace::events::emit("point.retry", Some(p.index as u64), |e| {
+                    e.u64("attempt", u64::from(attempt))
+                        .str("error", error.kind());
+                });
+                continue;
+            }
+            return (Err(error), None);
+        }
+    }
+
+    /// One attempt at point `p`: its injected failure when the fail
+    /// plan names one for this attempt, the pipeline otherwise.
+    fn eval_point(
+        &self,
+        p: Point,
+        deadline: Deadline,
+        attempt: u32,
+    ) -> Result<PointOutput, PointError> {
+        match self.fail_plan.as_ref().and_then(|f| f.mode(p.index)) {
+            Some(FailMode::Panic) => panic!("injected panic at point {}", p.index),
+            Some(FailMode::Flaky) if attempt == 0 => {
+                panic!("injected flaky panic at point {} (attempt 0)", p.index)
+            }
+            Some(FailMode::Stall) => {
+                // A stall burns its whole budget (really sleeping it off
+                // when one is set) and yields nothing — the deterministic
+                // stand-in for a pathological runaway point.
+                if let Some(remaining) = deadline.remaining() {
+                    std::thread::sleep(remaining);
+                }
+                return Err(PointError::Timeout {
+                    message: format!("injected stall at point {}: budget exhausted", p.index),
+                });
+            }
+            _ => {}
+        }
+        self.pipeline(p, deadline)
+    }
+
+    /// The one pipeline: front end → S-graph facts → DFT → netlist →
+    /// grading. With a cache each stage is served from its store; the
+    /// no-store path runs the same stages with none, so it derives no
+    /// key, never hashes a data path, and moves the front end into the
+    /// DFT stage instead of cloning it. Stage keys, in dependency
+    /// order:
+    ///
+    /// * front end — design content + scheduler + policy (the
+    ///   integrated loop-avoidance strategy replaces the
+    ///   scheduler/policy pair, so it keys on the design + a marker
+    ///   instead);
+    /// * S-graph facts — same key as the front end
+    ///   (strategy-independent);
+    /// * DFT output — front-end key + strategy;
+    /// * netlist — *content* of the marked data path + width (+ reset
+    ///   flag), so every strategy that leaves identical marks (all four
+    ///   no-scan strategies: none, both BISTs, k-level points) shares
+    ///   one expansion; the content hash is taken once per DFT
+    ///   artifact, so a warm point costs lookups only;
+    /// * grading run — the netlist key (see [`Self::grade`]).
+    fn pipeline(&self, p: Point, deadline: Deadline) -> Result<PointOutput, PointError> {
+        let design = &self.spec.designs[p.design];
+        let flow = base_flow(self.spec, design, p);
+        let front = self.cache().map(|c| (c, self.front_key(p)));
+        let fe = stage(p, "front", front.map(|(c, k)| (&c.front, k)), || {
+            flow.front_end().map_err(PointError::from)
+        })?;
+        let facts = stage(p, "facts", front.map(|(c, k)| (&c.facts, k)), || {
+            Ok::<_, PointError>(SynthesisFlow::sgraph_facts(&fe.datapath))
+        })?;
+        let kept = self
+            .opts
+            .keep_designs
+            .then(|| (fe.schedule.clone(), fe.binding.clone()));
+        let dft_store =
+            front.map(|(c, k)| (&c.dft, key::combine(&[k, key::hash_debug(&p.strategy)])));
+        let dft = stage(p, "dft", dft_store, || {
+            let mut fe = Arc::unwrap_or_clone(fe);
+            let plans = flow.apply_dft(&mut fe);
+            Ok::<_, PointError>(DftOutput::new(fe.datapath, plans))
+        })?;
+        let netlist = self.cache().map(|c| {
+            let k = key::combine(&[
+                dft.datapath_hash(),
+                u64::from(p.width),
+                u64::from(self.spec.reset_controller),
+            ]);
+            (c, k)
+        });
+        let expanded = stage(p, "netlist", netlist.map(|(c, k)| (&c.netlist, k)), || {
+            flow.expand_netlist(dft.datapath())
+                .map_err(PointError::from)
+        })?;
+        let (coverage_percent, timed_out) = if p.patterns > 0 {
+            let graded = self.grade(
+                p,
+                &expanded,
+                netlist.map(|(c, k)| (&c.grading, k)),
+                deadline,
+            );
+            (
+                Some(coverage_at(&graded.run.curve, p.patterns)),
+                grading_truncated(&graded.run, p.patterns),
+            )
+        } else {
+            (None, false)
+        };
+        let report = flow.build_report(dft.datapath(), &expanded, dft.plans.bist.as_ref(), &facts);
+        let design_out = kept.map(|(schedule, binding)| SynthesizedDesign {
+            cdfg: design.clone(),
+            schedule,
+            binding,
+            datapath: dft.datapath().clone(),
+            expanded: (*expanded).clone(),
+            report: report.clone(),
+            bist_plan: dft.plans.bist.clone(),
+            kcontrol_plan: dft.plans.kcontrol.clone(),
+        });
+        Ok((
+            PointMetrics {
+                report,
+                coverage_percent,
+                timed_out,
+            },
+            design_out,
+        ))
+    }
+
+    /// The front-end (and S-graph facts) key of point `p`.
+    fn front_key(&self, p: Point) -> u64 {
+        if p.strategy == DftStrategy::SimultaneousLoopAvoidance {
+            key::combine(&[self.design_keys[p.design], key::hash_debug("simsched")])
+        } else {
+            key::combine(&[
+                self.design_keys[p.design],
+                key::hash_debug(&p.scheduler),
+                key::hash_debug(&p.policy),
+            ])
+        }
+    }
+
+    /// Grades point `p`'s netlist under `deadline` and journals the
+    /// stage. Without a store the point grades at its own budget, and
+    /// so does a point whose deadline has passed before it grades: a
+    /// fresh run is then cut in its first batch, and a stored run would
+    /// hand the point coverage it had no budget left to compute.
+    /// Otherwise a stored run serves the point when it can
+    /// ([`depth_serves`]). When it cannot, the point grades at
+    /// the sweep's deepest budget if that run would serve it — so one
+    /// run serves every whole-batch budget of the sweep — and at its
+    /// own budget if not, and the new run replaces the stored one only
+    /// when deeper. A run the deadline cut short comes back as the
+    /// compute's error, so it is never stored and any waiter grades
+    /// under its own deadline.
+    fn grade(
+        &self,
+        p: Point,
+        expanded: &ExpandedDatapath,
+        store: Option<(&Store<GradingRun>, u64)>,
+        deadline: Deadline,
+    ) -> Arc<GradingRun> {
+        let t = Instant::now();
+        let grade_to = |depth: usize| {
+            let faults = collapsed_faults(&expanded.netlist);
+            let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
+            let (run, gstats) = random_pattern_run_opts(
+                &expanded.netlist,
+                &faults,
+                depth,
+                &mut rng,
+                &grade_opts(deadline),
+            );
+            grading_event(p, &gstats);
+            let graded = GradingRun { depth, run };
+            if graded.run.timed_out {
+                Err(graded)
+            } else {
+                Ok(graded)
+            }
+        };
+        let (graded, outcome) = match store.filter(|_| !deadline.expired()) {
+            None => {
+                let (Ok(graded) | Err(graded)) = grade_to(p.patterns);
+                (Arc::new(graded), None)
+            }
+            Some((store, key)) => {
+                let depth = if depth_serves(self.max_patterns, p.patterns) {
+                    self.max_patterns
+                } else {
+                    p.patterns
+                };
+                let served = store.get_or_try_where(
+                    key,
+                    |g| depth_serves(g.depth, p.patterns),
+                    |new, old| new.depth > old.depth,
+                    || grade_to(depth),
+                );
+                match served {
+                    Ok((graded, outcome)) => (graded, Some(outcome)),
+                    Err(cut) => (Arc::new(cut), Some(CacheOutcome::Miss)),
+                }
+            }
+        };
+        stage_event(p, "grading", outcome, t.elapsed());
+        graded
     }
 }
 
@@ -720,60 +949,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Panic-isolated, deadline-armed, bounded-retry evaluation of one
-/// point. Panics and timeouts retry up to `opts.retries` times with a
-/// halved budget each attempt; flow errors are final on first sight.
-#[allow(clippy::too_many_arguments)]
-fn eval_with_retry(
-    spec: &SweepSpec,
-    design_keys: &[u64],
-    p: Point,
-    cache: Option<&ArtifactCache>,
-    max_patterns: usize,
-    opts: &SweepOptions,
-    fail_plan: Option<&FailPlan>,
-    retry_count: &AtomicU64,
-) -> (Result<PointMetrics, PointError>, Option<SynthesizedDesign>) {
-    let injected = fail_plan.and_then(|f| f.mode(p.index));
-    let mut attempt: u32 = 0;
-    loop {
-        let deadline = match opts.point_budget {
-            Some(b) => Deadline::after(b / 2u32.saturating_pow(attempt.min(20))),
-            None => Deadline::none(),
-        };
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            eval_point(
-                spec,
-                design_keys,
-                p,
-                cache,
-                max_patterns,
-                opts.keep_designs,
-                deadline,
-                injected,
-                attempt,
-            )
-        }));
-        let error = match caught {
-            Ok(Ok((metrics, design))) => return (Ok(metrics), design),
-            Ok(Err(e)) => e,
-            Err(payload) => PointError::Panic {
-                message: panic_message(payload),
-            },
-        };
-        if error.retryable() && attempt < opts.retries {
-            attempt += 1;
-            retry_count.fetch_add(1, Ordering::Relaxed);
-            hlstb_trace::events::emit("point.retry", Some(p.index as u64), |e| {
-                e.u64("attempt", u64::from(attempt))
-                    .str("error", error.kind());
-            });
-            continue;
-        }
-        return (Err(error), None);
-    }
-}
-
 /// The flow for one point; stage composition happens in the caller.
 fn base_flow(spec: &SweepSpec, design: &Cdfg, p: Point) -> SynthesisFlow {
     SynthesisFlow::new(design.clone())
@@ -786,47 +961,32 @@ fn base_flow(spec: &SweepSpec, design: &Cdfg, p: Point) -> SynthesisFlow {
 
 type PointOutput = (PointMetrics, Option<SynthesizedDesign>);
 
-#[allow(clippy::too_many_arguments)]
-fn eval_point(
-    spec: &SweepSpec,
-    design_keys: &[u64],
-    p: Point,
-    cache: Option<&ArtifactCache>,
-    max_patterns: usize,
-    keep: bool,
-    deadline: Deadline,
-    injected: Option<FailMode>,
-    attempt: u32,
-) -> Result<PointOutput, PointError> {
-    match injected {
-        Some(FailMode::Panic) => panic!("injected panic at point {}", p.index),
-        Some(FailMode::Flaky) if attempt == 0 => {
-            panic!("injected flaky panic at point {} (attempt 0)", p.index)
-        }
-        Some(FailMode::Stall) => {
-            // A stall burns its whole budget (really sleeping it off
-            // when one is set) and yields nothing — the deterministic
-            // stand-in for a pathological runaway point.
-            if let Some(remaining) = deadline.remaining() {
-                std::thread::sleep(remaining);
-            }
-            return Err(PointError::Timeout {
-                message: format!("injected stall at point {}: budget exhausted", p.index),
-            });
-        }
-        _ => {}
-    }
-    match cache {
-        Some(c) => eval_cached(spec, design_keys, p, c, max_patterns, keep, deadline),
-        None => eval_direct(spec, p, keep, deadline),
-    }
-}
-
 fn grade_opts(deadline: Deadline) -> ParallelOptions {
     ParallelOptions {
         deadline,
         ..ParallelOptions::default()
     }
+}
+
+/// Runs one pipeline stage of point `p` and journals it: through
+/// `store` under its key when the runner has a cache, straight through
+/// `compute` when it has none.
+fn stage<T, E>(
+    p: Point,
+    name: &'static str,
+    store: Option<(&Store<T>, u64)>,
+    compute: impl FnOnce() -> Result<T, E>,
+) -> Result<Arc<T>, E> {
+    let t = Instant::now();
+    let (value, outcome) = match store {
+        Some((store, key)) => {
+            let (value, outcome) = store.get_or_try(key, compute)?;
+            (value, Some(outcome))
+        }
+        None => (Arc::new(compute()?), None),
+    };
+    stage_event(p, name, outcome, t.elapsed());
+    Ok(value)
 }
 
 /// Journals one pipeline-stage completion for a point. The stage name
@@ -858,183 +1018,6 @@ fn grading_event(p: Point, stats: &hlstb::netlist::stats::GradeStats) {
             .volatile_u64("flip_events", stats.flip_events)
             .volatile_u64("early_exits", stats.early_exits);
     });
-}
-
-/// The memoized pipeline. Stage keys, in dependency order:
-///
-/// * front end — design content + scheduler + policy (the integrated
-///   loop-avoidance strategy replaces the scheduler/policy pair, so it
-///   keys on the design + a marker instead);
-/// * S-graph facts — same key as the front end (strategy-independent);
-/// * DFT output — front-end key + strategy;
-/// * netlist — *content* of the marked data path + width (+ reset
-///   flag), so every strategy that leaves identical marks (all four
-///   no-scan strategies: none, both BISTs, k-level points) shares one
-///   expansion; the content hash is taken once, when the DFT artifact
-///   is built, so a warm point costs lookups only;
-/// * grading run — the netlist key; evaluated once at the sweep's
-///   deepest budget, read as a prefix for shallower ones.
-fn eval_cached(
-    spec: &SweepSpec,
-    design_keys: &[u64],
-    p: Point,
-    cache: &ArtifactCache,
-    max_patterns: usize,
-    keep: bool,
-    deadline: Deadline,
-) -> Result<PointOutput, PointError> {
-    let design = &spec.designs[p.design];
-    let flow = base_flow(spec, design, p);
-    let front_key = if p.strategy == DftStrategy::SimultaneousLoopAvoidance {
-        key::combine(&[design_keys[p.design], key::hash_debug("simsched")])
-    } else {
-        key::combine(&[
-            design_keys[p.design],
-            key::hash_debug(&p.scheduler),
-            key::hash_debug(&p.policy),
-        ])
-    };
-    let t = Instant::now();
-    let (fe, fe_hit) = cache
-        .front
-        .get_or_try(front_key, || flow.front_end().map_err(PointError::from))?;
-    stage_event(p, "front", Some(fe_hit), t.elapsed());
-    let t = Instant::now();
-    let (facts, facts_hit) = cache.facts.get_or_try(front_key, || {
-        Ok::<_, PointError>(SynthesisFlow::sgraph_facts(&fe.datapath))
-    })?;
-    stage_event(p, "facts", Some(facts_hit), t.elapsed());
-    let dft_key = key::combine(&[front_key, key::hash_debug(&p.strategy)]);
-    let t = Instant::now();
-    let (dft, dft_hit) = cache.dft.get_or_try(dft_key, || {
-        let mut fe = (*fe).clone();
-        let plans = flow.apply_dft(&mut fe);
-        Ok::<_, PointError>(DftOutput::new(fe.datapath, plans))
-    })?;
-    stage_event(p, "dft", Some(dft_hit), t.elapsed());
-    let nl_key = key::combine(&[
-        dft.datapath_hash(),
-        u64::from(p.width),
-        u64::from(spec.reset_controller),
-    ]);
-    let t = Instant::now();
-    let (expanded, nl_hit) = cache.netlist.get_or_try(nl_key, || {
-        flow.expand_netlist(dft.datapath())
-            .map_err(PointError::from)
-    })?;
-    stage_event(p, "netlist", Some(nl_hit), t.elapsed());
-    let (coverage_percent, timed_out) = if p.patterns > 0 {
-        let t = Instant::now();
-        let (run, grading_hit) = cache.grading.get_or_try(nl_key, || {
-            let faults = collapsed_faults(&expanded.netlist);
-            let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
-            let (run, gstats) = random_pattern_run_opts(
-                &expanded.netlist,
-                &faults,
-                max_patterns,
-                &mut rng,
-                &grade_opts(deadline),
-            );
-            grading_event(p, &gstats);
-            Ok::<_, PointError>(run)
-        })?;
-        stage_event(p, "grading", Some(grading_hit), t.elapsed());
-        (
-            Some(coverage_at(&run.curve, p.patterns)),
-            grading_truncated(&run, p.patterns),
-        )
-    } else {
-        (None, false)
-    };
-    let report = flow.build_report(dft.datapath(), &expanded, dft.plans.bist.as_ref(), &facts);
-    let design_out = keep.then(|| SynthesizedDesign {
-        cdfg: design.clone(),
-        schedule: fe.schedule.clone(),
-        binding: fe.binding.clone(),
-        datapath: dft.datapath().clone(),
-        expanded: (*expanded).clone(),
-        report: report.clone(),
-        bist_plan: dft.plans.bist.clone(),
-        kcontrol_plan: dft.plans.kcontrol.clone(),
-    });
-    Ok((
-        PointMetrics {
-            report,
-            coverage_percent,
-            timed_out,
-        },
-        design_out,
-    ))
-}
-
-/// The uncached pipeline — the same stages, computed from scratch.
-/// Grading runs at the point's own budget; [`coverage_at`] reads both
-/// this curve and the cached deep curve identically (prefix property).
-fn eval_direct(
-    spec: &SweepSpec,
-    p: Point,
-    keep: bool,
-    deadline: Deadline,
-) -> Result<PointOutput, PointError> {
-    let design = &spec.designs[p.design];
-    let flow = base_flow(spec, design, p);
-    let t = Instant::now();
-    let mut fe = flow.front_end().map_err(PointError::from)?;
-    stage_event(p, "front", None, t.elapsed());
-    // Compute order matches the cached path's artifacts; stage events
-    // are emitted in the same fixed front → facts → dft → netlist →
-    // grading order so canonical journals agree across cache settings.
-    let t_dft = Instant::now();
-    let plans = flow.apply_dft(&mut fe);
-    let dft_wall = t_dft.elapsed();
-    let t = Instant::now();
-    let facts = SynthesisFlow::sgraph_facts(&fe.datapath);
-    stage_event(p, "facts", None, t.elapsed());
-    stage_event(p, "dft", None, dft_wall);
-    let t = Instant::now();
-    let expanded = flow
-        .expand_netlist(&fe.datapath)
-        .map_err(PointError::from)?;
-    stage_event(p, "netlist", None, t.elapsed());
-    let (coverage_percent, timed_out) = if p.patterns > 0 {
-        let t = Instant::now();
-        let faults = collapsed_faults(&expanded.netlist);
-        let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
-        let (run, gstats) = random_pattern_run_opts(
-            &expanded.netlist,
-            &faults,
-            p.patterns,
-            &mut rng,
-            &grade_opts(deadline),
-        );
-        grading_event(p, &gstats);
-        stage_event(p, "grading", None, t.elapsed());
-        (
-            Some(coverage_at(&run.curve, p.patterns)),
-            grading_truncated(&run, p.patterns),
-        )
-    } else {
-        (None, false)
-    };
-    let report = flow.build_report(&fe.datapath, &expanded, plans.bist.as_ref(), &facts);
-    let design_out = keep.then(|| SynthesizedDesign {
-        cdfg: design.clone(),
-        schedule: fe.schedule.clone(),
-        binding: fe.binding.clone(),
-        datapath: fe.datapath.clone(),
-        expanded: expanded.clone(),
-        report: report.clone(),
-        bist_plan: plans.bist.clone(),
-        kcontrol_plan: plans.kcontrol.clone(),
-    });
-    Ok((
-        PointMetrics {
-            report,
-            coverage_percent,
-            timed_out,
-        },
-        design_out,
-    ))
 }
 
 #[cfg(test)]
@@ -1314,16 +1297,27 @@ mod tests {
     fn zero_point_budget_truncates_grading_deterministically() {
         let mut spec = SweepSpec::new(vec![benchmarks::figure1()]);
         spec.strategies = vec![DftStrategy::FullScan];
-        spec.patterns = vec![256];
+        spec.patterns = vec![64, 256];
         let opts = SweepOptions {
             point_budget: Some(Duration::ZERO),
             ..SweepOptions::default()
         };
         let a = run_sweep(&spec, &opts);
-        let m = a.report.points[0].outcome.as_ref().unwrap();
-        assert!(m.timed_out, "zero budget must truncate a 256-pattern run");
-        assert!(m.coverage_percent.is_some(), "partial coverage reported");
-        assert_eq!(a.report.timeouts(), 1);
+        // The first batch is cut inside the batch, so even a budget of
+        // one batch reads a partial point.
+        for point in &a.report.points {
+            let m = point.outcome.as_ref().unwrap();
+            assert!(
+                m.timed_out,
+                "zero budget must truncate {} patterns",
+                point.patterns
+            );
+            assert!(m.coverage_percent.is_some(), "partial coverage reported");
+        }
+        assert_eq!(a.report.timeouts(), 2);
+        // A spent deadline keeps grading away from the store.
+        let grading = a.report.cache.expect("cache on").grading;
+        assert_eq!(grading, Default::default(), "{grading:?}");
         // Expired-from-the-start deadlines are deterministic: cache and
         // thread settings still agree byte-for-byte.
         let b = run_sweep(
@@ -1335,11 +1329,16 @@ mod tests {
             },
         );
         assert_eq!(a.report.canonical_json(), b.report.canonical_json());
-        // Without a budget the same point grades the full 256 patterns.
+        // Without a budget the same points grade their full budgets.
         let full = run_sweep(&spec, &SweepOptions::default());
-        let fm = full.report.points[0].outcome.as_ref().unwrap();
-        assert!(!fm.timed_out);
-        assert!(fm.coverage_percent.unwrap() >= m.coverage_percent.unwrap());
+        for (cut, whole) in a.report.points.iter().zip(&full.report.points) {
+            let (cut, whole) = (
+                cut.outcome.as_ref().unwrap(),
+                whole.outcome.as_ref().unwrap(),
+            );
+            assert!(!whole.timed_out);
+            assert!(whole.coverage_percent.unwrap() > cut.coverage_percent.unwrap());
+        }
     }
 
     /// Regression: ticking the meter past `total` (restored/spliced

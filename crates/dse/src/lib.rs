@@ -17,8 +17,9 @@
 //!   content-derived keys so points differing only in DFT strategy
 //!   reuse everything up to DFT insertion, points whose marked data
 //!   paths coincide (every no-scan strategy) share one gate-level
-//!   netlist, and one maximal-depth pseudorandom grading run serves
-//!   every pattern budget of a netlist;
+//!   netlist, and one pseudorandom grading run at the sweep's deepest
+//!   budget serves every whole-batch (multiple-of-64) budget of a
+//!   netlist, while any other budget grades at its own depth;
 //! * [`report::SweepReport`] collects per-point metrics *ordered by
 //!   point index* regardless of completion order, so the parallel
 //!   sweep's canonical output is byte-identical to the serial one.

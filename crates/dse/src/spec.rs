@@ -195,9 +195,9 @@ impl SweepSpec {
         out
     }
 
-    /// The deepest grading budget of any point — the depth the cached
-    /// grading run is computed at, so every shallower budget is a
-    /// prefix read.
+    /// The deepest grading budget of any point — the depth a cached
+    /// grading run is computed at whenever that run serves the point's
+    /// own budget (see `cache::depth_serves`).
     pub fn max_patterns(&self) -> usize {
         self.patterns.iter().copied().max().unwrap_or(0)
     }

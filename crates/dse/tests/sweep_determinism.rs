@@ -1,12 +1,18 @@
 //! Property tests for the sweep engine's bit-identity contract: for an
 //! arbitrary `SweepSpec`, a 4-thread cached sweep must produce the
 //! same canonical report bytes as a serial uncached sweep — including
-//! under injected failures — and cache hits must never change any
-//! point's metrics.
+//! under injected failures and through a cache shared across requests
+//! — and cache hits must never change any point's metrics.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use hlstb::cdfg::{benchmarks, Cdfg};
 use hlstb::flow::{DftStrategy, RegisterPolicy, Scheduler};
-use hlstb_dse::{run_sweep, run_sweep_with, FailMode, FailPlan, Recovery, SweepOptions, SweepSpec};
+use hlstb_dse::engine::{PointRunner, SweepDriver};
+use hlstb_dse::{
+    run_sweep, run_sweep_with, ArtifactCache, FailMode, FailPlan, Recovery, SweepOptions, SweepSpec,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,7 +61,7 @@ fn arb_spec(seed: u64) -> SweepSpec {
         rng,
     );
     spec.strategies.truncate(3);
-    spec.patterns = subset(&[0usize, 64, 128, 256], rng);
+    spec.patterns = subset(&[0usize, 40, 64, 128, 256], rng);
     spec.patterns.truncate(2);
     spec.reset_controller = rng.gen_bool(0.5);
     spec
@@ -127,6 +133,57 @@ proptest! {
             serial.report.canonical_json(),
             parallel.report.canonical_json()
         );
+    }
+}
+
+/// One request of a shared-cache sequence: 1-2 designs under full and
+/// no scan, a budget list from {40, 64, 256, 1024}, and a point budget
+/// that is unset or zero.
+fn arb_request(rng: &mut StdRng) -> (SweepSpec, SweepOptions) {
+    let pool: Vec<Cdfg> = vec![
+        benchmarks::figure1(),
+        benchmarks::tseng(),
+        benchmarks::gcd(),
+        benchmarks::diffeq(),
+    ];
+    let mut designs = subset(&pool, rng);
+    designs.truncate(2);
+    let mut spec = SweepSpec::new(designs);
+    spec.strategies = vec![DftStrategy::FullScan, DftStrategy::None];
+    spec.patterns = subset(&[40usize, 64, 256, 1024], rng);
+    let opts = SweepOptions {
+        point_budget: rng.gen_bool(0.3).then_some(Duration::ZERO),
+        ..SweepOptions::default()
+    };
+    (spec, opts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// A cache shared across requests (as the serve daemon shares one)
+    /// must serve every request exactly as a fresh serial uncached
+    /// sweep computes it, whatever depths and deadlines earlier
+    /// requests left in the grading store.
+    #[test]
+    fn a_shared_cache_serves_every_request_as_a_fresh_serial_sweep(seed in 0u64..10_000) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let cache = Arc::new(ArtifactCache::new());
+        for _ in 0..4 {
+            let (spec, opts) = arb_request(rng);
+            let lanes = rng.gen_range(1..3usize);
+            let runner = PointRunner::with_cache(&spec, &opts, None, Arc::clone(&cache));
+            let driver = SweepDriver::open(runner, &Recovery::default()).unwrap();
+            let all: Vec<usize> = (0..spec.points().len()).collect();
+            driver.run(&all, lanes, &|| false);
+            let shared = driver.finish().report.canonical_json();
+            let fresh = run_sweep(&spec, &SweepOptions {
+                threads: 1,
+                cache: false,
+                ..opts
+            });
+            prop_assert_eq!(shared, fresh.report.canonical_json());
+        }
     }
 }
 

@@ -87,9 +87,11 @@ pub struct SweepRequest {
     pub id: String,
     /// What to sweep.
     pub spec: SweepSpec,
-    /// Execution options (cache participation, per-point budget,
-    /// retries); `threads`/`keep_designs`/`progress` are daemon-side
-    /// decisions and are not accepted over the wire.
+    /// Execution options (per-point budget, retries);
+    /// `threads`/`keep_designs`/`progress` are daemon-side decisions
+    /// and are not accepted over the wire. The daemon always evaluates
+    /// through its shared cache; the wire still carries `cache`, so
+    /// journals written by older clients replay.
     pub opts: SweepOptions,
     /// End-to-end deadline for the request, measured from admission.
     pub deadline: Option<Duration>,

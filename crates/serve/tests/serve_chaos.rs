@@ -10,9 +10,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hlstb::cdfg::benchmarks;
+use hlstb::cdfg::{benchmarks, Cdfg};
 use hlstb::flow::DftStrategy;
-use hlstb_dse::{PointError, SweepOptions, SweepSpec};
+use hlstb_dse::{run_sweep, PointError, SweepOptions, SweepSpec};
 use hlstb_serve::proto::{self, Request};
 use hlstb_serve::{client, Daemon, ServeConfig, SweepRequest};
 use hlstb_trace::json::{self, Value};
@@ -433,4 +433,79 @@ fn a_deadline_expired_in_the_queue_is_a_typed_journaled_error() {
     assert_eq!(frame.get("kind").and_then(Value::as_str), Some("deadline"));
     server.shutdown();
     let _ = std::fs::remove_file(&journal);
+}
+
+/// Sends `requests` to one fresh daemon in order and returns each
+/// canonical report.
+fn reports_through_one_daemon(requests: &[SweepRequest]) -> Vec<String> {
+    let server = Server::start(ServeConfig::default());
+    let reports = requests
+        .iter()
+        .map(|req| {
+            client::run_sweep(&server.addr(), req)
+                .expect("sweep succeeds")
+                .report
+        })
+        .collect();
+    server.shutdown();
+    reports
+}
+
+/// The canonical report of a fresh serial uncached run of `req`.
+fn serial_uncached(req: &SweepRequest) -> String {
+    let opts = SweepOptions {
+        threads: 1,
+        cache: false,
+        ..req.opts
+    };
+    run_sweep(&req.spec, &opts).report.canonical_json()
+}
+
+/// A full- and no-scan request over `designs` at one grading budget.
+fn graded_request(id: &str, designs: Vec<Cdfg>, patterns: usize) -> SweepRequest {
+    let mut spec = SweepSpec::new(designs);
+    spec.strategies = vec![DftStrategy::FullScan, DftStrategy::None];
+    spec.patterns = vec![patterns];
+    SweepRequest {
+        id: id.to_string(),
+        spec,
+        opts: SweepOptions::default(),
+        deadline: None,
+    }
+}
+
+/// A `--grade 1024` request after a `--grade 64` one to the same
+/// daemon reads its own depth: the shallow request's grading runs
+/// cannot serve it, so it grades afresh and its report equals a
+/// serial uncached run's.
+#[test]
+fn a_deeper_budget_after_a_shallow_one_gets_its_own_coverage() {
+    let designs = || vec![benchmarks::ewf(), benchmarks::diffeq()];
+    let requests = [
+        graded_request("shallow", designs(), 64),
+        graded_request("deep", designs(), 1024),
+    ];
+    let reports = reports_through_one_daemon(&requests);
+    for (req, report) in requests.iter().zip(&reports) {
+        assert_eq!(report, &serial_uncached(req), "request {}", req.id);
+    }
+}
+
+/// A request whose zero point budget cuts every grading run short
+/// must not leave a cut run behind: the same request without a budget
+/// grades in full, unflagged, as a serial uncached run does.
+#[test]
+fn a_cut_grading_run_never_serves_a_later_request() {
+    let mut cut = graded_request("cut", vec![benchmarks::ewf()], 256);
+    cut.opts.point_budget = Some(Duration::ZERO);
+    let whole = graded_request("whole", vec![benchmarks::ewf()], 256);
+    let reports = reports_through_one_daemon(&[cut.clone(), whole.clone()]);
+    assert!(reports[0].contains("\"timed_out\": true"), "{}", reports[0]);
+    assert_eq!(reports[0], serial_uncached(&cut));
+    assert!(
+        !reports[1].contains("\"timed_out\": true"),
+        "{}",
+        reports[1]
+    );
+    assert_eq!(reports[1], serial_uncached(&whole));
 }

@@ -159,7 +159,7 @@ serve-client options:
   --metrics | --ping      print one control reply instead of sweeping
   plus the sweep axis flags: --designs/--schedulers/--policies/
   --strategies/--widths/--grade/--reset-controller, and
-  --point-budget-ms/--retries/--no-cache as above
+  --point-budget-ms/--retries as above
 environment:
   HLSTB_FAIL_POINT   inject deterministic point failures, e.g.
                      \"panic:1,4;stall:2;flaky:3\" (testing/CI);
@@ -615,11 +615,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     }
                     "--ping" => {
                         ping = true;
-                        i += 1;
-                        continue;
-                    }
-                    "--no-cache" => {
-                        opts.cache = false;
                         i += 1;
                         continue;
                     }

@@ -268,6 +268,31 @@ fn sweep_json_is_identical_across_threads_and_cache() {
     assert!(!stderr_b.contains("cache hits: 0,"), "{stderr_b}");
 }
 
+/// A budget that is not a multiple of 64 masks lanes in its last batch,
+/// so a deeper cached grading run cannot serve it: the cached sweep
+/// must grade it at its own budget and match the uncached bytes.
+#[test]
+fn a_partial_batch_budget_reads_the_same_cached_and_uncached() {
+    let axes = [
+        "sweep",
+        "--designs",
+        "figure1,tseng",
+        "--strategies",
+        "full-scan,none",
+        "--grade",
+        "40,256",
+        "--json",
+    ];
+    let mut cached = axes.to_vec();
+    cached.extend_from_slice(&["--threads", "4", "--cache"]);
+    let mut uncached = axes.to_vec();
+    uncached.extend_from_slice(&["--threads", "1", "--no-cache"]);
+    let (a, stderr_a, ok_a) = run(&cached);
+    let (b, stderr_b, ok_b) = run(&uncached);
+    assert!(ok_a && ok_b, "{stderr_a}{stderr_b}");
+    assert_eq!(a, b, "cached 40-pattern points must read a 40-pattern run");
+}
+
 #[test]
 fn sweep_full_json_carries_the_run_envelope() {
     let mut args = SWEEP_SMOKE.to_vec();

@@ -95,6 +95,18 @@ fn client(addr: &str, id: &str) -> (String, String, bool) {
     )
 }
 
+/// The sweep axes of the depth check: diffeq graded at `grade`.
+fn depth_axes(grade: &str) -> [&str; 6] {
+    [
+        "--designs",
+        "diffeq",
+        "--strategies",
+        "full-scan,none",
+        "--grade",
+        grade,
+    ]
+}
+
 fn completed_records(journal: &std::path::Path) -> Vec<String> {
     std::fs::read_to_string(journal)
         .expect("journal readable")
@@ -184,5 +196,41 @@ fn sigterm_mid_request_drains_and_exits_zero() {
     assert!(report.contains("\"experiment\": \"dse_sweep\""));
     assert!(daemon.wait().success(), "drain must exit 0");
     assert_eq!(completed_records(&journal).len(), 1);
+    std::fs::remove_file(&journal).ok();
+}
+
+/// One daemon answers a `--grade 64` request and then a `--grade 1024`
+/// one: the deep request must get its own depth — the bytes of a local
+/// uncached sweep — not a read of the shallow run its cache holds.
+#[test]
+fn a_deeper_request_after_a_shallow_one_reads_a_fresh_sweep() {
+    let journal = temp("depth.jsonl");
+    std::fs::remove_file(&journal).ok();
+    let daemon = DaemonProc::start(&journal, &[]);
+    for (id, grade) in [("shallow", "64"), ("deep", "1024")] {
+        let served = bin()
+            .args(["serve-client", "--connect", &daemon.addr, "--id", id])
+            .args(depth_axes(grade))
+            .output()
+            .expect("client runs");
+        assert!(
+            served.status.success(),
+            "{}",
+            String::from_utf8_lossy(&served.stderr)
+        );
+        let local = bin()
+            .args(["sweep", "--no-cache", "--json"])
+            .args(depth_axes(grade))
+            .output()
+            .expect("local sweep runs");
+        assert!(local.status.success());
+        assert_eq!(
+            String::from_utf8_lossy(&served.stdout),
+            String::from_utf8_lossy(&local.stdout),
+            "daemon answer at --grade {grade}"
+        );
+    }
+    daemon.sigterm();
+    assert!(daemon.wait().success(), "drain must exit 0");
     std::fs::remove_file(&journal).ok();
 }
