@@ -36,13 +36,24 @@ step_clippy() {
 
 # Trace smoke: one traced synthesis must produce a loadable Chrome trace
 # with every pipeline stage span present (trace-check exits nonzero on a
-# missing, empty, or invalid trace).
+# missing, empty, or invalid trace). The events-smoke sweep traced with
+# --trace and --events together must do the same for the sweep spans,
+# and its journal (the one both files come from) must roll up through
+# trace-view.
 step_trace_smoke() {
     ./target/release/hlstb synth diffeq --strategy behavioral-partial-scan \
         --grade 128 --atpg --trace trace_smoke.json --trace-summary
     ./target/release/hlstb trace-check trace_smoke.json \
         sched bind expand netlist.build scan.select bist.plan atpg fsim.grade
     rm -f trace_smoke.json
+    ./target/release/hlstb sweep --designs figure1,tseng \
+        --strategies none,full-scan,bist-shared --grade 128 \
+        --threads 4 --cache \
+        --trace trace_sweep.json --events trace_sweep.jsonl >/dev/null
+    ./target/release/hlstb trace-check trace_sweep.json \
+        dse.sweep dse.point fsim.grade
+    ./target/release/hlstb trace-view trace_sweep.jsonl >/dev/null
+    rm -f trace_sweep.json trace_sweep.jsonl
 }
 
 # Sweep smoke: a tiny two-design sweep must be byte-identical between

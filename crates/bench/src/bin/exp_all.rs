@@ -1,6 +1,7 @@
 //! Runs every experiment in sequence — the full reproduction sweep.
 fn main() {
-    hlstb_bench::tracehook::init();
+    let sinks = hlstb::trace::Sinks::from_env();
+    sinks.start();
     print!("{}", hlstb::tools::render_table1());
     println!();
     for t in [
@@ -31,5 +32,7 @@ fn main() {
     ] {
         println!("{t}");
     }
-    hlstb_bench::tracehook::finish();
+    if let Err(e) = sinks.finish() {
+        eprintln!("{e}");
+    }
 }

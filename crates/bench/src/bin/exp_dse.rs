@@ -22,7 +22,8 @@ fn main() {
         };
         std::process::exit(code);
     }
-    hlstb_bench::tracehook::init();
+    let sinks = hlstb::trace::Sinks::from_env();
+    sinks.start();
     let threads: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(4);
     let workers: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(4);
     let spec = hlstb_bench::dse_exp::full_spec();
@@ -43,5 +44,7 @@ fn main() {
     let path = "BENCH_dse.json";
     std::fs::write(path, bench.to_json()).expect("write BENCH_dse.json");
     println!("wrote {path}");
-    hlstb_bench::tracehook::finish();
+    if let Err(e) = sinks.finish() {
+        eprintln!("{e}");
+    }
 }

@@ -4,7 +4,8 @@
 //! working directory for perf tracking.
 
 fn main() {
-    hlstb_bench::tracehook::init();
+    let sinks = hlstb::trace::Sinks::from_env();
+    sinks.start();
     let patterns: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -19,5 +20,7 @@ fn main() {
     let path = "BENCH_fsim.json";
     std::fs::write(path, sweep.to_json()).expect("write BENCH_fsim.json");
     println!("wrote {path}");
-    hlstb_bench::tracehook::finish();
+    if let Err(e) = sinks.finish() {
+        eprintln!("{e}");
+    }
 }

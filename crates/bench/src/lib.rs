@@ -6,6 +6,10 @@
 //! the *shape* of each result — who wins, in which direction — which is
 //! what a reproduction of a survey's qualitative claims can and should
 //! check. See `EXPERIMENTS.md` at the workspace root for the index.
+//!
+//! Tracing is opt-in: `exp_all`, `exp_fsim` and `exp_dse` read the
+//! `HLSTB_TRACE*` environment hooks through
+//! [`hlstb::trace::Sinks::from_env`] and stay untraced otherwise.
 
 #![forbid(unsafe_code)]
 
@@ -23,65 +27,3 @@ pub mod scoreboard;
 pub mod table;
 
 pub use table::Table;
-
-/// Opt-in tracing for the experiment binaries, driven by the
-/// `HLSTB_TRACE*` environment variables so the default runs stay
-/// untraced and allocation-free on the hot paths. All variables are
-/// parsed by the one shared helper, `hlstb::trace::envhook` (unset,
-/// empty, or `"0"` is off; anything else is a path / truthy):
-///
-/// * `HLSTB_TRACE=<file>` — write a Chrome trace (chrome://tracing,
-///   Perfetto) to `<file>` on [`tracehook::finish`];
-/// * `HLSTB_TRACE_METRICS=<file>` — write the flat metrics JSON;
-/// * `HLSTB_TRACE_EVENTS=<file>` — record the event journal and write
-///   it as JSONL;
-/// * `HLSTB_TRACE_SUMMARY=1` — print the per-phase timing summary to
-///   stderr.
-pub mod tracehook {
-    use hlstb::trace::envhook;
-
-    /// Reads the environment and enables the global collector and/or
-    /// event journal as requested. Call once at the top of `main`.
-    pub fn init() {
-        let hooks = envhook::from_env();
-        if hooks.wants_trace() {
-            hlstb::trace::reset();
-            hlstb::trace::set_enabled(true);
-        }
-        if hooks.wants_events() {
-            hlstb::trace::events::reset();
-            hlstb::trace::events::set_enabled(true);
-        }
-    }
-
-    fn export(path: &str, what: &str, content: &str) {
-        match std::fs::write(path, content) {
-            Ok(()) => eprintln!("wrote {what} to {path}"),
-            Err(e) => eprintln!("{what} export to {path} failed: {e}"),
-        }
-    }
-
-    /// Exports whatever the run recorded. Call once at the end of
-    /// `main`; a no-op when [`init`] enabled nothing.
-    pub fn finish() {
-        let hooks = envhook::from_env();
-        if hooks.wants_trace() && hlstb::trace::enabled() {
-            let snap = hlstb::trace::snapshot();
-            if let Some(path) = &hooks.chrome {
-                export(path, "trace", &snap.chrome_trace_json());
-            }
-            if let Some(path) = &hooks.metrics {
-                export(path, "metrics", &snap.metrics_json());
-            }
-            if hooks.summary {
-                eprint!("{}", snap.text_summary());
-            }
-        }
-        if let Some(path) = &hooks.events {
-            if hlstb::trace::events::enabled() {
-                let journal = hlstb::trace::events::drain();
-                export(path, "event journal", &journal.to_jsonl());
-            }
-        }
-    }
-}

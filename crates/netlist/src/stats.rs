@@ -120,15 +120,11 @@ impl GradeStats {
         o.finish()
     }
 
-    /// Bridges this run's counters into the global trace collector
-    /// (`fsim.*` counters, thread/universe gauges). The engines call it
-    /// on exit so `GradeStats` stays the per-run record while the trace
-    /// layer accumulates whole-process totals. No-op when tracing is
-    /// disabled.
+    /// Journals this run's work as `fsim.*` counter records and the
+    /// thread/universe gauges. The engines call it on exit so
+    /// `GradeStats` stays the per-run record while the journal's
+    /// views sum whole-run totals. No-op when the journal is off.
     pub fn trace_bridge(&self) {
-        if !hlstb_trace::enabled() {
-            return;
-        }
         hlstb_trace::counter("fsim.fault_evals", self.fault_evals);
         hlstb_trace::counter("fsim.screened", self.screened);
         hlstb_trace::counter("fsim.dropped", self.dropped);

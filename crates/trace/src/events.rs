@@ -1,6 +1,8 @@
-//! The structured event journal: a durable, thread-safe record of
-//! *what happened* during a run, as opposed to the aggregate view the
-//! collector in the crate root keeps.
+//! The structured event journal: the crate's one telemetry stream, a
+//! durable, thread-safe record of *what happened* during a run. The
+//! span, counter and gauge primitives in the crate root journal into
+//! it too, and [`crate::Snapshot::from_journal`] folds a drained
+//! journal into the aggregate views (phases, counters, gauges).
 //!
 //! # Model
 //!
@@ -10,8 +12,8 @@
 //! * a **per-thread monotonic sequence number** (`seq`) — gap-free per
 //!   recording thread, which is what lets a reader reconstruct each
 //!   thread's own event order without trusting wall clocks;
-//! * the recording thread's dense id (`tid`, shared with the span
-//!   collector) and a microsecond timestamp since the trace epoch;
+//! * the recording thread's dense id (`tid`) and a microsecond
+//!   timestamp since the trace epoch;
 //! * a static `kind` (e.g. `point.completed`, `span.open`), an
 //!   optional **point index** attributing the record to one unit of
 //!   work (a sweep point), and a list of typed [`Field`]s.
@@ -20,14 +22,14 @@
 //! stable content is a pure function of the run's inputs (point
 //! coordinates, coverage, error kinds), while volatile content varies
 //! run to run (timestamps, durations, cache hit/miss outcomes under
-//! racing workers, thread ids). The canonical exporter
-//! ([`Journal::to_canonical_jsonl`]) keeps only stable records and
-//! fields and re-sorts them by `(point, seq)` — every record of one
-//! point is emitted by the one worker thread that evaluated it, so the
-//! per-thread sequence gives a total order within each point and the
-//! projection is **byte-identical across thread counts and cache
-//! settings**. That extends the workbench's byte-compare CI style from
-//! reports to telemetry.
+//! racing workers, thread ids, and every span, counter and gauge
+//! record). The canonical exporter ([`Journal::to_canonical_jsonl`])
+//! keeps only stable records and fields and re-sorts them by `(point,
+//! seq)` — every record of one point is emitted by the one worker
+//! thread that evaluated it, so the per-thread sequence gives a total
+//! order within each point and the projection is **byte-identical
+//! across thread counts and cache settings**. That extends the
+//! workbench's byte-compare CI style from reports to telemetry.
 //!
 //! # Buffering and overhead
 //!
@@ -39,9 +41,11 @@
 //! registered buffer under its lock, which makes it safe to drain
 //! right after a `thread::scope` join (TLS destructors of exited
 //! workers may still be pending at that point — a registry sweep does
-//! not care). When the journal is disabled (the default) every entry
-//! point is a single relaxed atomic load and an immediate return —
-//! the field-builder closure is never called, so the disabled path
+//! not care). Past [`MAX_RECORDS`] new records are counted as dropped
+//! instead of stored, so every view under-counts and reports the drop.
+//! When the journal is disabled (the default) every entry point is a
+//! single relaxed atomic load and an immediate return — the
+//! field-builder closure is never called, so the disabled path
 //! allocates nothing (enforced alongside the span primitives by
 //! `tests/zero_alloc.rs`).
 
@@ -94,14 +98,12 @@ struct Local {
 }
 
 impl Local {
-    fn buffer(&mut self) -> Arc<Mutex<Vec<Record>>> {
-        if let Some(b) = &self.buf {
-            return Arc::clone(b);
-        }
-        let b = Arc::new(Mutex::new(Vec::new()));
-        lock(&REGISTRY).push(Arc::clone(&b));
-        self.buf = Some(Arc::clone(&b));
-        b
+    fn buffer(&mut self) -> &Mutex<Vec<Record>> {
+        self.buf.get_or_insert_with(|| {
+            let b = Arc::new(Mutex::new(Vec::new()));
+            lock(&REGISTRY).push(Arc::clone(&b));
+            b
+        })
     }
 }
 
@@ -134,7 +136,7 @@ pub struct Field {
 pub struct Record {
     /// Per-thread monotonic sequence number (gap-free per `tid`).
     pub seq: u64,
-    /// Dense id of the recording thread (shared with span events).
+    /// Dense id of the recording thread.
     pub tid: u32,
     /// Microseconds since the trace epoch.
     pub t_us: u64,
@@ -238,8 +240,9 @@ impl EventBuilder {
     }
 }
 
-/// Turns the journal on or off. Enabling pins the trace epoch so
-/// timestamps share the span collector's zero.
+/// Turns the journal on or off — the crate's one enabled flag, which
+/// spans, counters and gauges check too. Enabling pins the trace epoch
+/// (timestamp zero) on first use.
 pub fn set_enabled(on: bool) {
     if on {
         crate::pin_epoch();
@@ -293,8 +296,7 @@ fn record(kind: &'static str, point: Option<u64>, stable: bool, fields: Vec<Fiel
         let seq = l.next_seq;
         l.next_seq += 1;
         let worker = l.worker;
-        let buf = l.buffer();
-        lock(&buf).push(Record {
+        lock(l.buffer()).push(Record {
             seq,
             tid,
             t_us,
@@ -339,20 +341,12 @@ pub fn emit_volatile(kind: &'static str, point: Option<u64>, fill: impl FnOnce(&
 /// Returns the open record's seq for [`span_close`]. Called by
 /// [`crate::span`]; not part of the typical user surface.
 pub(crate) fn span_open(name: &'static str) -> u64 {
-    let parent = LOCAL.with(|l| l.borrow().open_spans.last().copied());
-    let mut fields = vec![Field {
-        name: "name",
-        value: FieldValue::Str(name.to_string()),
-        stable: false,
-    }];
-    if let Some(p) = parent {
-        fields.push(Field {
-            name: "parent",
-            value: FieldValue::U64(p),
-            stable: false,
-        });
+    let mut b = EventBuilder::default();
+    b.volatile_str("name", name);
+    if let Some(p) = LOCAL.with(|l| l.borrow().open_spans.last().copied()) {
+        b.volatile_u64("parent", p);
     }
-    let seq = record("span.open", None, false, fields);
+    let seq = record("span.open", None, false, b.fields);
     LOCAL.with(|l| l.borrow_mut().open_spans.push(seq));
     seq
 }
@@ -368,49 +362,20 @@ pub(crate) fn span_close(name: &'static str, open_seq: u64, dur_us: u64) {
             l.open_spans.remove(pos);
         }
     });
-    record(
-        "span.close",
-        None,
-        false,
-        vec![
-            Field {
-                name: "name",
-                value: FieldValue::Str(name.to_string()),
-                stable: false,
-            },
-            Field {
-                name: "open",
-                value: FieldValue::U64(open_seq),
-                stable: false,
-            },
-            Field {
-                name: "dur_us",
-                value: FieldValue::U64(dur_us),
-                stable: false,
-            },
-        ],
-    );
+    let mut b = EventBuilder::default();
+    b.volatile_str("name", name)
+        .volatile_u64("open", open_seq)
+        .volatile_u64("dur_us", dur_us);
+    record("span.close", None, false, b.fields);
 }
 
-/// Journals a counter add (volatile). Called by [`crate::counter`].
-pub(crate) fn counter_event(name: &'static str, delta: u64) {
-    record(
-        "counter",
-        None,
-        false,
-        vec![
-            Field {
-                name: "name",
-                value: FieldValue::Str(name.to_string()),
-                stable: false,
-            },
-            Field {
-                name: "delta",
-                value: FieldValue::U64(delta),
-                stable: false,
-            },
-        ],
-    );
+/// Journals a volatile `kind` record (`counter` or `gauge`) carrying
+/// the metric `name` and one value. Called by [`crate::counter`] and
+/// [`crate::gauge`].
+pub(crate) fn named_u64(kind: &'static str, name: &'static str, field: &'static str, v: u64) {
+    let mut b = EventBuilder::default();
+    b.volatile_str("name", name).volatile_u64(field, v);
+    record(kind, None, false, b.fields);
 }
 
 /// Takes every record from every registered per-thread buffer. Emits
@@ -445,7 +410,8 @@ pub struct Journal {
 /// The canonical record order: point-major, then each point's own
 /// emission order via the per-thread sequence (every record of one
 /// point comes from the one thread that evaluated it). Records with no
-/// point (sweep begin/end, spans, counters) sort after all points.
+/// point (sweep begin/end, spans, counters, gauges) sort after all
+/// points.
 fn canonical_key(r: &Record) -> (u64, u64, u32, &'static str) {
     (r.point.unwrap_or(u64::MAX), r.seq, r.tid, r.kind)
 }
@@ -498,14 +464,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    /// The journal is process-global; tests serialize on this lock.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::exclusive;
 
     #[test]
     fn disabled_journal_records_nothing_and_skips_the_closure() {
@@ -598,7 +557,6 @@ mod tests {
     #[test]
     fn spans_journal_open_close_with_parent_attribution() {
         let _x = exclusive();
-        crate::set_enabled(false);
         set_enabled(true);
         reset();
         {
@@ -632,25 +590,26 @@ mod tests {
     }
 
     #[test]
-    fn counters_journal_volatile_records_when_enabled() {
+    fn counters_and_gauges_journal_volatile_records_when_enabled() {
         let _x = exclusive();
-        crate::set_enabled(true);
         set_enabled(true);
-        crate::reset();
         reset();
         crate::counter("probe.count", 5);
+        crate::gauge("probe.peak", 9);
         set_enabled(false);
-        crate::set_enabled(false);
         let j = drain();
-        crate::reset();
-        let c = j
-            .records
-            .iter()
-            .find(|r| r.kind == "counter")
-            .expect("counter journaled");
-        assert!(c
-            .fields
-            .iter()
-            .any(|f| f.name == "delta" && f.value == FieldValue::U64(5)));
+        for (kind, field, v) in [("counter", "delta", 5), ("gauge", "value", 9)] {
+            let r = j
+                .records
+                .iter()
+                .find(|r| r.kind == kind)
+                .unwrap_or_else(|| panic!("{kind} journaled: {:?}", j.records));
+            assert!(!r.stable);
+            assert!(r
+                .fields
+                .iter()
+                .any(|f| f.name == field && f.value == FieldValue::U64(v)));
+        }
+        assert!(j.to_canonical_jsonl().is_empty());
     }
 }

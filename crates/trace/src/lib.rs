@@ -2,68 +2,67 @@
 //!
 //! A zero-dependency, in-tree crate (in the style of the offline
 //! `rand`/`proptest`/`criterion` subsets) that every synthesis crate
-//! links against. It provides:
+//! links against. Everything it records goes into one stream, the
+//! [`events`] journal:
 //!
 //! * **RAII spans** ([`span`]): scoped wall-time measurements of the
 //!   synthesis phases (scheduling, binding, expansion, scan selection,
-//!   BIST planning, ATPG, fault grading, …);
-//! * **counters** ([`counter`]) and **gauges** ([`gauge`]): merged
-//!   monotonically — counters add, gauges keep the maximum — so
-//!   concurrent workers never need coordination beyond the collector
-//!   lock;
-//! * **per-phase histograms**: every span feeds a log₂-bucketed
-//!   duration histogram keyed by span name;
-//! * **exporters** (via [`snapshot`]): a Chrome trace-event JSON file
-//!   loadable in Perfetto / `chrome://tracing`, a flat metrics JSON,
-//!   and a human-readable text summary.
+//!   BIST planning, ATPG, fault grading, …), journaled as a
+//!   `span.open`/`span.close` pair;
+//! * **counters** ([`counter`]) and **gauges** ([`gauge`]): one
+//!   volatile `counter` or `gauge` record per call;
+//! * **views** ([`Snapshot::from_journal`]): per-phase totals and log₂
+//!   duration histograms from the span closes, counters summed, gauges
+//!   at their maximum, rendered as a Chrome trace-event JSON file
+//!   (Perfetto / `chrome://tracing`), a flat metrics JSON, or a
+//!   human-readable text summary;
+//! * **sinks** ([`Sinks`]): the files a run asks for, filled from CLI
+//!   flags or the `HLSTB_TRACE*` environment hooks. [`Sinks::finish`]
+//!   drains the journal once and writes every view from it.
 //!
 //! # Overhead guarantee
 //!
 //! Tracing is **off by default**. When disabled, every entry point is a
-//! single relaxed atomic load followed by an immediate return: no
-//! allocation, no lock, no syscall. The hot fault-simulation loop can
-//! therefore stay instrumented unconditionally (enforced by the
-//! `zero_alloc` integration test).
+//! single relaxed load of the journal's one flag followed by an
+//! immediate return: no allocation, no lock, no syscall. The hot
+//! fault-simulation loop can therefore stay instrumented
+//! unconditionally (enforced by the `zero_alloc` integration test).
 //!
 //! # Determinism
 //!
-//! The collector only *observes*: no instrumented algorithm branches on
-//! [`enabled`], and no trace call touches an RNG or reorders work.
-//! Enabling tracing changes wall time, never results.
+//! The journal only *observes*: no instrumented algorithm branches on
+//! [`events::enabled`], and no trace call touches an RNG or reorders
+//! work. Enabling tracing changes wall time, never results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod envhook;
 pub mod events;
 pub mod json;
+mod sinks;
+
+pub use sinks::Sinks;
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+use events::{FieldValue, Journal, Record};
 
 /// Histogram buckets: bucket `i` counts durations in `[2^i, 2^(i+1))`
 /// microseconds (bucket 0 also holds sub-microsecond spans).
 pub const HIST_BUCKETS: usize = 32;
 
-/// Hard cap on retained span events; past it the histograms and phase
-/// totals keep aggregating but individual events are counted as
-/// dropped instead of stored (bounds memory on pathological runs).
-const MAX_EVENTS: usize = 1 << 20;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
-static COLLECTOR: Mutex<Collector> = Mutex::new(Collector::new());
 
 thread_local! {
     static TID: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Pins the trace epoch (timestamp zero) if not already pinned, so the
-/// span collector and the event journal share one time base.
+/// Pins the trace epoch (timestamp zero) if not already pinned.
 pub(crate) fn pin_epoch() {
     EPOCH.get_or_init(Instant::now);
 }
@@ -87,105 +86,9 @@ pub(crate) fn thread_tid() -> u32 {
     })
 }
 
-fn lock_collector() -> std::sync::MutexGuard<'static, Collector> {
-    COLLECTOR.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One completed span occurrence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SpanEvent {
-    name: &'static str,
-    tid: u32,
-    start_us: u64,
-    dur_us: u64,
-}
-
-/// Aggregated wall-time statistics of one span name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PhaseStat {
-    count: u64,
-    total: Duration,
-    min: Duration,
-    max: Duration,
-    buckets: [u64; HIST_BUCKETS],
-}
-
-impl PhaseStat {
-    fn new() -> Self {
-        PhaseStat {
-            count: 0,
-            total: Duration::ZERO,
-            min: Duration::MAX,
-            max: Duration::ZERO,
-            buckets: [0; HIST_BUCKETS],
-        }
-    }
-
-    fn record(&mut self, d: Duration) {
-        self.count += 1;
-        self.total += d;
-        self.min = self.min.min(d);
-        self.max = self.max.max(d);
-        let us = d.as_micros().max(1) as u64;
-        let bucket = (63 - us.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[bucket] += 1;
-    }
-}
-
-struct Collector {
-    events: Vec<SpanEvent>,
-    dropped_events: u64,
-    phases: BTreeMap<&'static str, PhaseStat>,
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-}
-
-impl Collector {
-    const fn new() -> Self {
-        Collector {
-            events: Vec::new(),
-            dropped_events: 0,
-            phases: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.events.clear();
-        self.dropped_events = 0;
-        self.phases.clear();
-        self.counters.clear();
-        self.gauges.clear();
-    }
-}
-
-/// Turns the global collector on or off. Enabling also pins the trace
-/// epoch (timestamp zero) on first use. Disabling leaves collected data
-/// in place so it can still be exported.
-pub fn set_enabled(on: bool) {
-    if on {
-        EPOCH.get_or_init(Instant::now);
-    }
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the collector is currently recording. A single relaxed
-/// atomic load — cheap enough for the innermost loops.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Discards all collected events, histograms, counters and gauges.
-/// The enabled flag and epoch are unchanged.
-pub fn reset() {
-    lock_collector().clear();
-}
-
 /// An RAII span guard: measures wall time from construction to drop and
-/// records one event under its name. When tracing is disabled at
-/// construction the guard is inert (no allocation, no lock on drop).
+/// journals the close. When the journal is off at construction the
+/// guard is inert (no allocation, no lock on drop).
 #[derive(Debug)]
 #[must_use = "a span measures until dropped; binding it to `_` drops immediately"]
 pub struct Span {
@@ -196,36 +99,25 @@ pub struct Span {
 struct ActiveSpan {
     name: &'static str,
     start: Instant,
-    /// Whether to record into the aggregate collector on drop.
-    collect: bool,
-    /// Seq of the journal's `span.open` record, when the event journal
-    /// is on (see [`events`]).
-    journal_open: Option<u64>,
+    /// Seq of the journal's `span.open` record.
+    open_seq: u64,
 }
 
 /// Opens a span named `name`. Close it by dropping the guard (or
-/// explicitly via [`Span::end`]). Records into the aggregate collector
-/// when tracing is enabled and additionally journals open/close
-/// records (with parent attribution) when the [`events`] journal is
-/// enabled; inert when both are off.
+/// explicitly via [`Span::end`]). Journals a `span.open` record (with
+/// parent attribution) now and a `span.close` record with the duration
+/// on drop; inert when the journal is off.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    let collect = enabled();
-    let journal = events::enabled();
-    if !collect && !journal {
+    if !events::enabled() {
         return Span { inner: None };
     }
-    let journal_open = if journal {
-        Some(events::span_open(name))
-    } else {
-        None
-    };
+    let open_seq = events::span_open(name);
     Span {
         inner: Some(ActiveSpan {
             name,
             start: Instant::now(),
-            collect,
-            journal_open,
+            open_seq,
         }),
     }
 }
@@ -238,69 +130,37 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(s) = self.inner.take() {
-            let dur = s.start.elapsed();
-            if let Some(open_seq) = s.journal_open {
-                events::span_close(s.name, open_seq, dur.as_micros() as u64);
-            }
-            if !s.collect {
-                return;
-            }
-            let epoch = *EPOCH.get_or_init(Instant::now);
-            let start_us = s.start.saturating_duration_since(epoch).as_micros() as u64;
-            let event = SpanEvent {
-                name: s.name,
-                tid: thread_tid(),
-                start_us,
-                dur_us: dur.as_micros() as u64,
-            };
-            let mut c = lock_collector();
-            c.phases
-                .entry(s.name)
-                .or_insert_with(PhaseStat::new)
-                .record(dur);
-            if c.events.len() < MAX_EVENTS {
-                c.events.push(event);
-            } else {
-                c.dropped_events += 1;
-            }
+            events::span_close(s.name, s.open_seq, s.start.elapsed().as_micros() as u64);
         }
     }
 }
 
-/// Adds `delta` to the counter `name` (created at zero). Also journals
-/// a volatile `counter` record when the [`events`] journal is on.
-/// No-op when both are disabled.
+/// Adds `delta` to the counter `name`: journals a volatile `counter`
+/// record. The views sum a counter's deltas. No-op when the journal is
+/// off.
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
     if events::enabled() {
-        events::counter_event(name, delta);
+        events::named_u64("counter", name, "delta", delta);
     }
-    if !enabled() {
-        return;
-    }
-    let mut c = lock_collector();
-    let slot = c.counters.entry(name).or_insert(0);
-    *slot = slot.saturating_add(delta);
 }
 
-/// Merges `value` into the gauge `name`, keeping the maximum observed —
-/// the monotone merge that needs no coordination between concurrent
-/// reporters. No-op when tracing is disabled.
+/// Reports `value` for the gauge `name`: journals a volatile `gauge`
+/// record. The views keep a gauge's maximum — the monotone merge that
+/// needs no coordination between concurrent reporters. No-op when the
+/// journal is off.
 #[inline]
 pub fn gauge(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
+    if events::enabled() {
+        events::named_u64("gauge", name, "value", value);
     }
-    let mut c = lock_collector();
-    let slot = c.gauges.entry(name).or_insert(0);
-    *slot = (*slot).max(value);
 }
 
 /// One exported span event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Span name.
-    pub name: &'static str,
+    pub name: String,
     /// Dense id of the recording thread.
     pub tid: u32,
     /// Start, in microseconds since the trace epoch.
@@ -313,7 +173,7 @@ pub struct Event {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSummary {
     /// Span name.
-    pub name: &'static str,
+    pub name: String,
     /// Occurrences.
     pub count: u64,
     /// Summed wall time.
@@ -326,64 +186,125 @@ pub struct PhaseSummary {
     pub buckets: [u64; HIST_BUCKETS],
 }
 
-/// A point-in-time copy of everything the collector holds, with the
-/// exporters. Snapshots are plain data: taking one does not stop or
-/// clear collection.
+impl PhaseSummary {
+    fn new(name: &str) -> Self {
+        PhaseSummary {
+            name: name.to_string(),
+            count: 0,
+            total: Duration::ZERO,
+            min: Duration::MAX,
+            max: Duration::ZERO,
+            buckets: [0; HIST_BUCKETS],
+        }
+    }
+
+    fn record(&mut self, dur_us: u64) {
+        let d = Duration::from_micros(dur_us);
+        self.count += 1;
+        self.total += d;
+        self.min = self.min.min(d);
+        self.max = self.max.max(d);
+        let bucket = (63 - dur_us.max(1).leading_zeros() as usize).min(HIST_BUCKETS - 1);
+        self.buckets[bucket] += 1;
+    }
+}
+
+/// The aggregate views of one drained [`Journal`], with the exporters.
+/// Plain data: building one does not touch the journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Completed span events, sorted by `(start_us, dur_us, tid,
     /// name)` — a deterministic order regardless of which worker's
-    /// span happened to reach the collector first.
+    /// records happened to be drained first.
     pub events: Vec<Event>,
-    /// Events discarded past the retention cap.
+    /// Journal records dropped past [`events::MAX_RECORDS`]; when
+    /// nonzero every view under-counts.
     pub dropped_events: u64,
     /// Per-span-name aggregates, name-sorted.
     pub phases: Vec<PhaseSummary>,
-    /// Counters, name-sorted.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Gauges, name-sorted.
-    pub gauges: Vec<(&'static str, u64)>,
+    /// Counters (summed deltas), name-sorted.
+    pub counters: Vec<(String, u64)>,
+    /// Gauges (largest value), name-sorted.
+    pub gauges: Vec<(String, u64)>,
 }
 
-/// Copies the collector's current contents. Span events are re-sorted
-/// into a completion-order-independent order so the exporters emit the
-/// same bytes no matter how concurrent workers raced to the collector
-/// (timestamps still vary run to run, of course; the point is that a
-/// single run's snapshot renders one way).
-pub fn snapshot() -> Snapshot {
-    let c = lock_collector();
-    let mut events: Vec<Event> = c
-        .events
-        .iter()
-        .map(|e| Event {
-            name: e.name,
-            tid: e.tid,
-            start_us: e.start_us,
-            dur_us: e.dur_us,
-        })
-        .collect();
-    events.sort_by_key(|e| (e.start_us, e.dur_us, e.tid, e.name));
-    Snapshot {
-        events,
-        dropped_events: c.dropped_events,
-        phases: c
-            .phases
-            .iter()
-            .map(|(&name, p)| PhaseSummary {
-                name,
-                count: p.count,
-                total: p.total,
-                min: p.min,
-                max: p.max,
-                buckets: p.buckets,
-            })
-            .collect(),
-        counters: c.counters.iter().map(|(&k, &v)| (k, v)).collect(),
-        gauges: c.gauges.iter().map(|(&k, &v)| (k, v)).collect(),
+fn field<'a>(r: &'a Record, name: &str) -> Option<&'a FieldValue> {
+    r.fields.iter().find(|f| f.name == name).map(|f| &f.value)
+}
+
+fn u64_field(r: &Record, name: &str) -> u64 {
+    match field(r, name) {
+        Some(FieldValue::U64(v)) => *v,
+        _ => 0,
     }
 }
 
 impl Snapshot {
+    /// Folds a drained journal into the views: one span event and one
+    /// phase sample per `span.close` (its start is the `t_us` of the
+    /// paired `span.open` — same `tid`, `seq` equal to the close's
+    /// `open`), counters summed over `counter` deltas, and gauges at
+    /// the largest `gauge` value.
+    pub fn from_journal(journal: &Journal) -> Snapshot {
+        let opens: HashMap<(u32, u64), u64> = journal
+            .records
+            .iter()
+            .filter(|r| r.kind == "span.open")
+            .map(|r| ((r.tid, r.seq), r.t_us))
+            .collect();
+        let mut events = Vec::new();
+        let mut phases: BTreeMap<&str, PhaseSummary> = BTreeMap::new();
+        let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut gauges: BTreeMap<&str, u64> = BTreeMap::new();
+        for r in &journal.records {
+            let Some(FieldValue::Str(name)) = field(r, "name") else {
+                continue;
+            };
+            match r.kind {
+                "span.close" => {
+                    let dur_us = u64_field(r, "dur_us");
+                    // A span opened before the journal's last reset
+                    // has no open record; start it from its close.
+                    let start_us = opens
+                        .get(&(r.tid, u64_field(r, "open")))
+                        .copied()
+                        .unwrap_or_else(|| r.t_us.saturating_sub(dur_us));
+                    phases
+                        .entry(name)
+                        .or_insert_with(|| PhaseSummary::new(name))
+                        .record(dur_us);
+                    events.push(Event {
+                        name: name.clone(),
+                        tid: r.tid,
+                        start_us,
+                        dur_us,
+                    });
+                }
+                "counter" => {
+                    let slot = counters.entry(name).or_insert(0);
+                    *slot = slot.saturating_add(u64_field(r, "delta"));
+                }
+                "gauge" => {
+                    let slot = gauges.entry(name).or_insert(0);
+                    *slot = (*slot).max(u64_field(r, "value"));
+                }
+                _ => {}
+            }
+        }
+        events.sort_by(|a, b| {
+            (a.start_us, a.dur_us, a.tid, &a.name).cmp(&(b.start_us, b.dur_us, b.tid, &b.name))
+        });
+        let owned =
+            |m: BTreeMap<&str, u64>| m.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        Snapshot {
+            events,
+            dropped_events: journal.dropped,
+            phases: phases.into_values().collect(),
+            counters: owned(counters),
+            gauges: owned(gauges),
+        }
+    }
+
     /// Whether nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.counters.is_empty() && self.gauges.is_empty()
@@ -398,7 +319,7 @@ impl Snapshot {
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k == name)
             .map(|&(_, v)| v)
     }
 
@@ -419,7 +340,7 @@ impl Snapshot {
         for e in &self.events {
             end_us = end_us.max(e.start_us + e.dur_us);
             let mut o = json::Obj::new();
-            o.string("name", e.name);
+            o.string("name", &e.name);
             o.string("cat", "hlstb");
             o.string("ph", "X");
             o.number_u64("ts", e.start_us);
@@ -428,7 +349,7 @@ impl Snapshot {
             o.number_u64("tid", e.tid as u64);
             events.raw(&o.finish());
         }
-        for &(name, value) in &self.counters {
+        for (name, value) in &self.counters {
             let mut o = json::Obj::new();
             o.string("name", name);
             o.string("cat", "hlstb");
@@ -436,7 +357,7 @@ impl Snapshot {
             o.number_u64("ts", end_us);
             o.number_u64("pid", 1);
             let mut args = json::Obj::new();
-            args.number_u64("value", value);
+            args.number_u64("value", *value);
             o.raw("args", &args.finish());
             events.raw(&o.finish());
         }
@@ -465,15 +386,15 @@ impl Snapshot {
                 hist.raw(&b.to_string());
             }
             o.raw("hist_log2_us", &hist.finish());
-            phases.raw(p.name, &o.finish());
+            phases.raw(&p.name, &o.finish());
         }
         let mut counters = json::Obj::new();
-        for &(k, v) in &self.counters {
-            counters.number_u64(k, v);
+        for (k, v) in &self.counters {
+            counters.number_u64(k, *v);
         }
         let mut gauges = json::Obj::new();
-        for &(k, v) in &self.gauges {
-            gauges.number_u64(k, v);
+        for (k, v) in &self.gauges {
+            gauges.number_u64(k, *v);
         }
         let mut doc = json::Obj::new();
         doc.number_u64("events", self.events.len() as u64);
@@ -493,7 +414,7 @@ impl Snapshot {
             "phase", "count", "total ms", "min ms", "max ms"
         ));
         let mut phases: Vec<&PhaseSummary> = self.phases.iter().collect();
-        phases.sort_by(|a, b| b.total.cmp(&a.total).then(a.name.cmp(b.name)));
+        phases.sort_by(|a, b| b.total.cmp(&a.total).then(a.name.cmp(&b.name)));
         for p in phases {
             out.push_str(&format!(
                 "{:<28} {:>7} {:>12.3} {:>12.3} {:>12.3}\n",
@@ -506,19 +427,19 @@ impl Snapshot {
         }
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
-            for &(k, v) in &self.counters {
+            for (k, v) in &self.counters {
                 out.push_str(&format!("  {k:<26} {v}\n"));
             }
         }
         if !self.gauges.is_empty() {
             out.push_str("gauges:\n");
-            for &(k, v) in &self.gauges {
+            for (k, v) in &self.gauges {
                 out.push_str(&format!("  {k:<26} {v}\n"));
             }
         }
         if self.dropped_events > 0 {
             out.push_str(&format!(
-                "({} events dropped past the retention cap)\n",
+                "({} journal records dropped past the retention cap)\n",
                 self.dropped_events
             ));
         }
@@ -526,97 +447,133 @@ impl Snapshot {
     }
 }
 
+/// The journal is process-global: every unit test in this crate that
+/// enables, resets or drains it holds this one lock, so `cargo test`'s
+/// threads cannot land one test's records in another's window.
+#[cfg(test)]
+pub(crate) fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The collector is process-global; tests that need it serialize on
-    /// this lock so `cargo test`'s threading cannot interleave them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// Runs `work` with the journal on and returns its views.
+    fn traced(work: impl FnOnce()) -> Snapshot {
+        events::set_enabled(true);
+        events::reset();
+        work();
+        events::set_enabled(false);
+        Snapshot::from_journal(&events::drain())
     }
 
     #[test]
-    fn disabled_collector_records_nothing() {
+    fn disabled_journal_records_no_spans_counters_or_gauges() {
         let _x = exclusive();
-        set_enabled(false);
-        reset();
+        events::set_enabled(false);
+        events::reset();
         {
             let _s = span("phase");
             counter("work", 3);
             gauge("peak", 9);
         }
-        assert!(snapshot().is_empty());
+        assert!(Snapshot::from_journal(&events::drain()).is_empty());
     }
 
     #[test]
-    fn spans_counters_and_gauges_are_collected_and_merged() {
+    fn spans_counters_and_gauges_are_journaled_and_merged() {
         let _x = exclusive();
-        set_enabled(true);
-        reset();
-        {
-            let _s = span("alpha");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        span("alpha").end();
-        counter("work", 2);
-        counter("work", 3);
-        gauge("peak", 4);
-        gauge("peak", 2);
-        set_enabled(false);
-        let snap = snapshot();
+        let snap = traced(|| {
+            {
+                let _s = span("alpha");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            span("alpha").end();
+            counter("work", 2);
+            counter("work", 3);
+            gauge("peak", 4);
+            gauge("peak", 2);
+        });
         let alpha = snap.phases.iter().find(|p| p.name == "alpha").unwrap();
         assert_eq!(alpha.count, 2);
         assert!(alpha.total >= Duration::from_millis(1));
         assert!(alpha.min <= alpha.max);
         assert_eq!(alpha.buckets.iter().sum::<u64>(), 2);
         assert_eq!(snap.counter("work"), Some(5));
-        assert_eq!(snap.gauges, vec![("peak", 4)]);
+        assert_eq!(snap.gauges, vec![("peak".to_string(), 4)]);
         assert_eq!(snap.events.len(), 2);
         assert!(snap.phase_total("alpha").unwrap() >= Duration::from_millis(1));
-        reset();
-        assert!(snapshot().is_empty());
+        // A reset discards what was journaled before it.
+        events::set_enabled(true);
+        counter("work", 1);
+        events::reset();
+        events::set_enabled(false);
+        assert!(Snapshot::from_journal(&events::drain()).is_empty());
+    }
+
+    #[test]
+    fn span_start_is_its_open_record_time() {
+        let _x = exclusive();
+        events::set_enabled(true);
+        events::reset();
+        {
+            let _outer = span("outer");
+            std::thread::sleep(Duration::from_millis(1));
+            span("inner").end();
+        }
+        events::set_enabled(false);
+        let journal = events::drain();
+        let snap = Snapshot::from_journal(&journal);
+        let opens: Vec<u64> = journal
+            .records
+            .iter()
+            .filter(|r| r.kind == "span.open")
+            .map(|r| r.t_us)
+            .collect();
+        let starts: Vec<(&str, u64)> = snap
+            .events
+            .iter()
+            .map(|e| (e.name.as_str(), e.start_us))
+            .collect();
+        assert_eq!(starts, vec![("outer", opens[0]), ("inner", opens[1])]);
+        // The outer span covers the inner one.
+        let (outer, inner) = (&snap.events[0], &snap.events[1]);
+        assert!(outer.start_us + outer.dur_us >= inner.start_us + inner.dur_us);
     }
 
     #[test]
     fn spans_from_worker_threads_get_distinct_tids() {
         let _x = exclusive();
-        set_enabled(true);
-        reset();
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| span("worker").end());
-            }
+        let snap = traced(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| span("worker").end());
+                }
+            });
+            span("main").end();
         });
-        span("main").end();
-        set_enabled(false);
-        let snap = snapshot();
         let mut tids: Vec<u32> = snap.events.iter().map(|e| e.tid).collect();
         tids.sort_unstable();
         tids.dedup();
         assert_eq!(tids.len(), 3, "{:?}", snap.events);
-        reset();
     }
 
     #[test]
     fn exporters_render_name_sorted_regardless_of_insertion_order() {
         let _x = exclusive();
-        set_enabled(true);
-        reset();
         // Insert counters and spans in reverse-alphabetical order; the
         // exporters must still render them name-sorted.
-        counter("zeta", 1);
-        counter("alpha", 1);
-        span("zz_last").end();
-        span("aa_first").end();
-        set_enabled(false);
-        let snap = snapshot();
-        reset();
-        let names: Vec<&str> = snap.counters.iter().map(|&(k, _)| k).collect();
+        let snap = traced(|| {
+            counter("zeta", 1);
+            counter("alpha", 1);
+            span("zz_last").end();
+            span("aa_first").end();
+        });
+        let names: Vec<&str> = snap.counters.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
-        let phases: Vec<&str> = snap.phases.iter().map(|p| p.name).collect();
+        let phases: Vec<&str> = snap.phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(phases, vec!["aa_first", "zz_last"]);
         let metrics = snap.metrics_json();
         assert!(
@@ -628,7 +585,7 @@ mod tests {
             "{metrics}"
         );
         // Event order in exporters follows the deterministic sort key,
-        // not collector insertion order.
+        // not journal order.
         let starts: Vec<u64> = snap.events.iter().map(|e| e.start_us).collect();
         let mut sorted = starts.clone();
         sorted.sort_unstable();
@@ -638,14 +595,11 @@ mod tests {
     #[test]
     fn exporters_produce_parseable_json() {
         let _x = exclusive();
-        set_enabled(true);
-        reset();
-        span("sched").end();
-        counter("fsim.fault_evals", 7);
-        gauge("threads", 2);
-        set_enabled(false);
-        let snap = snapshot();
-        reset();
+        let snap = traced(|| {
+            span("sched").end();
+            counter("fsim.fault_evals", 7);
+            gauge("threads", 2);
+        });
 
         let chrome = json::parse(&snap.chrome_trace_json()).expect("chrome JSON parses");
         let events = chrome
@@ -668,6 +622,13 @@ mod tests {
                 .and_then(|c| c.get("fsim.fault_evals"))
                 .and_then(json::Value::as_f64),
             Some(7.0)
+        );
+        assert_eq!(
+            metrics
+                .get("gauges")
+                .and_then(|c| c.get("threads"))
+                .and_then(json::Value::as_f64),
+            Some(2.0)
         );
 
         let text = snap.text_summary();

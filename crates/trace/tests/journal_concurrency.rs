@@ -5,11 +5,12 @@
 //! and the counter totals must match a single-threaded ground-truth
 //! emission of the same logical work.
 
+use hlstb_trace::Snapshot;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// The journal and collector are process-global; tests (and proptest
-/// cases) serialize on this lock.
+/// The journal is process-global; tests (and proptest cases)
+/// serialize on this lock.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
@@ -36,16 +37,12 @@ fn hammer(worker: u64, per_thread: u64) {
 }
 
 fn setup() {
-    hlstb_trace::set_enabled(true);
     hlstb_trace::events::set_enabled(true);
-    hlstb_trace::reset();
     hlstb_trace::events::reset();
 }
 
 fn teardown() {
-    hlstb_trace::set_enabled(false);
     hlstb_trace::events::set_enabled(false);
-    hlstb_trace::reset();
     hlstb_trace::events::reset();
 }
 
@@ -66,7 +63,7 @@ proptest! {
         }
         let truth = hlstb_trace::events::drain();
         let truth_canonical = truth.to_canonical_jsonl();
-        let truth_counters = hlstb_trace::snapshot().counter("jc.work");
+        let truth_counters = Snapshot::from_journal(&truth).counter("jc.work");
 
         // The same work spread over real threads.
         setup();
@@ -76,7 +73,7 @@ proptest! {
             }
         });
         let journal = hlstb_trace::events::drain();
-        let snap = hlstb_trace::snapshot();
+        let snap = Snapshot::from_journal(&journal);
         teardown();
 
         // Every line of the full export parses.

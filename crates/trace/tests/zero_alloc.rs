@@ -1,6 +1,7 @@
-//! The overhead guarantee, enforced: with tracing disabled, the
+//! The overhead guarantee, enforced: with the journal disabled, the
 //! primitives the hot fault-simulation loop calls (span open/close,
-//! counter adds, gauge merges) perform **zero** heap allocations. This
+//! counter adds, gauge reports) and the journal's own `emit` entry
+//! points perform **zero** heap allocations. This
 //! is what lets `hlstb-netlist`'s grading engine stay instrumented
 //! unconditionally without regressing the E21 sweep.
 
@@ -41,7 +42,6 @@ fn main() {
 }
 
 fn disabled_tracing_allocates_nothing_on_the_hot_path() {
-    hlstb_trace::set_enabled(false);
     hlstb_trace::events::set_enabled(false);
     // Warm up thread-locals and lazy statics outside the window.
     for _ in 0..8 {
@@ -67,7 +67,6 @@ fn disabled_tracing_allocates_nothing_on_the_hot_path() {
         hlstb_trace::events::emit_volatile("point.timing", Some(0), |e| {
             e.volatile_u64("wall_us", 3);
         });
-        assert!(!hlstb_trace::enabled());
         assert!(!hlstb_trace::events::enabled());
         span.end();
     }
@@ -81,15 +80,16 @@ fn disabled_tracing_allocates_nothing_on_the_hot_path() {
 
 fn enabled_tracing_actually_records() {
     // Companion sanity check: the same primitives do record once the
-    // collector is on (so the zero-alloc check is not vacuous). It
-    // snapshots only its own names.
-    hlstb_trace::set_enabled(true);
+    // journal is on (so the zero-alloc check is not vacuous). It reads
+    // its probe span and counter back through the snapshot views.
+    hlstb_trace::events::reset();
+    hlstb_trace::events::set_enabled(true);
     {
         let _span = hlstb_trace::span("zero_alloc.enabled_probe");
         hlstb_trace::counter("zero_alloc.probe_count", 2);
     }
-    hlstb_trace::set_enabled(false);
-    let snap = hlstb_trace::snapshot();
+    hlstb_trace::events::set_enabled(false);
+    let snap = hlstb_trace::Snapshot::from_journal(&hlstb_trace::events::drain());
     assert!(snap.phase_total("zero_alloc.enabled_probe").is_some());
     assert_eq!(snap.counter("zero_alloc.probe_count"), Some(2));
 }

@@ -5,11 +5,19 @@
 //! hlstb table1
 //! hlstb synth <design> [--strategy S] [--policy P] [--scheduler X] [--width N]
 //! hlstb sweep [--designs a,b] [--strategies s,...] [--threads N] [--no-cache]
+//! hlstb sweep-worker --connect <addr>       # remote lane of a sweep
+//! hlstb serve [--listen <addr>] [--journal <file>]   # sweep daemon
+//! hlstb serve-client --connect <addr> [axis flags]   # one daemon request
 //! hlstb sgraph <design> [--strategy S]      # DOT on stdout
 //! hlstb cdfg <design>                       # DOT on stdout
 //! hlstb trace-check <file> [span...]        # validate a Chrome trace
+//! hlstb trace-view <journal> [--top N]      # roll up an event journal
+//! hlstb perf-diff <old> <new> | --floor <file>...   # BENCH regression gate
 //! hlstb soa-check [design...] [--grade N]   # SoA engine vs naive oracle
 //! ```
+//!
+//! The `--trace*` and `--events*` flags fill one [`Sinks`]; every
+//! trace file of a run is written from its one drained event journal.
 
 use std::process::ExitCode;
 
@@ -20,6 +28,7 @@ use hlstb::netlist::fsim::{
     comb_fault_sim_opts, comb_fault_sim_oracle, scan_observed, ParallelOptions, TestFrame,
 };
 use hlstb::netlist::word::WordWidth;
+use hlstb::trace::Sinks;
 use hlstb_dse::spec::{parse_policy, parse_scheduler, parse_strategy};
 use hlstb_dse::{run_sweep_with, run_sweep_workers, FailPlan, Recovery, SweepOptions, SweepSpec};
 
@@ -51,8 +60,54 @@ fn parse_list<T>(
         .collect()
 }
 
+/// Parses `args[i]` when it is one of the axis flags `sweep` and
+/// `serve-client` share, and returns how many arguments it consumed
+/// (0 when `args[i]` is some other flag).
+fn axis_flag(
+    args: &[String],
+    i: usize,
+    spec: &mut SweepSpec,
+    opts: &mut SweepOptions,
+) -> Result<usize, String> {
+    let key = args[i].as_str();
+    let value = || {
+        args.get(i + 1)
+            .map(String::as_str)
+            .ok_or_else(|| format!("{key} needs a value"))
+    };
+    match key {
+        "--reset-controller" => {
+            spec.reset_controller = true;
+            return Ok(1);
+        }
+        "--designs" => {
+            spec.designs = value()?
+                .split(',')
+                .map(|n| find_design(n.trim()).ok_or_else(|| unknown_design(n.trim())))
+                .collect::<Result<_, _>>()?;
+        }
+        "--schedulers" => spec.schedulers = parse_list(value()?, parse_scheduler, "scheduler")?,
+        "--policies" => spec.policies = parse_list(value()?, parse_policy, "policy")?,
+        "--strategies" => spec.strategies = parse_list(value()?, parse_strategy, "strategy")?,
+        "--widths" => spec.widths = parse_list(value()?, |w| w.parse().ok(), "width")?,
+        "--grade" => spec.patterns = parse_list(value()?, |p| p.parse().ok(), "pattern count")?,
+        "--point-budget-ms" => {
+            let v = value()?;
+            let ms = v.parse().map_err(|_| format!("bad point budget {v}"))?;
+            opts.point_budget = Some(std::time::Duration::from_millis(ms));
+        }
+        "--retries" => {
+            let v = value()?;
+            opts.retries = v.parse().map_err(|_| format!("bad retry count {v}"))?;
+        }
+        _ => return Ok(0),
+    }
+    Ok(2)
+}
+
 const USAGE: &str =
-    "usage: hlstb <list|table1|synth|sweep|serve|sgraph|cdfg|trace-check|trace-view|perf-diff> [args]
+    "usage: hlstb <list|table1|synth|sweep|sweep-worker|serve|serve-client|sgraph|cdfg|
+              trace-check|trace-view|perf-diff|soa-check> [args]
   list                          available benchmark designs
   table1                        the survey's Table 1
   synth <design> [options]      run the synthesis flow, print the report
@@ -190,72 +245,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Tracing and journal sinks shared by `synth` and `sweep`.
-#[derive(Default)]
-struct TraceArgs {
-    trace_path: Option<String>,
-    metrics_path: Option<String>,
-    summary: bool,
-    events_path: Option<String>,
-    events_canonical_path: Option<String>,
-}
-
-impl TraceArgs {
-    fn enabled(&self) -> bool {
-        self.trace_path.is_some() || self.metrics_path.is_some() || self.summary
-    }
-
-    fn events_enabled(&self) -> bool {
-        self.events_path.is_some() || self.events_canonical_path.is_some()
-    }
-
-    fn start(&self) {
-        if self.enabled() {
-            hlstb::trace::reset();
-            hlstb::trace::set_enabled(true);
-        }
-        if self.events_enabled() {
-            hlstb::trace::events::reset();
-            hlstb::trace::events::set_enabled(true);
-        }
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.events_enabled() {
-            hlstb::trace::events::set_enabled(false);
-            let journal = hlstb::trace::events::drain();
-            if journal.dropped > 0 {
-                eprintln!(
-                    "warning: event journal dropped {} records past the {}-record cap",
-                    journal.dropped,
-                    hlstb::trace::events::MAX_RECORDS
-                );
-            }
-            if let Some(p) = &self.events_path {
-                std::fs::write(p, journal.to_jsonl()).map_err(|e| format!("writing {p}: {e}"))?;
-            }
-            if let Some(p) = &self.events_canonical_path {
-                std::fs::write(p, journal.to_canonical_jsonl())
-                    .map_err(|e| format!("writing {p}: {e}"))?;
-            }
-        }
-        if !self.enabled() {
-            return Ok(());
-        }
-        let snap = hlstb::trace::snapshot();
-        if let Some(p) = &self.trace_path {
-            std::fs::write(p, snap.chrome_trace_json()).map_err(|e| format!("writing {p}: {e}"))?;
-        }
-        if let Some(p) = &self.metrics_path {
-            std::fs::write(p, snap.metrics_json()).map_err(|e| format!("writing {p}: {e}"))?;
-        }
-        if self.summary {
-            eprint!("{}", snap.text_summary());
-        }
-        Ok(())
-    }
-}
-
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).ok_or(USAGE)?;
     match cmd {
@@ -281,7 +270,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let cdfg = find_design(name).ok_or_else(|| unknown_design(name))?;
             let mut flow = SynthesisFlow::new(cdfg);
             let mut json = false;
-            let mut trace = TraceArgs::default();
+            let mut sinks = Sinks::default();
             let mut i = 2;
             while i < args.len() {
                 let key = args[i].as_str();
@@ -296,7 +285,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     continue;
                 }
                 if key == "--trace-summary" {
-                    trace.summary = true;
+                    sinks.summary = true;
                     i += 1;
                     continue;
                 }
@@ -327,20 +316,20 @@ fn run(args: &[String]) -> Result<(), String> {
                             .map_err(|_| format!("bad thread count {value}"))?,
                     ),
                     "--trace" => {
-                        trace.trace_path = Some(value.clone());
+                        sinks.chrome = Some(value.clone());
                         flow
                     }
                     "--trace-metrics" => {
-                        trace.metrics_path = Some(value.clone());
+                        sinks.metrics = Some(value.clone());
                         flow
                     }
                     other => return Err(format!("unknown option {other}\n{USAGE}")),
                 };
                 i += 2;
             }
-            trace.start();
+            sinks.start();
             let design = flow.run().map_err(|e| e.to_string())?;
-            trace.finish()?;
+            sinks.finish()?;
             if cmd == "synth" {
                 if json {
                     println!("{}", design.report.to_json());
@@ -385,9 +374,14 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut full_json = false;
             let mut workers = 0usize;
             let mut listen: Option<String> = None;
-            let mut trace = TraceArgs::default();
+            let mut sinks = Sinks::default();
             let mut i = 1;
             while i < args.len() {
+                let consumed = axis_flag(args, i, &mut spec, &mut opts)?;
+                if consumed > 0 {
+                    i += consumed;
+                    continue;
+                }
                 let key = args[i].as_str();
                 match key {
                     "--json" => {
@@ -410,18 +404,13 @@ fn run(args: &[String]) -> Result<(), String> {
                         i += 1;
                         continue;
                     }
-                    "--reset-controller" => {
-                        spec.reset_controller = true;
-                        i += 1;
-                        continue;
-                    }
                     "--resume" => {
                         recovery.resume = true;
                         i += 1;
                         continue;
                     }
                     "--trace-summary" => {
-                        trace.summary = true;
+                        sinks.summary = true;
                         i += 1;
                         continue;
                     }
@@ -436,25 +425,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .get(i + 1)
                     .ok_or_else(|| format!("{key} needs a value"))?;
                 match key {
-                    "--designs" => {
-                        spec.designs = value
-                            .split(',')
-                            .map(|n| find_design(n.trim()).ok_or_else(|| unknown_design(n.trim())))
-                            .collect::<Result<_, _>>()?;
-                    }
-                    "--schedulers" => {
-                        spec.schedulers = parse_list(value, parse_scheduler, "scheduler")?;
-                    }
-                    "--policies" => spec.policies = parse_list(value, parse_policy, "policy")?,
-                    "--strategies" => {
-                        spec.strategies = parse_list(value, parse_strategy, "strategy")?;
-                    }
-                    "--widths" => {
-                        spec.widths = parse_list(value, |w| w.parse().ok(), "width")?;
-                    }
-                    "--grade" => {
-                        spec.patterns = parse_list(value, |p| p.parse().ok(), "pattern count")?;
-                    }
                     "--threads" => {
                         opts.threads = value
                             .parse()
@@ -466,24 +436,13 @@ fn run(args: &[String]) -> Result<(), String> {
                             .map_err(|_| format!("bad worker count {value}"))?;
                     }
                     "--listen" => listen = Some(value.clone()),
-                    "--point-budget-ms" => {
-                        let ms: u64 = value
-                            .parse()
-                            .map_err(|_| format!("bad point budget {value}"))?;
-                        opts.point_budget = Some(std::time::Duration::from_millis(ms));
-                    }
-                    "--retries" => {
-                        opts.retries = value
-                            .parse()
-                            .map_err(|_| format!("bad retry count {value}"))?;
-                    }
                     "--checkpoint" => {
                         recovery.checkpoint = Some(std::path::PathBuf::from(value));
                     }
-                    "--trace" => trace.trace_path = Some(value.clone()),
-                    "--trace-metrics" => trace.metrics_path = Some(value.clone()),
-                    "--events" => trace.events_path = Some(value.clone()),
-                    "--events-canonical" => trace.events_canonical_path = Some(value.clone()),
+                    "--trace" => sinks.chrome = Some(value.clone()),
+                    "--trace-metrics" => sinks.metrics = Some(value.clone()),
+                    "--events" => sinks.events = Some(value.clone()),
+                    "--events-canonical" => sinks.canonical = Some(value.clone()),
                     other => return Err(format!("unknown option {other}\n{USAGE}")),
                 }
                 i += 2;
@@ -494,7 +453,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if listen.is_some() && workers > 0 {
                 return Err("--listen and --workers are mutually exclusive".to_string());
             }
-            trace.start();
+            sinks.start();
             let outcome = if let Some(addr) = &listen {
                 let listener = std::net::TcpListener::bind(addr)
                     .map_err(|e| format!("sweep --listen {addr}: {e}"))?;
@@ -513,7 +472,7 @@ fn run(args: &[String]) -> Result<(), String> {
             } else {
                 run_sweep_with(&spec, &opts, &recovery).map_err(|e| e.to_string())?
             };
-            trace.finish()?;
+            sinks.finish()?;
             if outcome.checkpoint_write_errors > 0 {
                 eprintln!(
                     "warning: {} checkpoint writes failed; the checkpoint is incomplete",
@@ -606,6 +565,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut ping = false;
             let mut i = 1;
             while i < args.len() {
+                let consumed = axis_flag(args, i, &mut spec, &mut opts)?;
+                if consumed > 0 {
+                    i += consumed;
+                    continue;
+                }
                 let key = args[i].as_str();
                 match key {
                     "--metrics" => {
@@ -618,11 +582,6 @@ fn run(args: &[String]) -> Result<(), String> {
                         i += 1;
                         continue;
                     }
-                    "--reset-controller" => {
-                        spec.reset_controller = true;
-                        i += 1;
-                        continue;
-                    }
                     _ => {}
                 }
                 let value = args
@@ -631,36 +590,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 match key {
                     "--connect" => connect = Some(value.clone()),
                     "--id" => id = value.clone(),
-                    "--designs" => {
-                        spec.designs = value
-                            .split(',')
-                            .map(|n| find_design(n.trim()).ok_or_else(|| unknown_design(n.trim())))
-                            .collect::<Result<_, _>>()?;
-                    }
-                    "--schedulers" => {
-                        spec.schedulers = parse_list(value, parse_scheduler, "scheduler")?;
-                    }
-                    "--policies" => spec.policies = parse_list(value, parse_policy, "policy")?,
-                    "--strategies" => {
-                        spec.strategies = parse_list(value, parse_strategy, "strategy")?;
-                    }
-                    "--widths" => {
-                        spec.widths = parse_list(value, |w| w.parse().ok(), "width")?;
-                    }
-                    "--grade" => {
-                        spec.patterns = parse_list(value, |p| p.parse().ok(), "pattern count")?;
-                    }
-                    "--point-budget-ms" => {
-                        let ms: u64 = value
-                            .parse()
-                            .map_err(|_| format!("bad point budget {value}"))?;
-                        opts.point_budget = Some(std::time::Duration::from_millis(ms));
-                    }
-                    "--retries" => {
-                        opts.retries = value
-                            .parse()
-                            .map_err(|_| format!("bad retry count {value}"))?;
-                    }
                     "--deadline-ms" => {
                         let ms: u64 = value.parse().map_err(|_| format!("bad deadline {value}"))?;
                         deadline = Some(std::time::Duration::from_millis(ms));

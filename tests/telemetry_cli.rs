@@ -1,9 +1,13 @@
 //! End-to-end tests of the telemetry CLI surface: `sweep --events` /
-//! `--events-canonical` / `--progress`, the `trace-view` journal
-//! rollup, and the `perf-diff` regression gate.
+//! `--events-canonical` / `--progress`, the trace views written from
+//! the same journal, the `trace-view` journal rollup, and the
+//! `perf-diff` regression gate.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
+
+use hlstb::trace::json::{self, Value};
 
 const SWEEP: &[&str] = &[
     "sweep",
@@ -85,6 +89,130 @@ fn sweep_events_journal_rolls_up_through_trace_view() {
     for p in [&full, &canon_a, &canon_b] {
         std::fs::remove_file(p).ok();
     }
+}
+
+/// Parses every line of a full journal.
+fn journal(path: &PathBuf) -> Vec<Value> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(|l| json::parse(l).expect("journal line parses"))
+        .collect()
+}
+
+fn str_of<'a>(v: &'a Value, key: &str) -> &'a str {
+    v.get(key).and_then(Value::as_str).unwrap_or("")
+}
+
+fn u64_of(v: &Value, key: &str) -> u64 {
+    v.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64
+}
+
+fn of_kind<'a>(records: &'a [Value], kind: &'a str) -> impl Iterator<Item = &'a Value> + 'a {
+    records.iter().filter(move |r| str_of(r, "kind") == kind)
+}
+
+/// `--events` alone must journal the grading engine's `fsim.*`
+/// counters, and they must account for exactly the work the
+/// `point.grading` records report.
+#[test]
+fn sweep_events_alone_journals_fsim_counters() {
+    let full = temp("fsim_events.jsonl");
+    let (_, stderr, ok) = run(&[
+        "sweep",
+        "--designs",
+        "figure1,tseng",
+        "--strategies",
+        "none,full-scan,bist-shared",
+        "--grade",
+        "128",
+        "--threads",
+        "1",
+        "--no-cache",
+        "--events",
+        full.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let records = journal(&full);
+    std::fs::remove_file(&full).ok();
+    let counted: u64 = of_kind(&records, "counter")
+        .filter(|r| str_of(r, "name") == "fsim.fault_evals")
+        .map(|r| u64_of(r, "delta"))
+        .sum();
+    let graded: u64 = of_kind(&records, "point.grading")
+        .map(|r| u64_of(r, "fault_evals"))
+        .sum();
+    assert!(counted > 0, "no fsim.fault_evals counter records");
+    assert_eq!(counted, graded);
+}
+
+/// One traced sweep writes the Chrome trace, the metrics and the
+/// journal; the first two must be views of the third.
+#[test]
+fn every_trace_view_comes_from_one_journal() {
+    let trace = temp("one_trace.json");
+    let metrics = temp("one_metrics.json");
+    let full = temp("one_events.jsonl");
+    let mut args = SWEEP.to_vec();
+    args.extend([
+        "--threads",
+        "4",
+        "--cache",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--trace-metrics",
+        metrics.to_str().unwrap(),
+        "--events",
+        full.to_str().unwrap(),
+    ]);
+    let (_, stderr, ok) = run(&args);
+    assert!(ok, "{stderr}");
+    let read = |p: &PathBuf| json::parse(&std::fs::read_to_string(p).unwrap()).unwrap();
+    let (chrome, metrics_doc, records) = (read(&trace), read(&metrics), journal(&full));
+    for p in [&trace, &metrics, &full] {
+        std::fs::remove_file(p).ok();
+    }
+
+    // Chrome `X` events are the journal's span closes, name for name.
+    let mut spans: Vec<&str> = chrome
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("traceEvents")
+        .iter()
+        .filter(|e| str_of(e, "ph") == "X")
+        .map(|e| str_of(e, "name"))
+        .collect();
+    let mut closes: Vec<&str> = of_kind(&records, "span.close")
+        .map(|r| str_of(r, "name"))
+        .collect();
+    spans.sort_unstable();
+    closes.sort_unstable();
+    assert!(!closes.is_empty());
+    assert_eq!(spans, closes);
+
+    // Metrics counters are the summed deltas; gauges the largest value.
+    let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+    for r in of_kind(&records, "counter") {
+        *counters.entry(str_of(r, "name")).or_default() += u64_of(r, "delta");
+    }
+    let mut gauges: BTreeMap<&str, u64> = BTreeMap::new();
+    for r in of_kind(&records, "gauge") {
+        let slot = gauges.entry(str_of(r, "name")).or_default();
+        *slot = (*slot).max(u64_of(r, "value"));
+    }
+    let section = |key: &str| -> BTreeMap<&str, u64> {
+        metrics_doc
+            .get(key)
+            .and_then(Value::as_object)
+            .expect("metrics section")
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_f64().unwrap() as u64))
+            .collect()
+    };
+    assert!(counters.contains_key("fsim.fault_evals"), "{counters:?}");
+    assert!(gauges.contains_key("fsim.faults"), "{gauges:?}");
+    assert_eq!(section("counters"), counters);
+    assert_eq!(section("gauges"), gauges);
 }
 
 #[test]
