@@ -12,9 +12,9 @@
 # negative check ends in `|| exit 1`.
 set -eux
 
-STEPS="build test fmt clippy trace-smoke sweep-smoke sweep-fault-smoke \
+STEPS="build test fmt clippy doc trace-smoke sweep-smoke sweep-fault-smoke \
 sweep-workers-smoke sweep-tcp-smoke serve-smoke coalesce-smoke soa-equiv \
-digest-smoke events-smoke perf-floor"
+digest-smoke events-smoke perf-floor loc"
 
 # --workspace so every member's binaries build too (the root package's
 # plain `cargo build` would only link its own lib and deps).
@@ -32,6 +32,13 @@ step_fmt() {
 
 step_clippy() {
     cargo clippy --workspace --all-targets -- -D warnings
+}
+
+# Rustdoc warnings are errors, so a doc link to a renamed or deleted
+# item fails here instead of rotting. `--lib` because the `hlstb`
+# library and the `hlstb` binary would write the same doc page.
+step_doc() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 }
 
 # Trace smoke: one traced synthesis must produce a loadable Chrome trace
@@ -362,6 +369,15 @@ step_events_smoke() {
 # `just bench-dse` when an engine deliberately changes speed class.
 step_perf_floor() {
     ./target/release/hlstb perf-diff --floor BENCH_fsim.json BENCH_dse.json
+}
+
+# Line count: the non-test Rust lines of the tracked sources under
+# crates/*/src and src/, each file cut at its first line containing
+# `#[cfg(test)]` — the net line count a change reports. Prints one
+# number; gates nothing.
+step_loc() {
+    git ls-files -- 'crates/*/src/*.rs' 'src/*.rs' |
+        xargs awk '/#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }'
 }
 
 if [ "$#" -eq 0 ]; then

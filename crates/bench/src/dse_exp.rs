@@ -51,7 +51,7 @@ pub struct ConfigRun {
     pub timeouts: usize,
 }
 
-/// Result of [`bench`]: the same sweep under every configuration.
+/// Result of [`bench()`]: the same sweep under every configuration.
 #[derive(Debug, Clone)]
 pub struct DseBench {
     /// Points per sweep.
@@ -69,7 +69,7 @@ pub fn bench() -> DseBench {
     bench_spec(&full_spec(), 4)
 }
 
-/// [`bench`] over a caller-chosen spec and thread count (tests use a
+/// [`bench()`] over a caller-chosen spec and thread count (tests use a
 /// small spec).
 pub fn bench_spec(spec: &SweepSpec, threads: usize) -> DseBench {
     bench_impl(spec, threads, None)
@@ -196,10 +196,11 @@ impl DseBench {
             let (hits, misses, coal) =
                 r.cache_stats
                     .map_or(("-".into(), "-".into(), "-".into()), |c: CacheStats| {
+                        let c = c.total();
                         (
-                            c.hits().to_string(),
-                            c.misses().to_string(),
-                            c.coalesced().to_string(),
+                            c.hits.to_string(),
+                            c.misses.to_string(),
+                            c.coalesced.to_string(),
                         )
                     });
             t.row(vec![
@@ -324,7 +325,7 @@ mod tests {
         assert_eq!(b.points, 4);
         assert_eq!(b.runs.len(), 3);
         assert!(b.identical);
-        assert!(b.run("serial-cache").cache_stats.unwrap().hits() > 0);
+        assert!(b.run("serial-cache").cache_stats.unwrap().total().hits > 0);
         assert!(b.run("serial-nocache").cache_stats.is_none());
         assert!(
             b.runs

@@ -1,7 +1,6 @@
-//! Executable BIST: grade a [`BistPlan`](crate::registers::BistPlan) at
-//! the gate level — pattern-generating registers drive pseudorandom
-//! values, only the plan's compacting registers (and primary outputs)
-//! observe.
+//! Executable BIST: grade a [`BistPlan`] at the gate level —
+//! pattern-generating registers drive pseudorandom values, only the
+//! plan's compacting registers (and primary outputs) observe.
 //!
 //! This is what turns the §5 register-role optimizations from area
 //! accounting into a measurable trade: the E17 experiment shows the

@@ -1,7 +1,7 @@
 //! Variable lifetimes under a schedule.
 //!
-//! Register assignment — conventional, I/O-maximizing [25], scan-sharing
-//! [33,24], and the BIST variants [3,31,32] — all reduce to questions
+//! Register assignment — conventional, I/O-maximizing \[25\], scan-sharing
+//! \[33,24\], and the BIST variants \[3,31,32\] — all reduce to questions
 //! about which variables' lifetimes overlap. Because loop-carried
 //! variables wrap around the iteration boundary, a lifetime here is a
 //! *set of control steps* within the iteration, not an interval.

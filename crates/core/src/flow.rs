@@ -581,13 +581,12 @@ impl SynthesisFlow {
                 .filter(|f| !random_detected.contains(f))
                 .copied()
                 .collect();
-            let (run, stats) = generate_all_opts(
+            let (run, _) = generate_all_opts(
                 &expanded.netlist,
                 &residual,
                 &AtpgOptions::default(),
                 &ParallelOptions::with_threads(self.grade_threads),
             );
-            stats.trace_bridge();
             let combined = random_detected.len() + run.detected;
             AtpgSummary {
                 targeted: residual.len(),

@@ -37,15 +37,14 @@
 //!
 //! # Deadlines
 //!
-//! [`SweepOptions::point_budget`] arms a cooperative
-//! [`Deadline`](hlstb::netlist::deadline::Deadline) that the netlist
-//! grading loops poll: a point that overruns reports *partial* coverage
-//! flagged `timed_out` rather than hanging the pool. A run cut short
-//! is never stored, so one point's deadline cannot reach another
-//! point's report. Real (non-injected) timeouts still depend on
-//! wall-clock behavior and so trade away byte-determinism; a zero
-//! budget is deterministic (every poll fires on first check) and is
-//! what the tests pin down.
+//! [`SweepOptions::point_budget`] arms a cooperative [`Deadline`] that
+//! the netlist grading loops poll: a point that overruns reports
+//! *partial* coverage flagged `timed_out` rather than hanging the pool.
+//! A run cut short is never stored, so one point's deadline cannot
+//! reach another point's report. Real (non-injected) timeouts still
+//! depend on wall-clock behavior and so trade away byte-determinism; a
+//! zero budget is deterministic (every poll fires on first check) and
+//! is what the tests pin down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -64,7 +63,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cache::{
-    depth_serves, ArtifactCache, CacheOutcome, CacheStats, DftOutput, GradingRun, Store,
+    depth_serves, ArtifactCache, CacheOutcome, CacheStats, DftOutput, GradingRun, Stage, Store,
 };
 use crate::checkpoint::{self, Checkpoint, RestoredSet};
 use crate::error::PointError;
@@ -155,13 +154,7 @@ impl ProgressMeter {
         }
     }
 
-    fn tick(
-        &self,
-        record: &PointRecord,
-        retries: u64,
-        reissued: u64,
-        cache: Option<&ArtifactCache>,
-    ) {
+    fn tick(&self, record: &PointRecord, retries: u64, reissued: u64, cache: Option<CacheStats>) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         match &record.outcome {
             Err(_) => {
@@ -182,8 +175,8 @@ impl ProgressMeter {
             "\rsweep: {done}/{} pts  {rate:.1} pts/s  eta {eta:.0}s",
             self.total
         );
-        if let Some(c) = cache {
-            line.push_str(&format!("  cache {:.0}% hit", c.stats().hit_rate_percent()));
+        if let Some(rate) = cache.map(|c| c.total().hit_rate_percent()) {
+            line.push_str(&format!("  cache {rate:.0}% hit"));
         }
         let failures = self.failures.load(Ordering::Relaxed);
         let timeouts = self.timeouts.load(Ordering::Relaxed);
@@ -258,6 +251,10 @@ pub fn point_key(spec: &SweepSpec, design_keys: &[u64], p: Point) -> u64 {
 /// lease loop ([`crate::worker::worker_connect`]) evaluate points through
 /// literally the same code — which is what makes the multi-process
 /// splice byte-identical to a serial run by construction.
+///
+/// It also keeps the run's lookup ledger: each stage lookup it
+/// journals is counted there, and only there, so the counts are this
+/// run's own even when the cache is shared.
 pub struct PointRunner<'a> {
     spec: &'a SweepSpec,
     opts: SweepOptions,
@@ -266,6 +263,7 @@ pub struct PointRunner<'a> {
     points: Vec<Point>,
     point_keys: Vec<u64>,
     cache: Option<Arc<ArtifactCache>>,
+    ledger: Mutex<CacheStats>,
     max_patterns: usize,
     retry_count: AtomicU64,
 }
@@ -313,6 +311,7 @@ impl<'a> PointRunner<'a> {
             points,
             point_keys,
             cache,
+            ledger: Mutex::default(),
             max_patterns: spec.max_patterns(),
             retry_count: AtomicU64::new(0),
         }
@@ -328,9 +327,11 @@ impl<'a> PointRunner<'a> {
         self.point_keys[i]
     }
 
-    /// The stage cache, when enabled.
-    pub(crate) fn cache(&self) -> Option<&ArtifactCache> {
-        self.cache.as_deref()
+    /// The lookups this runner has counted so far, when it has a
+    /// cache.
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        let ledger = self.ledger.lock().expect("ledger lock");
+        self.cache.as_ref().map(|_| *ledger)
     }
 
     /// Retry attempts so far across all evaluated points.
@@ -464,11 +465,11 @@ impl<'a> PointRunner<'a> {
     fn pipeline(&self, p: Point, deadline: Deadline) -> Result<PointOutput, PointError> {
         let design = &self.spec.designs[p.design];
         let flow = base_flow(self.spec, design, p);
-        let front = self.cache().map(|c| (c, self.front_key(p)));
-        let fe = stage(p, "front", front.map(|(c, k)| (&c.front, k)), || {
+        let front = self.cache.as_deref().map(|c| (c, self.front_key(p)));
+        let fe = self.stage(p, Stage::Front, front.map(|(c, k)| (&c.front, k)), || {
             flow.front_end().map_err(PointError::from)
         })?;
-        let facts = stage(p, "facts", front.map(|(c, k)| (&c.facts, k)), || {
+        let facts = self.stage(p, Stage::Facts, front.map(|(c, k)| (&c.facts, k)), || {
             Ok::<_, PointError>(SynthesisFlow::sgraph_facts(&fe.datapath))
         })?;
         let kept = self
@@ -477,12 +478,12 @@ impl<'a> PointRunner<'a> {
             .then(|| (fe.schedule.clone(), fe.binding.clone()));
         let dft_store =
             front.map(|(c, k)| (&c.dft, key::combine(&[k, key::hash_debug(&p.strategy)])));
-        let dft = stage(p, "dft", dft_store, || {
+        let dft = self.stage(p, Stage::Dft, dft_store, || {
             let mut fe = Arc::unwrap_or_clone(fe);
             let plans = flow.apply_dft(&mut fe);
             Ok::<_, PointError>(DftOutput::new(fe.datapath, plans))
         })?;
-        let netlist = self.cache().map(|c| {
+        let netlist = self.cache.as_deref().map(|c| {
             let k = key::combine(&[
                 dft.datapath_hash(),
                 u64::from(p.width),
@@ -490,7 +491,8 @@ impl<'a> PointRunner<'a> {
             ]);
             (c, k)
         });
-        let expanded = stage(p, "netlist", netlist.map(|(c, k)| (&c.netlist, k)), || {
+        let netlist_store = netlist.map(|(c, k)| (&c.netlist, k));
+        let expanded = self.stage(p, Stage::Netlist, netlist_store, || {
             flow.expand_netlist(dft.datapath())
                 .map_err(PointError::from)
         })?;
@@ -604,8 +606,48 @@ impl<'a> PointRunner<'a> {
                 }
             }
         };
-        stage_event(p, "grading", outcome, t.elapsed());
+        self.stage_event(p, Stage::Grading, outcome, t.elapsed());
         graded
+    }
+
+    /// Runs one pipeline stage of point `p` and journals it: through
+    /// `store` under its key when the runner has a cache, straight
+    /// through `compute` when it has none. A compute that fails or
+    /// panics journals nothing, so its lookup is not counted.
+    fn stage<T, E>(
+        &self,
+        p: Point,
+        stage: Stage,
+        store: Option<(&Store<T>, u64)>,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        let t = Instant::now();
+        let (value, outcome) = match store {
+            Some((store, key)) => {
+                let (value, outcome) = store.get_or_try(key, compute)?;
+                (value, Some(outcome))
+            }
+            None => (Arc::new(compute()?), None),
+        };
+        self.stage_event(p, stage, outcome, t.elapsed());
+        Ok(value)
+    }
+
+    /// Journals one pipeline-stage completion for a point and counts
+    /// its lookup in the ledger — the one place lookups are counted.
+    /// The stage name is a stable coordinate; the cache outcome and
+    /// wall time ride volatile (racing workers flip
+    /// hit/miss/coalesced, and the canonical projection must stay
+    /// byte-identical across cache settings).
+    fn stage_event(&self, p: Point, stage: Stage, outcome: Option<CacheOutcome>, wall: Duration) {
+        if let Some(outcome) = outcome {
+            self.ledger.lock().expect("ledger lock")[stage].record(outcome);
+        }
+        hlstb_trace::events::emit("point.stage", Some(p.index as u64), |e| {
+            e.str("stage", stage.name())
+                .volatile_str("cache", outcome.map_or("off", CacheOutcome::label))
+                .volatile_u64("wall_us", wall.as_micros() as u64);
+        });
     }
 }
 
@@ -696,8 +738,8 @@ impl<'a> SweepDriver<'a> {
         self
     }
 
-    /// The sweep's evaluator (point count, content keys).
-    pub(crate) fn runner(&self) -> &PointRunner<'a> {
+    /// The sweep's evaluator (point count, content keys, lookups).
+    pub fn runner(&self) -> &PointRunner<'a> {
         &self.runner
     }
 
@@ -770,7 +812,7 @@ impl<'a> SweepDriver<'a> {
     fn settle(&self, i: usize, record: PointRecord, design: Option<SynthesizedDesign>) {
         if let Some(m) = &self.meter {
             let (runner, reissued) = (&self.runner, self.reissued.load(Ordering::Relaxed));
-            m.tick(&record, runner.retries(), reissued, runner.cache());
+            m.tick(&record, runner.retries(), reissued, runner.cache_stats());
         }
         *self.slots[i].lock().expect("slot lock") = Some((record, design));
         let done = self.settled.fetch_add(1, Ordering::Relaxed) + 1;
@@ -851,8 +893,7 @@ impl<'a> SweepDriver<'a> {
             None => (threads.clamp(1, records.len().max(1)), Fleet::default()),
         };
         let retries = self.runner.retries() + fleet.retries;
-        let cache = self.runner.cache().map(|c| {
-            let mut stats = c.stats();
+        let cache = self.runner.cache_stats().map(|mut stats| {
             stats.merge(&fleet.cache);
             stats
         });
@@ -968,39 +1009,6 @@ fn grade_opts(deadline: Deadline) -> ParallelOptions {
     }
 }
 
-/// Runs one pipeline stage of point `p` and journals it: through
-/// `store` under its key when the runner has a cache, straight through
-/// `compute` when it has none.
-fn stage<T, E>(
-    p: Point,
-    name: &'static str,
-    store: Option<(&Store<T>, u64)>,
-    compute: impl FnOnce() -> Result<T, E>,
-) -> Result<Arc<T>, E> {
-    let t = Instant::now();
-    let (value, outcome) = match store {
-        Some((store, key)) => {
-            let (value, outcome) = store.get_or_try(key, compute)?;
-            (value, Some(outcome))
-        }
-        None => (Arc::new(compute()?), None),
-    };
-    stage_event(p, name, outcome, t.elapsed());
-    Ok(value)
-}
-
-/// Journals one pipeline-stage completion for a point. The stage name
-/// is a stable coordinate; the cache outcome and wall time ride
-/// volatile (racing workers flip hit/miss/coalesced, and the canonical
-/// projection must stay byte-identical across cache settings).
-fn stage_event(p: Point, stage: &'static str, outcome: Option<CacheOutcome>, wall: Duration) {
-    hlstb_trace::events::emit("point.stage", Some(p.index as u64), |e| {
-        e.str("stage", stage)
-            .volatile_str("cache", outcome.map_or("off", CacheOutcome::label))
-            .volatile_u64("wall_us", wall.as_micros() as u64);
-    });
-}
-
 /// Journals a grading run's work counters against the point whose
 /// compute produced them. Entirely volatile: under a warm cache only
 /// the one point that computed the shared run emits this, and which
@@ -1081,7 +1089,7 @@ mod tests {
             },
         );
         let stats = cached.report.cache.expect("cache enabled");
-        assert!(stats.hits() > 0, "{stats:?}");
+        assert!(stats.total().hits > 0, "{stats:?}");
         assert!(direct.report.cache.is_none());
         assert_eq!(
             cached.report.canonical_json(),
@@ -1174,12 +1182,12 @@ mod tests {
         let out = run_sweep(&spec, &SweepOptions::default());
         let stats = out.report.cache.unwrap();
         // One expansion and one grading run serve all four strategies.
-        assert_eq!(stats.netlist.misses, 1, "{stats:?}");
-        assert_eq!(stats.netlist.hits, 3, "{stats:?}");
-        assert_eq!(stats.grading.misses, 1, "{stats:?}");
-        assert_eq!(stats.grading.hits, 3, "{stats:?}");
+        assert_eq!(stats[Stage::Netlist].misses, 1, "{stats:?}");
+        assert_eq!(stats[Stage::Netlist].hits, 3, "{stats:?}");
+        assert_eq!(stats[Stage::Grading].misses, 1, "{stats:?}");
+        assert_eq!(stats[Stage::Grading].hits, 3, "{stats:?}");
         // ... and one front end serves everything.
-        assert_eq!(stats.front.misses, 1, "{stats:?}");
+        assert_eq!(stats[Stage::Front].misses, 1, "{stats:?}");
     }
 
     #[test]
@@ -1203,15 +1211,13 @@ mod tests {
         let cold = pass().cache.expect("shared cache");
         let rerun = pass();
         let warm = rerun.cache.expect("shared cache");
-        for (store, before, after) in [
-            ("front", cold.front, warm.front),
-            ("facts", cold.facts, warm.facts),
-            ("dft", cold.dft, warm.dft),
-            ("netlist", cold.netlist, warm.netlist),
-            ("grading", cold.grading, warm.grading),
-        ] {
-            assert_eq!(after.misses, before.misses, "{store} missed: {warm:?}");
-            assert!(after.hits > before.hits, "{store} unused: {warm:?}");
+        // Each pass reports its own lookups: the rerun's are the cold
+        // pass's lookups, every one of them now a hit.
+        for s in Stage::ALL {
+            let (before, after) = (cold[s], warm[s]);
+            assert!(before.misses > 0, "{s:?} unused: {cold:?}");
+            assert_eq!(after.misses + after.coalesced, 0, "{s:?} missed: {warm:?}");
+            assert_eq!(after.hits, before.hits + before.misses, "{s:?}: {warm:?}");
         }
         let serial = run_sweep(
             &spec,
@@ -1227,6 +1233,38 @@ mod tests {
         for d in dft {
             assert_eq!(d.datapath_hash(), key::hash_debug(d.datapath()));
         }
+    }
+
+    /// A lookup is counted when its stage completes: a compute that
+    /// fails or panics leaves the ledger as it was, and the retry that
+    /// computes the value counts the one miss.
+    #[test]
+    fn a_failed_stage_compute_counts_no_lookup() {
+        use hlstb::flow::SgraphFacts;
+        let spec = tiny_spec();
+        let runner = PointRunner::new(&spec, &SweepOptions::default(), None);
+        let p = runner.points[0];
+        let store = runner.cache.as_deref().map(|c| (&c.facts, 7));
+        let failed = runner.stage(p, Stage::Facts, store, || Err::<SgraphFacts, _>("boom"));
+        assert!(failed.is_err());
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            runner.stage(p, Stage::Facts, store, || -> Result<SgraphFacts, &str> {
+                panic!("injected")
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(runner.cache_stats(), Some(CacheStats::default()));
+        for _ in 0..2 {
+            let facts = SgraphFacts {
+                cycles: 1,
+                mfvs_size: 1,
+            };
+            runner
+                .stage(p, Stage::Facts, store, || Ok::<_, &str>(facts))
+                .unwrap();
+        }
+        let facts = runner.cache_stats().expect("cache on")[Stage::Facts];
+        assert_eq!((facts.hits, facts.misses, facts.coalesced), (1, 1, 0));
     }
 
     #[test]
@@ -1246,7 +1284,7 @@ mod tests {
         assert_eq!(err.kind(), "panic");
         assert!(err.message().contains("injected panic at point 1"));
         // The cache survived the panic and kept serving other points.
-        assert!(out.report.cache.unwrap().hits() > 0);
+        assert!(out.report.cache.unwrap().total().hits > 0);
         // The default policy retried the panic once before giving up.
         assert_eq!(out.report.retries, 1);
     }
@@ -1316,7 +1354,7 @@ mod tests {
         }
         assert_eq!(a.report.timeouts(), 2);
         // A spent deadline keeps grading away from the store.
-        let grading = a.report.cache.expect("cache on").grading;
+        let grading = a.report.cache.expect("cache on")[Stage::Grading];
         assert_eq!(grading, Default::default(), "{grading:?}");
         // Expired-from-the-start deadlines are deterministic: cache and
         // thread settings still agree byte-for-byte.

@@ -26,11 +26,11 @@
 //!
 //! The cache is *single-flight*: when several workers miss the same
 //! key at once, one computes while the rest block on the in-flight
-//! slot and are served the shared result (counted as `coalesced`), so
-//! a threaded cached sweep never duplicates a stage computation.
-//! Cache hits, misses, and coalesced waits surface as `hlstb-trace`
-//! counters (`dse.cache.<stage>.hit` / `.miss` / `.coalesced`) and
-//! every point runs under a `dse.point` span.
+//! slot and are served the shared result (a `coalesced` lookup), so a
+//! threaded cached sweep never duplicates a stage computation. The
+//! stores count no lookups: the point pipeline counts each one in its
+//! run's [`cache::CacheStats`] as it journals the stage's `point.stage`
+//! record, and every point runs under a `dse.point` span.
 //!
 //! # Scale-out
 //!
@@ -77,7 +77,7 @@ pub mod report;
 pub mod spec;
 pub mod worker;
 
-pub use cache::{ArtifactCache, CacheOutcome, CacheStats};
+pub use cache::{ArtifactCache, CacheOutcome, CacheStats, Stage};
 pub use checkpoint::{Checkpoint, RestoredSet};
 pub use engine::{run_sweep, run_sweep_with, Recovery, SweepOptions, SweepOutcome};
 pub use error::PointError;

@@ -149,7 +149,7 @@ pub struct DoneStats {
     /// Transient-failure retries the worker's bounded-retry policy
     /// performed so far.
     pub retries: u64,
-    /// The worker's stage-cache counters, when its cache is enabled.
+    /// The session's lookup counts, when its cache is enabled.
     pub cache: Option<crate::cache::CacheStats>,
 }
 

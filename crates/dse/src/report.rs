@@ -128,7 +128,7 @@ pub struct SweepReport {
     /// Worker *processes* a scale-out sweep sharded over (0 = the
     /// in-process pool).
     pub workers: usize,
-    /// Whether the artifact cache was enabled, and its counters.
+    /// Whether the artifact cache was enabled, and the run's lookups.
     pub cache: Option<CacheStats>,
     /// End-to-end wall time of the sweep.
     pub wall: Duration,
@@ -239,7 +239,7 @@ impl SweepReport {
             Some(c) => {
                 out.push_str(&format!(
                     "  \"cache_hit_rate_percent\": {},\n",
-                    number_f64(c.hit_rate_percent())
+                    number_f64(c.total().hit_rate_percent())
                 ));
                 out.push_str(&format!("  \"cache\": {},\n", c.to_json()));
             }
@@ -327,12 +327,12 @@ impl SweepReport {
                 format!("{} errors [{detail}]", self.errors().len())
             }
         };
-        let cache = match &self.cache {
+        let cache = match self.cache.map(|c| c.total()) {
             Some(c) => format!(
                 "cache hits: {}, misses: {}, coalesced: {} ({:.1}% hit)",
-                c.hits(),
-                c.misses(),
-                c.coalesced(),
+                c.hits,
+                c.misses,
+                c.coalesced,
                 c.hit_rate_percent()
             ),
             None => "cache off".to_string(),

@@ -328,7 +328,7 @@ fn worker_session(
                 let stats = proto::DoneStats {
                     points: emitted as u64,
                     retries: runner.retries(),
-                    cache: runner.cache().map(crate::cache::ArtifactCache::stats),
+                    cache: runner.cache_stats(),
                 };
                 write_frame(&mut output, &proto::encode_done(start, end, &stats))?;
             }
@@ -982,10 +982,10 @@ fn lane_done(lane: &mut Lane, w: usize, stats: proto::DoneStats) {
         e.volatile_u64("worker", w as u64)
             .volatile_u64("points", stats.points)
             .volatile_u64("retries", stats.retries);
-        if let Some(c) = &stats.cache {
-            e.volatile_u64("hits", c.hits())
-                .volatile_u64("misses", c.misses())
-                .volatile_u64("coalesced", c.coalesced());
+        if let Some(c) = stats.cache.map(|c| c.total()) {
+            e.volatile_u64("hits", c.hits)
+                .volatile_u64("misses", c.misses)
+                .volatile_u64("coalesced", c.coalesced);
         }
     });
     lane.stats = stats;

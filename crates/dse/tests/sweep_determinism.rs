@@ -196,7 +196,7 @@ fn cache_hits_never_change_a_points_report() {
     spec.patterns = vec![0, 128, 512];
     let cached = run_sweep(&spec, &SweepOptions::default());
     let stats = cached.report.cache.expect("cache on");
-    assert!(stats.hits() > 0, "sweep too small to share artifacts");
+    assert!(stats.total().hits > 0, "sweep too small to share artifacts");
     for point in &cached.report.points {
         let mut solo = spec.clone();
         solo.strategies = vec![hlstb_dse::spec::parse_strategy(&point.strategy).unwrap()];

@@ -10,7 +10,7 @@ use crate::datapath::Datapath;
 use crate::fu::FuKind;
 
 /// Per-bit register implementation costs in gate equivalents, following
-/// the BILBO literature's relative ordering [21]: scan < BILBO < CBILBO.
+/// the BILBO literature's relative ordering \[21\]: scan < BILBO < CBILBO.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegisterCosts {
     /// Plain D register bit.

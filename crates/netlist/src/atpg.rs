@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use crate::fault::Fault;
-use crate::fsim::{comb_fault_sim_opts, ParallelOptions, TestFrame};
+use crate::fsim::{scan_observed, ParallelOptions, TestFrame};
 use crate::logic5::V5;
 use crate::net::{GateId, GateKind, NetId, Netlist};
 use crate::stats::GradeStats;
@@ -520,6 +520,7 @@ pub fn generate_all_opts(
     };
     let mut stats = GradeStats::default();
     let mut remaining: Vec<Fault> = faults.to_vec();
+    let observed = scan_observed(nl);
     let mut targeted = 0usize;
     while let Some(fault) = remaining.first().copied() {
         // Cooperative cutoff between targets: the first fault is always
@@ -535,8 +536,9 @@ pub fn generate_all_opts(
         match status {
             FaultStatus::Detected(cube) => {
                 let frame = cube.to_frame(nl);
+                let frames = std::slice::from_ref(&frame);
                 let (sim, s) =
-                    comb_fault_sim_opts(nl, &remaining, std::slice::from_ref(&frame), grade_opts);
+                    crate::soa::grade_observed_opts(nl, &remaining, frames, &observed, grade_opts);
                 stats.absorb(&s);
                 let dropped = sim.detected.len().max(1);
                 run.detected += dropped;
@@ -557,6 +559,7 @@ pub fn generate_all_opts(
     // The fault-dropping sims poll the same deadline; a truncated drop
     // pass also leaves the run short of its full universe.
     run.timed_out |= stats.timed_out;
+    stats.trace_bridge();
     hlstb_trace::counter("atpg.decisions", run.effort.decisions);
     hlstb_trace::counter("atpg.backtracks", run.effort.backtracks);
     hlstb_trace::counter("atpg.implications", run.effort.implications);

@@ -287,20 +287,10 @@ pub fn comb_fault_sim_opts(
     comb_fault_sim_observed_opts(nl, faults, frames, &scan_observed(nl), opts)
 }
 
-/// Grades `faults` with an explicit observation set — the primitive
-/// behind both full-scan grading and BIST grading (where only the
-/// signature registers' data inputs are compacted).
-pub fn comb_fault_sim_observed(
-    nl: &Netlist,
-    faults: &[Fault],
-    frames: &[TestFrame],
-    observed: &[NetId],
-) -> FaultSimSummary {
-    comb_fault_sim_observed_opts(nl, faults, frames, observed, &ParallelOptions::default()).0
-}
-
-/// [`comb_fault_sim_observed`] with engine options and run
-/// instrumentation.
+/// Grades `faults` with an explicit observation set, engine options
+/// and run instrumentation — the primitive behind both full-scan
+/// grading and BIST grading (where only the signature registers' data
+/// inputs are compacted).
 pub fn comb_fault_sim_observed_opts(
     nl: &Netlist,
     faults: &[Fault],
@@ -308,7 +298,9 @@ pub fn comb_fault_sim_observed_opts(
     observed: &[NetId],
     opts: &ParallelOptions,
 ) -> (FaultSimSummary, GradeStats) {
-    crate::soa::grade_observed_opts(nl, faults, frames, observed, opts)
+    let graded = crate::soa::grade_observed_opts(nl, faults, frames, observed, opts);
+    graded.1.trace_bridge();
+    graded
 }
 
 /// The naive combinational grader, kept as the oracle the engine is
@@ -396,7 +388,8 @@ pub fn comb_fault_sim_oracle(
 /// [`ParallelOptions::effective_threads`] workers, merges the shards'
 /// detected sets and work counters, and stamps the run's shape and
 /// phase walls onto the stats. `grade` sees one contiguous shard; a
-/// single worker grades in place without spawning.
+/// single worker grades in place without spawning. The public entry
+/// point that returns the stats journals them, once per run.
 pub(crate) fn fault_phase<G>(
     faults: &[Fault],
     frames: usize,
@@ -436,7 +429,6 @@ where
     stats.wall_good = wall_good;
     stats.wall_fault = start.elapsed();
     span.end();
-    stats.trace_bridge();
     (
         FaultSimSummary {
             detected,
@@ -464,29 +456,10 @@ pub fn seq_fault_sim_opts(
     seq_fault_sim_observed_opts(nl, faults, vectors, &initial, &observed, opts)
 }
 
-/// Sequence-based grading with an explicit observation set and initial
-/// state: the BIST instrument. `vectors[t]` drives the primary inputs at
-/// cycle `t`; detection = any observed net differs in any cycle.
-pub fn seq_fault_sim_observed(
-    nl: &Netlist,
-    faults: &[Fault],
-    vectors: &[Vec<u64>],
-    initial: &[u64],
-    observed: &[NetId],
-) -> FaultSimSummary {
-    seq_fault_sim_observed_opts(
-        nl,
-        faults,
-        vectors,
-        initial,
-        observed,
-        &ParallelOptions::default(),
-    )
-    .0
-}
-
-/// [`seq_fault_sim_observed`] with engine options and run
-/// instrumentation.
+/// Sequence-based grading with an explicit observation set, initial
+/// state, engine options and run instrumentation: the BIST instrument.
+/// `vectors[t]` drives the primary inputs at cycle `t`; detection = any
+/// observed net differs in any cycle.
 ///
 /// The faulty machine replays the whole sequence per fault (state
 /// feedback defeats per-frame cone restriction), but the fault universe
@@ -532,7 +505,7 @@ pub fn seq_fault_sim_observed_masked_opts(
 
     let drop_detected = opts.drop_detected;
     let deadline = opts.deadline;
-    fault_phase(faults, vectors.len(), wall_good, opts, |shard| {
+    let graded = fault_phase(faults, vectors.len(), wall_good, opts, |shard| {
         let mut detected = BTreeSet::new();
         let mut stats = GradeStats::default();
         for (fault_idx, &fault) in shard.iter().enumerate() {
@@ -567,7 +540,9 @@ pub fn seq_fault_sim_observed_masked_opts(
             }
         }
         (detected, stats)
-    })
+    });
+    graded.1.trace_bridge();
+    graded
 }
 
 /// A stuck flip-flop output keeps its sampled state pinned as well.

@@ -9,7 +9,7 @@
 use rand::Rng;
 
 use crate::fault::Fault;
-use crate::fsim::{comb_fault_sim_opts, FaultSimSummary, ParallelOptions, TestFrame};
+use crate::fsim::{scan_observed, FaultSimSummary, ParallelOptions, TestFrame};
 use crate::net::Netlist;
 use crate::stats::GradeStats;
 
@@ -73,6 +73,7 @@ pub fn random_pattern_run_opts<R: Rng>(
     let mut detected = std::collections::BTreeSet::new();
     let mut curve = Vec::with_capacity(batches);
     let mut remaining: Vec<Fault> = faults.to_vec();
+    let observed = scan_observed(nl);
     let mut stats = GradeStats::default();
     let mut timed_out = false;
     for bi in 0..batches {
@@ -97,7 +98,7 @@ pub fn random_pattern_run_opts<R: Rng>(
             (0..nl.dffs().len()).map(|_| rng.gen()).collect(),
             live,
         );
-        let (r, s) = comb_fault_sim_opts(nl, &remaining, std::slice::from_ref(&frame), opts);
+        let (r, s) = crate::soa::grade_observed_opts(nl, &remaining, &[frame], &observed, opts);
         stats.absorb(&s);
         for f in r.detected {
             detected.insert(f);
@@ -120,6 +121,7 @@ pub fn random_pattern_run_opts<R: Rng>(
         }
     }
     stats.faults = faults.len();
+    stats.trace_bridge();
     let run = RandomRun {
         curve,
         summary: FaultSimSummary {
@@ -165,6 +167,7 @@ pub fn pattern_source_run_opts(
     let mut detected = std::collections::BTreeSet::new();
     let mut curve = Vec::new();
     let mut remaining: Vec<Fault> = faults.to_vec();
+    let observed = scan_observed(nl);
     let mut applied = 0usize;
     let mut stats = GradeStats::default();
     let mut timed_out = false;
@@ -196,7 +199,7 @@ pub fn pattern_source_run_opts(
         // A partial word's high lanes are zero-filled, not real
         // patterns; mask them out of detection.
         let frame = TestFrame::with_lanes(pi, ff, count);
-        let (r, s) = comb_fault_sim_opts(nl, &remaining, std::slice::from_ref(&frame), opts);
+        let (r, s) = crate::soa::grade_observed_opts(nl, &remaining, &[frame], &observed, opts);
         stats.absorb(&s);
         for f in r.detected {
             detected.insert(f);
@@ -208,6 +211,7 @@ pub fn pattern_source_run_opts(
         });
     }
     stats.faults = faults.len();
+    stats.trace_bridge();
     let run = RandomRun {
         curve,
         summary: FaultSimSummary {

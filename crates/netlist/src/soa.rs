@@ -517,8 +517,10 @@ fn run<const N: usize>(
     })
 }
 
-/// Entry point called by [`crate::fsim::comb_fault_sim_observed_opts`]:
-/// dispatches on the configured word width.
+/// The engine entry point, which journals nothing: its public wrapper
+/// [`crate::fsim::comb_fault_sim_observed_opts`] journals each call's
+/// stats, the random, pattern-source and ATPG loops their total.
+/// Dispatches on the configured word width.
 pub(crate) fn grade_observed_opts(
     nl: &Netlist,
     faults: &[Fault],

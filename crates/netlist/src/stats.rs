@@ -121,9 +121,11 @@ impl GradeStats {
     }
 
     /// Journals this run's work as `fsim.*` counter records and the
-    /// thread/universe gauges. The engines call it on exit so
-    /// `GradeStats` stays the per-run record while the journal's
-    /// views sum whole-run totals. No-op when the journal is off.
+    /// thread/universe gauges. Every public `_opts` grading entry point
+    /// calls it once, on the stats it returns — a random, pattern-source
+    /// or ATPG run journals its total, not one set per frame — so
+    /// `GradeStats` stays the per-run record while the journal's views
+    /// sum whole-run totals. No-op when the journal is off.
     pub fn trace_bridge(&self) {
         hlstb_trace::counter("fsim.fault_evals", self.fault_evals);
         hlstb_trace::counter("fsim.screened", self.screened);

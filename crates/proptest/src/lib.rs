@@ -172,7 +172,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The [`vec`] strategy.
+    /// The [`vec()`] strategy.
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hlstb_dse::cache::{ArtifactCache, CacheBounds};
+use hlstb_dse::cache::{ArtifactCache, CacheBounds, CacheStats};
 use hlstb_dse::engine::{PointRunner, SweepDriver};
 use hlstb_dse::proto::write_frame;
 use hlstb_dse::{PointError, Recovery, SweepReport};
@@ -171,6 +171,9 @@ pub struct Daemon {
     cfg: ServeConfig,
     listener: TcpListener,
     cache: Arc<ArtifactCache>,
+    /// The lookups of every request executed (completed, cut short by
+    /// its deadline, or replayed), summed for the metrics frame.
+    lookups: Mutex<CacheStats>,
     admission: Admission<Job>,
     journal: Option<Journal>,
     pending: Vec<Pending>,
@@ -205,6 +208,7 @@ impl Daemon {
         Ok(Daemon {
             admission: Admission::new(cfg.admission),
             cache: Arc::new(ArtifactCache::bounded(cfg.cache_bounds)),
+            lookups: Mutex::default(),
             cfg,
             listener,
             journal,
@@ -479,14 +483,10 @@ impl Daemon {
                     j.record_completed(&id, &frame);
                 }
                 send(&job.reply, &frame);
+                let cache = report.cache.map(|c| c.to_json());
                 send(
                     &job.reply,
-                    &proto::encode_stats(
-                        &id,
-                        points,
-                        t0.elapsed(),
-                        Some(&self.cache.stats().to_json()),
-                    ),
+                    &proto::encode_stats(&id, points, t0.elapsed(), cache.as_deref()),
                 );
             }
             Err((kind, message)) => {
@@ -535,6 +535,9 @@ impl Daemon {
         let expired = || req.deadline.is_some_and(|d| job.accepted_at.elapsed() >= d);
         let all: Vec<usize> = (0..total).collect();
         driver.run(&all, 1, &expired);
+        if let Some(stats) = driver.runner().cache_stats() {
+            self.lookups.lock().expect("lookups lock").merge(&stats);
+        }
         if let Some(d) = req.deadline.filter(|_| driver.settled() < total) {
             return Err((
                 ErrorKind::Deadline,
@@ -549,11 +552,12 @@ impl Daemon {
     }
 
     /// The metrics snapshot frame: admission counters, handshake
-    /// drops, journal health, and the shared cache's counters and
-    /// occupancy (entries, bytes, evictions).
+    /// drops, journal health, every executed request's lookups, and the
+    /// shared cache's occupancy (entries, bytes, evictions).
     fn metrics_frame(&self) -> String {
         let c = self.admission.counters();
-        let stats = self.cache.stats();
+        let stats = *self.lookups.lock().expect("lookups lock");
+        let total = stats.total();
         let mut o = hlstb_trace::json::Obj::new();
         o.string("type", "metrics")
             .boolean("draining", c.draining || self.stopping())
@@ -571,8 +575,8 @@ impl Daemon {
                 "journal_degraded",
                 self.journal.as_ref().is_some_and(Journal::degraded),
             )
-            .number_u64("cache_hits", stats.hits())
-            .number_u64("cache_coalesced", stats.coalesced())
+            .number_u64("cache_hits", total.hits)
+            .number_u64("cache_coalesced", total.coalesced)
             .raw("cache", &stats.to_json())
             .raw("cache_occupancy", &self.cache.occupancy().to_json());
         o.finish()

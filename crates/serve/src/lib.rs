@@ -16,8 +16,9 @@
 //! * **Cross-request artifact store** — one daemon-lifetime
 //!   [`hlstb_dse::cache::ArtifactCache`], bounded by entry and byte
 //!   caps with LRU eviction, shared by every request. Identical
-//!   concurrent requests coalesce at the stage level (single-flight),
-//!   and eviction/occupancy statistics surface in the metrics frame.
+//!   concurrent requests coalesce at the stage level (single-flight).
+//!   Each request's `stats` frame counts its own lookups; the metrics
+//!   frame sums every request's and reports eviction/occupancy.
 //! * **Durability** ([`journal`]) — every accepted request is appended
 //!   to a crash-safe JSONL journal before the client hears `accepted`;
 //!   a `kill -9` mid-request followed by a restart replays the

@@ -32,7 +32,10 @@
 //! request id and the report's canonical JSON), which is what makes a
 //! journal replay of an interrupted request byte-identical to the
 //! uninterrupted response. Everything volatile — wall time, cache
-//! counters — rides in the separate `stats` frame.
+//! counters — rides in the separate `stats` frame. Its `cache` object
+//! counts this request's own stage lookups against the shared cache;
+//! the `metrics` frame's `cache` object sums every request the daemon
+//! has executed.
 
 use std::time::Duration;
 
@@ -218,7 +221,8 @@ pub fn encode_result(id: &str, canonical_report: &str) -> String {
     o.finish()
 }
 
-/// The volatile `stats` companion of a `result` frame.
+/// The volatile `stats` companion of a `result` frame: the request's
+/// wall time and its own stage-lookup counts.
 pub fn encode_stats(id: &str, points: usize, wall: Duration, cache_json: Option<&str>) -> String {
     let mut o = Obj::new();
     o.string("type", "stats")

@@ -192,6 +192,57 @@ fn concurrent_duplicates_are_byte_identical_and_coalesce() {
     server.shutdown();
 }
 
+/// Submits `req` on a fresh connection and returns its `stats` frame,
+/// which follows the `result` frame.
+fn stats_frame(addr: &str, req: &SweepRequest) -> Value {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all((proto::encode_sweep_request(req) + "\n").as_bytes())
+        .expect("send request");
+    for line in BufReader::new(conn).lines() {
+        let frame = json::parse(&line.expect("read frame")).expect("frame parses");
+        if frame.get("type").and_then(Value::as_str) == Some("stats") {
+            return frame;
+        }
+    }
+    panic!("connection closed before the stats frame");
+}
+
+/// Hits, misses and coalesced waits of a frame's `cache` object.
+fn cache_counts(frame: &Value) -> [u64; 3] {
+    let cache = frame.get("cache").expect("cache object");
+    ["hits", "misses", "coalesced"].map(|k| cache.get(k).and_then(Value::as_f64).expect(k) as u64)
+}
+
+/// A request's `stats` frame counts its own lookups, not the shared
+/// cache's lifetime: run twice, the same request first computes what
+/// the second only reads. The metrics frame sums both requests.
+#[test]
+fn stats_frames_count_their_request_and_metrics_sum_them() {
+    let server = Server::start(ServeConfig::default());
+    let mut spec = SweepSpec::new(vec![benchmarks::figure1(), benchmarks::tseng()]);
+    spec.strategies = vec![
+        DftStrategy::None,
+        DftStrategy::FullScan,
+        DftStrategy::BistShared,
+    ];
+    spec.patterns = vec![64];
+    let counts: Vec<[u64; 3]> = ["first", "again"]
+        .iter()
+        .map(|id| {
+            let req = SweepRequest {
+                id: id.to_string(),
+                spec: spec.clone(),
+                opts: SweepOptions::default(),
+                deadline: None,
+            };
+            cache_counts(&stats_frame(&server.addr(), &req))
+        })
+        .collect();
+    assert_eq!(counts, [[12, 18, 0], [30, 0, 0]]);
+    assert_eq!(cache_counts(&server.metrics()), [42, 18, 0]);
+    server.shutdown();
+}
+
 /// A connection that never sends a request is dropped at the handshake
 /// deadline and counted — it cannot hold a connection thread hostage.
 #[test]

@@ -4,7 +4,7 @@
 //! exponentially with the length of cycles in the S-graph, and linearly
 //! with the sequential depth of the FFs" [Cheng & Agrawal 1990;
 //! Lee & Reddy 1990]. The simultaneous scheduling/assignment technique
-//! of [33] minimizes exactly this cost while synthesizing; experiment E1
+//! of \[33\] minimizes exactly this cost while synthesizing; experiment E1
 //! validates the model's shape against the in-tree sequential ATPG.
 
 use crate::cycles::{enumerate_cycles, CycleLimits};

@@ -5,7 +5,7 @@
 //! Survey §3.1–3.2: sequential ATPG effort grows linearly with the
 //! sequential depth of the flip-flops, so register assignment that
 //! minimizes the input-register → output-register depth improves the
-//! controllability/observability of the whole data path [25,26].
+//! controllability/observability of the whole data path \[25,26\].
 
 use std::collections::VecDeque;
 

@@ -21,6 +21,10 @@ fmt:
 clippy:
     ./ci.sh clippy
 
+# Library docs build without warnings (broken doc links included).
+doc:
+    ./ci.sh doc
+
 # One traced synthesis; fails if the Chrome trace is missing a stage span.
 trace-smoke: build
     ./ci.sh trace-smoke
@@ -75,6 +79,10 @@ events-smoke: build
 # timing run; refresh with `just bench` after deliberate engine work.
 perf-floor: build
     ./ci.sh perf-floor
+
+# Non-test Rust line count of the tracked sources.
+loc:
+    ./ci.sh loc
 
 # Regenerate every experiment table (EXPERIMENTS.md source of truth).
 exp-all:

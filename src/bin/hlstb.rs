@@ -29,6 +29,7 @@ use hlstb::netlist::fsim::{
 };
 use hlstb::netlist::word::WordWidth;
 use hlstb::trace::Sinks;
+use hlstb_dse::cache::{CacheOutcome, StageCounts};
 use hlstb_dse::spec::{parse_policy, parse_scheduler, parse_strategy};
 use hlstb_dse::{run_sweep_with, run_sweep_workers, FailPlan, Recovery, SweepOptions, SweepSpec};
 
@@ -204,7 +205,7 @@ serve options:
   --retry-after-ms <N>    retry hint on `overloaded` frames (500)
   --executors <N>         concurrent request executors (2)
   --cache-entries <N>     per-stage cache entry cap (1024)
-  --cache-bytes <N>       total cache byte cap (64 MiB)
+  --cache-bytes <N>       per-stage cache byte cap (64 MiB)
   --hello-timeout-ms <N>  drop connections silent past this before
                           their first request (10000)
 serve-client options:
@@ -775,9 +776,7 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
     #[derive(Default)]
     struct StageRollup {
         calls: u64,
-        hits: u64,
-        misses: u64,
-        coalesced: u64,
+        lookups: StageCounts,
         wall_us: u64,
     }
     /// Per-worker lane (threads of an in-process pool, loopback
@@ -789,9 +788,7 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
     struct LaneRollup {
         points: u64,
         wall_us: u64,
-        hits: u64,
-        misses: u64,
-        coalesced: u64,
+        lookups: StageCounts,
     }
     let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
     let mut stages: BTreeMap<String, StageRollup> = BTreeMap::new();
@@ -835,21 +832,15 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
                 let roll = stages.entry(stage.to_string()).or_default();
                 roll.calls += 1;
                 roll.wall_us += wall_us();
-                let cache = v.get("cache").and_then(|c| c.as_str());
-                match cache {
-                    Some("hit") => roll.hits += 1,
-                    Some("miss") => roll.misses += 1,
-                    Some("coalesced") => roll.coalesced += 1,
-                    _ => {}
-                }
+                let outcome = match v.get("cache").and_then(|c| c.as_str()) {
+                    Some("hit") => CacheOutcome::Hit,
+                    Some("miss") => CacheOutcome::Miss,
+                    Some("coalesced") => CacheOutcome::Coalesced,
+                    _ => continue,
+                };
+                roll.lookups.record(outcome);
                 if let Some(w) = worker {
-                    let lane = lanes.entry(w).or_default();
-                    match cache {
-                        Some("hit") => lane.hits += 1,
-                        Some("miss") => lane.misses += 1,
-                        Some("coalesced") => lane.coalesced += 1,
-                        _ => {}
-                    }
+                    lanes.entry(w).or_default().lookups.record(outcome);
                 }
             }
             "point.completed" => {
@@ -871,9 +862,10 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
                     let field = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0) as u64;
                     let lane = lanes.entry(w).or_default();
                     lane.points = lane.points.max(field("points"));
-                    lane.hits = lane.hits.max(field("hits"));
-                    lane.misses = lane.misses.max(field("misses"));
-                    lane.coalesced = lane.coalesced.max(field("coalesced"));
+                    let c = &mut lane.lookups;
+                    c.hits = c.hits.max(field("hits"));
+                    c.misses = c.misses.max(field("misses"));
+                    c.coalesced = c.coalesced.max(field("coalesced"));
                 }
             }
             "point.failed" => {
@@ -906,27 +898,28 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
     for (kind, n) in &kinds {
         out.push_str(&format!("  {kind:<18} {n:>8}\n"));
     }
+    // Hit % of the lookups, "-" when there were none (cache off).
+    let rate = |c: &StageCounts| {
+        if c.hits + c.misses + c.coalesced == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}", c.hit_rate_percent())
+        }
+    };
     if !stages.is_empty() {
         out.push_str(&format!(
             "\nstages:\n  {:<10} {:>7} {:>7} {:>7} {:>7} {:>7} {:>11} {:>9}\n",
             "stage", "calls", "hits", "misses", "coal", "hit %", "total ms", "avg us"
         ));
         for (stage, roll) in &stages {
-            let looked = roll.hits + roll.misses + roll.coalesced;
-            let rate = if looked == 0 {
-                "-".to_string()
-            } else {
-                format!(
-                    "{:.1}",
-                    (roll.hits + roll.coalesced) as f64 * 100.0 / looked as f64
-                )
-            };
+            let c = &roll.lookups;
             out.push_str(&format!(
-                "  {stage:<10} {:>7} {:>7} {:>7} {:>7} {rate:>7} {:>11.3} {:>9}\n",
+                "  {stage:<10} {:>7} {:>7} {:>7} {:>7} {:>7} {:>11.3} {:>9}\n",
                 roll.calls,
-                roll.hits,
-                roll.misses,
-                roll.coalesced,
+                c.hits,
+                c.misses,
+                c.coalesced,
+                rate(c),
                 roll.wall_us as f64 / 1e3,
                 roll.wall_us / roll.calls.max(1),
             ));
@@ -938,20 +931,12 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
             "worker", "points", "wall ms", "hit %", "coalesced"
         ));
         for (w, lane) in &lanes {
-            let looked = lane.hits + lane.misses + lane.coalesced;
-            let rate = if looked == 0 {
-                "-".to_string()
-            } else {
-                format!(
-                    "{:.1}",
-                    (lane.hits + lane.coalesced) as f64 * 100.0 / looked as f64
-                )
-            };
             out.push_str(&format!(
-                "  {w:<8} {:>7} {:>11.3} {rate:>7} {:>10}\n",
+                "  {w:<8} {:>7} {:>11.3} {:>7} {:>10}\n",
                 lane.points,
                 lane.wall_us as f64 / 1e3,
-                lane.coalesced,
+                rate(&lane.lookups),
+                lane.lookups.coalesced,
             ));
         }
     }

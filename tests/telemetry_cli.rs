@@ -146,6 +146,106 @@ fn sweep_events_alone_journals_fsim_counters() {
     assert_eq!(counted, graded);
 }
 
+/// A grading run journals its work once: the serial uncached sweep
+/// journals one `fsim.frames` counter record per `point.grading`
+/// record, not one per 64-pattern frame.
+#[test]
+fn sweep_journals_one_fsim_set_per_grading_run() {
+    let full = temp("once_events.jsonl");
+    let (_, stderr, ok) = run(&[
+        "sweep",
+        "--designs",
+        "figure1,tseng",
+        "--strategies",
+        "none,full-scan,bist-shared",
+        "--grade",
+        "128",
+        "--threads",
+        "1",
+        "--no-cache",
+        "--events",
+        full.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let records = journal(&full);
+    std::fs::remove_file(&full).ok();
+    let frames = of_kind(&records, "counter")
+        .filter(|r| str_of(r, "name") == "fsim.frames")
+        .count();
+    let graded = of_kind(&records, "point.grading").count();
+    assert!(graded > 0, "no point.grading records");
+    assert_eq!(frames, graded);
+}
+
+/// ATPG journals its fault-dropping simulations once, as one total:
+/// one frame per generated pattern.
+#[test]
+fn synth_atpg_journals_one_frame_per_pattern() {
+    let metrics = temp("atpg_metrics.json");
+    let (_, stderr, ok) = run(&[
+        "synth",
+        "diffeq",
+        "--strategy",
+        "behavioral-partial-scan",
+        "--atpg",
+        "--json",
+        "--trace-metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let doc = json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    std::fs::remove_file(&metrics).ok();
+    let counter = |name: &str| {
+        let counters = doc.get("counters").expect("counters");
+        counters.get(name).and_then(Value::as_f64).unwrap_or(0.0) as u64
+    };
+    assert!(counter("atpg.patterns") > 0);
+    assert_eq!(counter("fsim.frames"), counter("atpg.patterns"));
+}
+
+/// A sweep's envelope counts exactly the lookups its `point.stage`
+/// records journal, stage by stage and outcome by outcome, and the
+/// journal carries no second copy of them as counters.
+#[test]
+fn envelope_cache_counts_are_the_journaled_stage_lookups() {
+    let full = temp("ledger_events.jsonl");
+    let mut args = SWEEP.to_vec();
+    args.extend(["--threads", "4", "--cache", "--full-json"]);
+    args.extend(["--events", full.to_str().unwrap()]);
+    let (stdout, stderr, ok) = run(&args);
+    assert!(ok, "{stderr}");
+    let records = journal(&full);
+    std::fs::remove_file(&full).ok();
+    let mut journaled: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    for r in of_kind(&records, "point.stage") {
+        *journaled
+            .entry((str_of(r, "stage"), str_of(r, "cache")))
+            .or_default() += 1;
+    }
+    let doc = json::parse(&stdout).expect("full JSON parses");
+    let cache = doc.get("cache").expect("cache object");
+    let mut enveloped: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    for stage in ["front", "facts", "dft", "netlist", "grading"] {
+        for (key, label) in [
+            ("hits", "hit"),
+            ("misses", "miss"),
+            ("coalesced", "coalesced"),
+        ] {
+            let n = u64_of(cache.get(stage).expect("stage object"), key);
+            if n > 0 {
+                enveloped.insert((stage, label), n);
+            }
+        }
+    }
+    assert!(!journaled.is_empty());
+    assert_eq!(enveloped, journaled);
+    let copies = records
+        .iter()
+        .filter(|r| str_of(r, "name").starts_with("dse.cache."))
+        .count();
+    assert_eq!(copies, 0, "lookups journaled as counters too");
+}
+
 /// One traced sweep writes the Chrome trace, the metrics and the
 /// journal; the first two must be views of the third.
 #[test]
