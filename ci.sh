@@ -325,13 +325,16 @@ step_soa_equiv() {
 }
 
 # Digest smoke: a short perfbench run of the 297-point scoreboard sweep,
-# in-process and over TCP worker lanes, must reproduce the committed
-# per-design report digests (perfbench/digests.txt) bit for bit, and
-# every daemon response of a short serve-mix run must be byte-identical
-# to its serial uncached reference; the last stdout line reports
+# in-process and over TCP worker lanes, and of the 4752-point
+# synth-wide sweep must reproduce the committed per-design report
+# digests (perfbench/digests.txt) bit for bit, and every daemon
+# response of a short serve-mix run must be byte-identical to its
+# serial uncached reference; the last stdout line reports
 # `"correct": true` only when every point and response matched.
+# synth-wide's digests are the only ones over every scheduler, register
+# policy and width, so they cover every MFVS caller on every front end.
 step_digest_smoke() {
-    for w in scoreboard scoreboard-lanes serve-mix; do
+    for w in scoreboard synth-wide scoreboard-lanes serve-mix; do
         cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
             --workload "$w" --seed 1 --seconds 2 --trace 0 >digest_smoke.json
         tail -n 1 digest_smoke.json | grep -q '"correct": true'

@@ -102,6 +102,16 @@ impl GateKind {
         matches!(self, GateKind::Dff { .. })
     }
 
+    /// Whether the gate starts a combinational path: an input, a
+    /// constant or a flip-flop. These are the sources of the
+    /// levelization.
+    fn is_source(self) -> bool {
+        matches!(
+            self,
+            GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
+        )
+    }
+
     /// Rough area in gate equivalents (NAND2 = 1), used for the overhead
     /// accounting in the DFT experiments.
     pub fn gate_equivalents(self) -> f64 {
@@ -176,6 +186,36 @@ impl fmt::Display for NetlistError {
 
 impl Error for NetlistError {}
 
+/// The CSR (compressed sparse row) fanout table of `gates`: per net,
+/// the combinational gates reading it, in gate-id order and once per
+/// operand slot. Returns `(starts, readers)`: net `i` is read by
+/// `readers[starts[i]..starts[i + 1]]`.
+fn comb_readers(gates: &[Gate]) -> (Vec<u32>, Vec<u32>) {
+    let n = gates.len();
+    let mut starts = vec![0u32; n + 1];
+    for g in gates.iter().filter(|g| !g.kind.is_source()) {
+        for inp in &g.inputs {
+            starts[inp.index() + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        starts[i + 1] += starts[i];
+    }
+    let mut cursor = starts.clone();
+    let mut readers = vec![0u32; starts[n] as usize];
+    for (i, g) in gates
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| !g.kind.is_source())
+    {
+        for inp in &g.inputs {
+            readers[cursor[inp.index()] as usize] = i as u32;
+            cursor[inp.index()] += 1;
+        }
+    }
+    (starts, readers)
+}
+
 /// Index-based structure-of-arrays view of a netlist, built once by
 /// [`NetlistBuilder::finish`] and shared read-only by the evaluators.
 ///
@@ -196,16 +236,10 @@ pub struct SoaIr {
 }
 
 impl SoaIr {
-    /// Builds the flat arrays from the validated AoS gate list and its
-    /// topological order.
-    fn build(gates: &[Gate], topo: &[GateId]) -> SoaIr {
+    /// Builds the flat arrays from the validated AoS gate list, its
+    /// topological order and its [`comb_readers`] table.
+    fn build(gates: &[Gate], topo: &[GateId], fanout: (Vec<u32>, Vec<u32>)) -> SoaIr {
         let n = gates.len();
-        let is_source = |g: &Gate| {
-            matches!(
-                g.kind,
-                GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-            )
-        };
         let mut kinds = Vec::with_capacity(n);
         let mut ops = Vec::with_capacity(n);
         for (i, g) in gates.iter().enumerate() {
@@ -254,42 +288,14 @@ impl SoaIr {
         let mut cursor = level_starts.clone();
         let mut level_order = vec![0u32; topo.len()];
         for (i, g) in gates.iter().enumerate() {
-            if is_source(g) {
+            if g.kind.is_source() {
                 continue;
             }
             let l = level_of[i] as usize;
             level_order[cursor[l] as usize] = i as u32;
             cursor[l] += 1;
         }
-        // CSR fanout: per net, the combinational gates reading it, in
-        // gate-id order.
-        let mut fan_counts = vec![0u32; n + 1];
-        for g in gates {
-            if is_source(g) {
-                continue;
-            }
-            for inp in &g.inputs {
-                fan_counts[inp.index()] += 1;
-            }
-        }
-        let mut fanout_starts = vec![0u32; n + 1];
-        let mut acc = 0u32;
-        for (i, c) in fan_counts.iter().enumerate().take(n) {
-            fanout_starts[i] = acc;
-            acc += c;
-        }
-        fanout_starts[n] = acc;
-        let mut fan_cursor: Vec<u32> = fanout_starts.clone();
-        let mut fanout_edges = vec![0u32; acc as usize];
-        for (i, g) in gates.iter().enumerate() {
-            if is_source(g) {
-                continue;
-            }
-            for inp in &g.inputs {
-                fanout_edges[fan_cursor[inp.index()] as usize] = i as u32;
-                fan_cursor[inp.index()] += 1;
-            }
-        }
+        let (fanout_starts, fanout_edges) = fanout;
         SoaIr {
             kinds,
             ops,
@@ -951,74 +957,43 @@ impl NetlistBuilder {
             }
         }
         // Kahn levelization over combinational gates; DFF/Input/Const are
-        // sources.
-        let mut indeg = vec![0usize; n];
-        let mut fan: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, g) in self.gates.iter().enumerate() {
-            if matches!(
-                g.kind,
-                GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-            ) {
-                continue;
-            }
-            for &inp in &g.inputs {
-                let src = &self.gates[inp.index()];
-                if !matches!(
-                    src.kind,
-                    GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-                ) {
-                    indeg[i] += 1;
-                    fan[inp.index()].push(i);
-                }
-            }
+        // sources. It walks the readers table the SoA view keeps, and the
+        // topological order doubles as the FIFO queue.
+        let comb = |i: usize| !self.gates[i].kind.is_source();
+        let (starts, readers) = comb_readers(&self.gates);
+        let mut indeg = vec![0u32; n];
+        for i in (0..n).filter(|&i| comb(i)) {
+            indeg[i] = self.gates[i]
+                .inputs
+                .iter()
+                .filter(|inp| comb(inp.index()))
+                .count() as u32;
         }
-        let mut queue: Vec<usize> = (0..n)
-            .filter(|&i| {
-                indeg[i] == 0
-                    && !matches!(
-                        self.gates[i].kind,
-                        GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-                    )
-            })
+        let mut topo: Vec<GateId> = (0..n)
+            .filter(|&i| indeg[i] == 0 && comb(i))
+            .map(|i| GateId(i as u32))
             .collect();
-        let mut topo = Vec::new();
         let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
+        while head < topo.len() {
+            let u = topo[head].index();
             head += 1;
-            topo.push(GateId(u as u32));
-            for &v in &fan[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
+            for &v in &readers[starts[u] as usize..starts[u + 1] as usize] {
+                indeg[v as usize] -= 1;
+                if indeg[v as usize] == 0 {
+                    topo.push(GateId(v));
                 }
             }
         }
-        let comb_count = self
-            .gates
-            .iter()
-            .filter(|g| {
-                !matches!(
-                    g.kind,
-                    GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-                )
-            })
-            .count();
+        let comb_count = (0..n).filter(|&i| comb(i)).count();
         if topo.len() != comb_count {
             let stuck = (0..n)
-                .find(|&i| {
-                    indeg[i] > 0
-                        && !matches!(
-                            self.gates[i].kind,
-                            GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
-                        )
-                })
+                .find(|&i| indeg[i] > 0 && comb(i))
                 .expect("some gate is on the cycle");
             return Err(NetlistError::CombinationalCycle {
                 gate: GateId(stuck as u32),
             });
         }
-        let soa = SoaIr::build(&self.gates, &topo);
+        let soa = SoaIr::build(&self.gates, &topo, (starts, readers));
         Ok(Netlist {
             name: self.name,
             gates: self.gates,

@@ -17,26 +17,27 @@ pub fn strongly_connected_components(g: &SGraph) -> Vec<Vec<NodeId>> {
     let mut next_index = 0usize;
     let mut comps = Vec::new();
 
-    // Iterative Tarjan with an explicit call stack of (node, succ cursor).
+    // Iterative Tarjan with an explicit call stack of (node, successors
+    // not yet followed).
+    let mut call = Vec::new();
     for start in 0..n {
         if index[start] != usize::MAX {
             continue;
         }
-        let mut call: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
-            if *cursor == 0 {
+        call.push((start, g.successors(NodeId(start as u32))));
+        while let Some((v, succs)) = call.last_mut() {
+            let v = *v;
+            if index[v] == usize::MAX {
                 index[v] = next_index;
                 low[v] = next_index;
                 next_index += 1;
                 stack.push(v);
                 on_stack[v] = true;
             }
-            let succs: Vec<usize> = g.successors(NodeId(v as u32)).map(|s| s.index()).collect();
-            if *cursor < succs.len() {
-                let w = succs[*cursor];
-                *cursor += 1;
+            if let Some(w) = succs.next() {
+                let w = w.index();
                 if index[w] == usize::MAX {
-                    call.push((w, 0));
+                    call.push((w, g.successors(NodeId(w as u32))));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
@@ -55,8 +56,8 @@ pub fn strongly_connected_components(g: &SGraph) -> Vec<Vec<NodeId>> {
                     comps.push(comp);
                 }
                 call.pop();
-                if let Some(&mut (parent, _)) = call.last_mut() {
-                    low[parent] = low[parent].min(low[v]);
+                if let Some((parent, _)) = call.last() {
+                    low[*parent] = low[*parent].min(low[v]);
                 }
             }
         }

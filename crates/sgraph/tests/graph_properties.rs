@@ -1,5 +1,7 @@
 //! Property tests for the S-graph algorithms on random digraphs.
 
+use std::collections::BTreeSet;
+
 use hlstb_sgraph::cycles::{enumerate_cycles, CycleLimits};
 use hlstb_sgraph::depth::sequential_depth;
 use hlstb_sgraph::mfvs::{is_feedback_vertex_set, minimum_feedback_vertex_set, MfvsOptions};
@@ -7,17 +9,71 @@ use hlstb_sgraph::scc::{cyclic_components, strongly_connected_components};
 use hlstb_sgraph::{NodeId, SGraph};
 use proptest::prelude::*;
 
-fn graph_strategy() -> impl Strategy<Value = SGraph> {
+/// Digraphs of 2 to `max_nodes` nodes with fewer than `max_edges`
+/// edges, self-loops included.
+fn graphs(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = SGraph> {
     (
-        2usize..14,
-        proptest::collection::vec((0u32..14, 0u32..14), 0..50),
+        2..max_nodes + 1,
+        proptest::collection::vec((0..max_nodes + 1, 0..max_nodes + 1), 0..max_edges),
     )
         .prop_map(|(n, edges)| {
-            SGraph::from_edges(
-                n,
-                edges.into_iter().map(|(a, b)| (a % n as u32, b % n as u32)),
-            )
+            SGraph::from_edges(n as usize, edges.into_iter().map(|(a, b)| (a % n, b % n)))
         })
+}
+
+fn graph_strategy() -> impl Strategy<Value = SGraph> {
+    graphs(13, 50)
+}
+
+/// The size of a true minimum FVS, found by trying vertex subsets in
+/// increasing size: an oracle that shares no code with the solver.
+fn brute_force_minimum(g: &SGraph, tolerate_self_loops: bool) -> usize {
+    let n = g.num_nodes();
+    let mut subsets: Vec<u32> = (0..1u32 << n).collect();
+    subsets.sort_by_key(|s| s.count_ones());
+    let smallest = subsets
+        .into_iter()
+        .find(|&s| {
+            let set: BTreeSet<NodeId> = (0..n as u32)
+                .filter(|&i| s >> i & 1 == 1)
+                .map(NodeId)
+                .collect();
+            is_feedback_vertex_set(g, &set, tolerate_self_loops)
+        })
+        .expect("removing every node breaks every cycle");
+    smallest.count_ones() as usize
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Against the brute-force oracle, under both self-loop settings:
+    /// the set is an FVS; `optimal` holds exactly when every cyclic
+    /// component the solver sees (after forced self-loop nodes leave)
+    /// is within `exact_threshold`; and then the set is minimum.
+    #[test]
+    fn mfvs_matches_a_brute_force_minimum(g in graphs(12, 36), threshold in 0usize..13) {
+        for tolerate_self_loops in [true, false] {
+            let fvs = minimum_feedback_vertex_set(
+                &g,
+                MfvsOptions { tolerate_self_loops, exact_threshold: threshold },
+            );
+            prop_assert!(is_feedback_vertex_set(&g, &fvs.nodes, tolerate_self_loops));
+            let forced: BTreeSet<NodeId> = g
+                .nodes()
+                .filter(|&n| !tolerate_self_loops && g.has_self_loop(n))
+                .collect();
+            let largest = cyclic_components(&g.without_nodes(&forced).0)
+                .iter()
+                .map(Vec::len)
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(fvs.optimal, largest <= threshold);
+            if fvs.optimal {
+                prop_assert_eq!(fvs.nodes.len(), brute_force_minimum(&g, tolerate_self_loops));
+            }
+        }
+    }
 }
 
 proptest! {
