@@ -14,6 +14,7 @@ use crate::fault::Fault;
 use crate::fsim::{scan_observed, ParallelOptions, TestFrame};
 use crate::logic5::V5;
 use crate::net::{GateId, GateKind, NetId, Netlist};
+use crate::soa::GradeSession;
 use crate::stats::GradeStats;
 
 /// Which nets the generator may assign and where it may observe.
@@ -518,11 +519,9 @@ pub fn generate_all_opts(
         effort: Effort::default(),
         timed_out: false,
     };
-    let mut stats = GradeStats::default();
-    let mut remaining: Vec<Fault> = faults.to_vec();
-    let observed = scan_observed(nl);
+    let mut session = GradeSession::new(nl, faults, &scan_observed(nl), grade_opts);
     let mut targeted = 0usize;
-    while let Some(fault) = remaining.first().copied() {
+    while let Some(&fault) = session.remaining().first() {
         // Cooperative cutoff between targets: the first fault is always
         // attempted, so a zero-budget run still makes deterministic
         // progress and the partial tallies stay consistent.
@@ -536,26 +535,21 @@ pub fn generate_all_opts(
         match status {
             FaultStatus::Detected(cube) => {
                 let frame = cube.to_frame(nl);
-                let frames = std::slice::from_ref(&frame);
-                let (sim, s) =
-                    crate::soa::grade_observed_opts(nl, &remaining, frames, &observed, grade_opts);
-                stats.absorb(&s);
-                let dropped = sim.detected.len().max(1);
-                run.detected += dropped;
-                remaining.retain(|f| !sim.detected.contains(f) && *f != fault);
+                run.detected += session.grade(std::slice::from_ref(&frame)).max(1);
+                session.drop_fault(fault);
                 run.patterns.push(frame);
             }
             FaultStatus::Untestable => {
                 run.untestable += 1;
-                remaining.retain(|f| *f != fault);
+                session.drop_fault(fault);
             }
             FaultStatus::Aborted => {
                 run.aborted += 1;
-                remaining.retain(|f| *f != fault);
+                session.drop_fault(fault);
             }
         }
     }
-    stats.faults = faults.len();
+    let (_, stats) = session.finish();
     // The fault-dropping sims poll the same deadline; a truncated drop
     // pass also leaves the run short of its full universe.
     run.timed_out |= stats.timed_out;

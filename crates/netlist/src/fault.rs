@@ -64,7 +64,13 @@ pub fn all_faults(nl: &Netlist) -> Vec<Fault> {
 /// The collapse only ever removes faults, so coverage percentages remain
 /// comparable between the full and collapsed universes.
 pub fn collapsed_faults(nl: &Netlist) -> Vec<Fault> {
-    let fanouts = nl.fanouts();
+    // Reads of each net, one per input pin (flip-flops included).
+    let mut readers = vec![0u32; nl.num_nets()];
+    for (_, g) in nl.gates() {
+        for inp in &g.inputs {
+            readers[inp.index()] += 1;
+        }
+    }
     let mut keep = Vec::new();
     for (id, g) in nl.gates() {
         if matches!(g.kind, GateKind::Const(_)) {
@@ -73,7 +79,7 @@ pub fn collapsed_faults(nl: &Netlist) -> Vec<Fault> {
         let drop = match g.kind {
             GateKind::Buf | GateKind::Not => {
                 let src = g.inputs[0];
-                fanouts[src.index()].len() == 1
+                readers[src.index()] == 1
                     && !matches!(nl.gate(crate::net::GateId(src.0)).kind, GateKind::Const(_))
             }
             _ => false,

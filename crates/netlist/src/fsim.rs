@@ -38,10 +38,10 @@
 //! ## The small-universe gate
 //!
 //! Spawning workers is not free: each worker pays the thread-spawn
-//! cost and builds its own scratch state, so for small fault universes
-//! the sharded engine is *slower* than the serial one (every benchmark
-//! design collapses to under ~2k faults, and sharding them measured
-//! behind serial grading).
+//! cost on every call and needs its own scratch state, so for small
+//! fault universes the sharded engine is *slower* than the serial one
+//! (every benchmark design collapses to under ~2k faults, and sharding
+//! them measured behind serial grading).
 //! [`ParallelOptions::min_faults_per_thread`] gates the shard count:
 //! the engine uses at most `faults / min_faults_per_thread` workers
 //! (never fewer than one), falling back to the serial path when the
@@ -298,7 +298,9 @@ pub fn comb_fault_sim_observed_opts(
     observed: &[NetId],
     opts: &ParallelOptions,
 ) -> (FaultSimSummary, GradeStats) {
-    let graded = crate::soa::grade_observed_opts(nl, faults, frames, observed, opts);
+    let mut session = crate::soa::GradeSession::new(nl, faults, observed, opts);
+    session.grade(frames);
+    let graded = session.finish();
     graded.1.trace_bridge();
     graded
 }
@@ -385,43 +387,54 @@ pub fn comb_fault_sim_oracle(
 
 /// The faulty-machine phase shared by combinational and sequential
 /// grading: runs `grade` over the fault universe on
-/// [`ParallelOptions::effective_threads`] workers, merges the shards'
-/// detected sets and work counters, and stamps the run's shape and
-/// phase walls onto the stats. `grade` sees one contiguous shard; a
-/// single worker grades in place without spawning. The public entry
-/// point that returns the stats journals them, once per run.
-pub(crate) fn fault_phase<G>(
+/// [`ParallelOptions::effective_threads`] workers, sums the shards' work
+/// counters, and stamps the run's shape and phase walls onto the stats.
+/// `grade` sees one contiguous shard, the matching slice of `hits` to
+/// set a verdict per fault in, and its own entry of `scratch`; the phase
+/// first grows `scratch` with `make` to one entry per worker, inside its
+/// timed wall, so a caller that keeps `scratch` across calls builds each
+/// entry once. A single worker grades in place without spawning. The
+/// public entry point that returns the stats journals them, once per
+/// run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fault_phase<S, G>(
     faults: &[Fault],
+    hits: &mut [bool],
+    scratch: &mut Vec<S>,
+    make: impl Fn() -> S,
     frames: usize,
     wall_good: Duration,
     opts: &ParallelOptions,
     grade: G,
-) -> (FaultSimSummary, GradeStats)
+) -> GradeStats
 where
-    G: Fn(&[Fault]) -> (BTreeSet<Fault>, GradeStats) + Sync,
+    S: Send,
+    G: Fn(&[Fault], &mut [bool], &mut S) -> GradeStats + Sync,
 {
     let span = hlstb_trace::span("fsim.fault");
     let start = Instant::now();
     let threads = opts.effective_threads(faults.len());
-    let (detected, mut stats) = if threads == 1 {
-        grade(faults)
+    if scratch.len() < threads {
+        scratch.resize_with(threads, make);
+    }
+    let mut stats = if threads == 1 {
+        grade(faults, hits, &mut scratch[0])
     } else {
-        let mut merged = BTreeSet::new();
+        let shard = faults.len().div_ceil(threads);
         let mut counts = GradeStats::default();
         std::thread::scope(|scope| {
             let grade = &grade;
             let handles: Vec<_> = faults
-                .chunks(faults.len().div_ceil(threads))
-                .map(|shard| scope.spawn(move || grade(shard)))
+                .chunks(shard)
+                .zip(hits.chunks_mut(shard))
+                .zip(scratch.iter_mut())
+                .map(|((faults, hits), scratch)| scope.spawn(move || grade(faults, hits, scratch)))
                 .collect();
             for handle in handles {
-                let (shard_detected, shard_counts) =
-                    handle.join().expect("grading worker panicked");
-                merged.extend(shard_detected);
-                counts.merge_counts(&shard_counts);
+                counts.merge_counts(&handle.join().expect("grading worker panicked"));
             }
         });
-        (merged, counts)
+        counts
     };
     stats.faults = faults.len();
     stats.frames = frames;
@@ -429,13 +442,7 @@ where
     stats.wall_good = wall_good;
     stats.wall_fault = start.elapsed();
     span.end();
-    (
-        FaultSimSummary {
-            detected,
-            total: faults.len(),
-        },
-        stats,
-    )
+    stats
 }
 
 /// Grades `faults` against an input sequence (64 parallel sequences per
@@ -505,8 +512,8 @@ pub fn seq_fault_sim_observed_masked_opts(
 
     let drop_detected = opts.drop_detected;
     let deadline = opts.deadline;
-    let graded = fault_phase(faults, vectors.len(), wall_good, opts, |shard| {
-        let mut detected = BTreeSet::new();
+    let mut hits = vec![false; faults.len()];
+    let phase = |shard: &[Fault], hits: &mut [bool], _: &mut ()| {
         let mut stats = GradeStats::default();
         for (fault_idx, &fault) in shard.iter().enumerate() {
             if fault_idx > 0 && fault_idx % DEADLINE_POLL_STRIDE == 0 && deadline.expired() {
@@ -535,14 +542,33 @@ pub fn seq_fault_sim_observed_masked_opts(
                 ff = next_state(nl, &values);
                 pin_state(nl, fault, &mut ff);
             }
-            if hit {
-                detected.insert(fault);
-            }
+            hits[fault_idx] = hit;
         }
-        (detected, stats)
-    });
-    graded.1.trace_bridge();
-    graded
+        stats
+    };
+    let stats = fault_phase(
+        faults,
+        &mut hits,
+        &mut Vec::new(),
+        || (),
+        vectors.len(),
+        wall_good,
+        opts,
+        phase,
+    );
+    stats.trace_bridge();
+    let detected = faults
+        .iter()
+        .zip(&hits)
+        .filter_map(|(&f, &hit)| hit.then_some(f))
+        .collect();
+    (
+        FaultSimSummary {
+            detected,
+            total: faults.len(),
+        },
+        stats,
+    )
 }
 
 /// A stuck flip-flop output keeps its sampled state pinned as well.

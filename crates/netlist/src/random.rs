@@ -5,12 +5,23 @@
 //! curve saturates (random-pattern-resistant faults). The arithmetic
 //! BIST experiment (E13) compares these curves for accumulator-generated
 //! versus LFSR-like uniform patterns.
+//!
+//! Both runners grade one 64-pattern batch per curve point, all through
+//! one grading session of the [`crate::soa`] engine: its tables and
+//! scratch are built once per run, and each batch grades only the faults
+//! no earlier batch detected. [`random_pattern_oracle`] rebuilds the
+//! random curve with the naive oracle, for the differential checks.
+
+use std::collections::BTreeSet;
 
 use rand::Rng;
 
 use crate::fault::Fault;
-use crate::fsim::{scan_observed, FaultSimSummary, ParallelOptions, TestFrame};
+use crate::fsim::{
+    comb_fault_sim_oracle, scan_observed, FaultSimSummary, ParallelOptions, TestFrame,
+};
 use crate::net::Netlist;
+use crate::soa::GradeSession;
 use crate::stats::GradeStats;
 
 /// A point on a coverage curve.
@@ -70,11 +81,8 @@ pub fn random_pattern_run_opts<R: Rng>(
 ) -> (RandomRun, GradeStats) {
     let _span = hlstb_trace::span("fsim.grade");
     let batches = max_patterns.div_ceil(64).max(1);
-    let mut detected = std::collections::BTreeSet::new();
     let mut curve = Vec::with_capacity(batches);
-    let mut remaining: Vec<Fault> = faults.to_vec();
-    let observed = scan_observed(nl);
-    let mut stats = GradeStats::default();
+    let mut session = GradeSession::new(nl, faults, &scan_observed(nl), opts);
     let mut timed_out = false;
     for bi in 0..batches {
         // Cooperative cutoff between batches. The first batch always
@@ -98,12 +106,7 @@ pub fn random_pattern_run_opts<R: Rng>(
             (0..nl.dffs().len()).map(|_| rng.gen()).collect(),
             live,
         );
-        let (r, s) = crate::soa::grade_observed_opts(nl, &remaining, &[frame], &observed, opts);
-        stats.absorb(&s);
-        for f in r.detected {
-            detected.insert(f);
-        }
-        remaining.retain(|f| !detected.contains(f));
+        session.grade(&[frame]);
         // The final batch is padded to a full 64-pattern word; label the
         // point with the patterns actually requested, not the padding.
         // A zero request still grades one whole word and says so.
@@ -114,25 +117,74 @@ pub fn random_pattern_run_opts<R: Rng>(
         };
         curve.push(CoveragePoint {
             patterns: applied,
-            coverage_percent: 100.0 * detected.len() as f64 / faults.len().max(1) as f64,
+            coverage_percent: 100.0 * session.detected_count() as f64 / faults.len().max(1) as f64,
         });
-        if remaining.is_empty() {
+        if session.remaining().is_empty() {
             break;
         }
     }
-    stats.faults = faults.len();
+    let (summary, stats) = session.finish();
     stats.trace_bridge();
     let run = RandomRun {
         curve,
-        summary: FaultSimSummary {
-            detected,
-            total: faults.len(),
-        },
+        summary,
         // An in-batch truncation (the fsim shards poll the same
         // deadline) also makes the curve partial.
         timed_out: timed_out || stats.timed_out,
     };
     (run, stats)
+}
+
+/// The naive reference for [`random_pattern_run`]: the same rng draws
+/// and batches (the final one lane-masked to the budget, a zero budget
+/// grading one whole word), each batch graded over the whole universe by
+/// [`comb_fault_sim_oracle`] and the detections accumulated, stopping
+/// once every fault is detected. It shares no grading code with the
+/// engine; `hlstb soa-check` and the differential suites hold the
+/// engine's curves and detected sets to it.
+pub fn random_pattern_oracle<R: Rng>(
+    nl: &Netlist,
+    faults: &[Fault],
+    max_patterns: usize,
+    rng: &mut R,
+) -> RandomRun {
+    let observed = scan_observed(nl);
+    let mut detected = BTreeSet::new();
+    let mut curve = Vec::new();
+    let mut applied = 0;
+    while curve.is_empty() || applied < max_patterns {
+        let live = if max_patterns == 0 {
+            64
+        } else {
+            64.min(max_patterns - applied)
+        };
+        let frame = TestFrame::with_lanes(
+            (0..nl.inputs().len()).map(|_| rng.gen()).collect(),
+            (0..nl.dffs().len()).map(|_| rng.gen()).collect(),
+            live,
+        );
+        detected.extend(
+            comb_fault_sim_oracle(nl, faults, &[frame], &observed)
+                .0
+                .detected,
+        );
+        applied += live;
+        curve.push(CoveragePoint {
+            patterns: applied,
+            coverage_percent: 100.0 * detected.len() as f64 / faults.len().max(1) as f64,
+        });
+        if faults.iter().all(|f| detected.contains(f)) {
+            break;
+        }
+    }
+    RandomRun {
+        curve,
+        summary: FaultSimSummary {
+            detected,
+            total: faults.len(),
+        },
+        timed_out: false,
+    }
 }
 
 /// Grades a caller-supplied pattern source (e.g. an arithmetic/
@@ -164,14 +216,11 @@ pub fn pattern_source_run_opts(
     opts: &ParallelOptions,
 ) -> (RandomRun, GradeStats) {
     let _span = hlstb_trace::span("fsim.grade");
-    let mut detected = std::collections::BTreeSet::new();
     let mut curve = Vec::new();
-    let mut remaining: Vec<Fault> = faults.to_vec();
-    let observed = scan_observed(nl);
+    let mut session = GradeSession::new(nl, faults, &scan_observed(nl), opts);
     let mut applied = 0usize;
-    let mut stats = GradeStats::default();
     let mut timed_out = false;
-    while applied < max_patterns && !remaining.is_empty() {
+    while applied < max_patterns && !session.remaining().is_empty() {
         if applied > 0 && opts.deadline.expired() {
             timed_out = true;
             break;
@@ -199,25 +248,17 @@ pub fn pattern_source_run_opts(
         // A partial word's high lanes are zero-filled, not real
         // patterns; mask them out of detection.
         let frame = TestFrame::with_lanes(pi, ff, count);
-        let (r, s) = crate::soa::grade_observed_opts(nl, &remaining, &[frame], &observed, opts);
-        stats.absorb(&s);
-        for f in r.detected {
-            detected.insert(f);
-        }
-        remaining.retain(|f| !detected.contains(f));
+        session.grade(&[frame]);
         curve.push(CoveragePoint {
             patterns: applied,
-            coverage_percent: 100.0 * detected.len() as f64 / faults.len().max(1) as f64,
+            coverage_percent: 100.0 * session.detected_count() as f64 / faults.len().max(1) as f64,
         });
     }
-    stats.faults = faults.len();
+    let (summary, stats) = session.finish();
     stats.trace_bridge();
     let run = RandomRun {
         curve,
-        summary: FaultSimSummary {
-            detected,
-            total: faults.len(),
-        },
+        summary,
         timed_out: timed_out || stats.timed_out,
     };
     (run, stats)

@@ -32,11 +32,15 @@
 //! Deadline polling is re-derived in fault-eval units via
 //! [`crate::fsim::deadline_poll_stride`] so zero-budget sweeps grade
 //! the same deterministic prefix at every word width.
+//!
+//! Every call of a grading run (a 64-pattern batch of a coverage curve,
+//! an ATPG fault-dropping pass, or the one call of
+//! [`crate::fsim::comb_fault_sim_observed_opts`]) grades through the
+//! run's one `GradeSession`, which builds the observation tables and
+//! per-shard scratch once and drops detected faults by position.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
-use crate::deadline::Deadline;
 use crate::fault::Fault;
 use crate::fsim::{deadline_poll_stride, fault_phase, FaultSimSummary, ParallelOptions, TestFrame};
 use crate::net::{GateKind, NetId, Netlist, SoaIr};
@@ -133,22 +137,27 @@ impl ObsTables {
     }
 }
 
-/// Per-worker reusable state: an epoch-marked faulty-value overlay
-/// (unmarked nets read through to the good values), one worklist bucket
-/// per level, and the per-chunk stem-observability memo. One `mark`
-/// word per net carries both scheduling states — `2 * epoch` once
-/// enqueued, `2 * epoch + 1` once a changed value is stamped — so the
-/// hot loops touch a single side array.
+/// Per-shard reusable state, kept for a whole session: an epoch-marked
+/// faulty-value overlay (unmarked nets read through to the good values),
+/// one worklist bucket per level, and the per-chunk stem-observability
+/// memo. One `mark` word per net carries both scheduling states —
+/// `2 * epoch` once enqueued, `2 * epoch + 1` once a changed value is
+/// stamped — so the hot loops touch a single side array.
 struct EventScratch<const N: usize> {
     val: Vec<PatternWord<N>>,
     mark: Vec<u64>,
     epoch: u64,
     buckets: Vec<Vec<u32>>,
     /// Stem → observability word, valid when `stem_stamp[stem]` equals
-    /// the current chunk index + 1. Shared by every fault in the shard
-    /// that funnels into the stem, for either stuck-at polarity.
+    /// the stamp of the chunk being graded. Shared by every fault in the
+    /// shard that funnels into the stem, for either stuck-at polarity.
     stem_obs: Vec<PatternWord<N>>,
     stem_stamp: Vec<u64>,
+    /// Chunks graded with this scratch over every call of its session.
+    /// Chunk `c` of a call is stamped `chunks + c + 1`, so a memo left
+    /// by an earlier call (other frames at the same chunk index) never
+    /// matches.
+    chunks: u64,
 }
 
 impl<const N: usize> EventScratch<N> {
@@ -160,6 +169,7 @@ impl<const N: usize> EventScratch<N> {
             buckets: vec![Vec::new(); levels],
             stem_obs: vec![word::zeros(); nets],
             stem_stamp: vec![0; nets],
+            chunks: 0,
         }
     }
 }
@@ -315,7 +325,9 @@ fn stem_flip_obs<const N: usize>(
                     // drop the stale entries so the next pass starts
                     // from empty buckets.
                     stats.early_exits += 1;
-                    for b in &mut scratch.buckets[lvl..=hi] {
+                    bucket.clear();
+                    scratch.buckets[lvl] = bucket;
+                    for b in &mut scratch.buckets[lvl + 1..=hi] {
                         b.clear();
                     }
                     return obs_word;
@@ -401,25 +413,27 @@ impl<const N: usize> WideTrace<N> {
     }
 }
 
-/// Grades one contiguous fault shard against the shared wide trace.
+/// Grades one contiguous fault shard against the shared wide trace,
+/// setting `hits[i]` when `shard[i]` is detected.
 fn grade_shard<const N: usize>(
     soa: &SoaIr,
     obs: &ObsTables,
     trace: &WideTrace<N>,
+    opts: &ParallelOptions,
     shard: &[Fault],
-    drop_detected: bool,
-    deadline: Deadline,
-) -> (BTreeSet<Fault>, GradeStats) {
-    let mut detected = BTreeSet::new();
+    hits: &mut [bool],
+    scratch: &mut EventScratch<N>,
+) -> GradeStats {
     let mut stats = GradeStats::default();
-    let mut scratch = EventScratch::<N>::new(trace.nets, soa.level_count().max(1));
+    let stamp_base = scratch.chunks;
+    scratch.chunks += trace.chunks() as u64;
     let stride = deadline_poll_stride(N);
     let zero: PatternWord<N> = word::zeros();
     for (fault_idx, &fault) in shard.iter().enumerate() {
         // Cooperative cutoff between faults, at the width-scaled
         // stride; the first stride always grades, which keeps
         // zero-budget runs deterministic.
-        if fault_idx > 0 && fault_idx % stride == 0 && deadline.expired() {
+        if fault_idx > 0 && fault_idx % stride == 0 && opts.deadline.expired() {
             stats.timed_out = true;
             break;
         }
@@ -432,7 +446,7 @@ fn grade_shard<const N: usize>(
         let stuck_word: PatternWord<N> = word::splat(fault.stuck_at_one);
         let mut hit = false;
         for c in 0..trace.chunks() {
-            if hit && drop_detected {
+            if hit && opts.drop_detected {
                 stats.dropped += trace.active[c..].iter().sum::<usize>() as u64;
                 break;
             }
@@ -474,13 +488,14 @@ fn grade_shard<const N: usize>(
             }
             // The stem observability word is shared by every fault of
             // this region, for either polarity; memoized per chunk.
-            let ow = if scratch.stem_stamp[n as usize] == c as u64 + 1 {
+            let stamp = stamp_base + c as u64 + 1;
+            let ow = if scratch.stem_stamp[n as usize] == stamp {
                 stats.stem_memo_hits += 1;
                 scratch.stem_obs[n as usize]
             } else {
                 stats.stem_memo_misses += 1;
-                let w = stem_flip_obs(soa, obs, good, mask, n, &mut scratch, &mut stats);
-                scratch.stem_stamp[n as usize] = c as u64 + 1;
+                let w = stem_flip_obs(soa, obs, good, mask, n, scratch, &mut stats);
+                scratch.stem_stamp[n as usize] = stamp;
                 scratch.stem_obs[n as usize] = w;
                 w
             };
@@ -488,55 +503,178 @@ fn grade_shard<const N: usize>(
                 hit = true;
             }
         }
-        if hit {
-            detected.insert(fault);
-        }
+        hits[fault_idx] = hit;
     }
-    (detected, stats)
+    stats
 }
 
-fn run<const N: usize>(
+/// Grades `faults` against `frames` with the session's tables and
+/// per-shard scratch (grown to the call's shard count on first need),
+/// setting `hits[i]` when `faults[i]` is detected.
+fn grade_frames<const N: usize>(
     nl: &Netlist,
+    obs: &ObsTables,
+    opts: &ParallelOptions,
     faults: &[Fault],
     frames: &[TestFrame],
-    observed: &[NetId],
-    opts: &ParallelOptions,
-) -> (FaultSimSummary, GradeStats) {
+    hits: &mut [bool],
+    scratch: &mut Vec<EventScratch<N>>,
+) -> GradeStats {
     let good_span = hlstb_trace::span("fsim.good");
     let good_start = Instant::now();
     let trace = WideTrace::<N>::new(nl, frames);
-    let obs = ObsTables::new(nl, observed);
     let wall_good = good_start.elapsed();
     good_span.end();
 
     let soa = nl.soa();
-    let drop_detected = opts.drop_detected;
-    let deadline = opts.deadline;
-    fault_phase(faults, frames.len(), wall_good, opts, |shard| {
-        grade_shard(soa, &obs, &trace, shard, drop_detected, deadline)
-    })
+    fault_phase(
+        faults,
+        hits,
+        scratch,
+        || EventScratch::new(nl.num_nets(), soa.level_count().max(1)),
+        frames.len(),
+        wall_good,
+        opts,
+        |shard, hits, scratch| grade_shard(soa, obs, &trace, opts, shard, hits, scratch),
+    )
 }
 
-/// The engine entry point, which journals nothing: its public wrapper
-/// [`crate::fsim::comb_fault_sim_observed_opts`] journals each call's
-/// stats, the random, pattern-source and ATPG loops their total.
-/// Dispatches on the configured word width.
-pub(crate) fn grade_observed_opts(
-    nl: &Netlist,
-    faults: &[Fault],
-    frames: &[TestFrame],
-    observed: &[NetId],
-    opts: &ParallelOptions,
-) -> (FaultSimSummary, GradeStats) {
-    match opts.word_width {
-        WordWidth::W64 => run::<1>(nl, faults, frames, observed, opts),
-        WordWidth::W256 => run::<4>(nl, faults, frames, observed, opts),
-        WordWidth::W512 => run::<8>(nl, faults, frames, observed, opts),
+/// Per-shard scratch at the session's word width.
+enum Scratch {
+    W64(Vec<EventScratch<1>>),
+    W256(Vec<EventScratch<4>>),
+    W512(Vec<EventScratch<8>>),
+}
+
+/// One grading run of the combinational engine, for one netlist,
+/// observation set and [`ParallelOptions`]. It is built once per run and
+/// owns everything the run's calls share: the observation tables, one
+/// event scratch per shard (built by the first call that grades, which
+/// has the most shards, since the undetected list only shrinks), and the
+/// undetected faults, in universe order. Each [`grade`](Self::grade)
+/// call drops the faults it detects by position;
+/// [`finish`](Self::finish) builds the detected set and returns the
+/// run's summed work. It journals nothing: the public entry points
+/// journal the stats `finish` returns, once per run.
+pub(crate) struct GradeSession<'a> {
+    nl: &'a Netlist,
+    opts: ParallelOptions,
+    obs: ObsTables,
+    scratch: Scratch,
+    /// Undetected faults, in universe order.
+    remaining: Vec<Fault>,
+    /// The last call's verdict per position of `remaining`.
+    hits: Vec<bool>,
+    /// The distinct detected faults, in detection order.
+    detected: Vec<Fault>,
+    /// Whether a fault is in `detected`, at `2 * net + stuck_at_one`.
+    seen: Vec<bool>,
+    total: usize,
+    stats: GradeStats,
+}
+
+impl<'a> GradeSession<'a> {
+    /// Builds the session for grading `faults` of `nl` at `observed`.
+    pub(crate) fn new(
+        nl: &'a Netlist,
+        faults: &[Fault],
+        observed: &[NetId],
+        opts: &ParallelOptions,
+    ) -> GradeSession<'a> {
+        let start = Instant::now();
+        let obs = ObsTables::new(nl, observed);
+        let scratch = match opts.word_width {
+            WordWidth::W64 => Scratch::W64(Vec::new()),
+            WordWidth::W256 => Scratch::W256(Vec::new()),
+            WordWidth::W512 => Scratch::W512(Vec::new()),
+        };
+        GradeSession {
+            nl,
+            opts: *opts,
+            obs,
+            scratch,
+            remaining: faults.to_vec(),
+            hits: Vec::new(),
+            detected: Vec::new(),
+            seen: vec![false; 2 * nl.num_nets()],
+            total: faults.len(),
+            stats: GradeStats {
+                wall_good: start.elapsed(),
+                ..GradeStats::default()
+            },
+        }
+    }
+
+    /// The faults not detected yet, in universe order.
+    pub(crate) fn remaining(&self) -> &[Fault] {
+        &self.remaining
+    }
+
+    /// How many distinct faults have been detected so far.
+    pub(crate) fn detected_count(&self) -> usize {
+        self.detected.len()
+    }
+
+    /// Grades the undetected faults against `frames`, drops the ones
+    /// detected, and returns how many distinct faults were new.
+    pub(crate) fn grade(&mut self, frames: &[TestFrame]) -> usize {
+        let before = self.detected_count();
+        self.hits.clear();
+        self.hits.resize(self.remaining.len(), false);
+        let (nl, obs, opts) = (self.nl, &self.obs, &self.opts);
+        let (faults, hits) = (&self.remaining[..], &mut self.hits[..]);
+        let stats = match &mut self.scratch {
+            Scratch::W64(s) => grade_frames(nl, obs, opts, faults, frames, hits, s),
+            Scratch::W256(s) => grade_frames(nl, obs, opts, faults, frames, hits, s),
+            Scratch::W512(s) => grade_frames(nl, obs, opts, faults, frames, hits, s),
+        };
+        self.stats.absorb(&stats);
+        // Recording the verdicts counts in the fault phase's wall, as
+        // the oracle's set building does in its own: the fsim headline
+        // compares the two walls.
+        let start = Instant::now();
+        let mut verdicts = self.hits.iter();
+        let (detected, seen) = (&mut self.detected, &mut self.seen);
+        self.remaining.retain(|&f| {
+            let hit = *verdicts.next().expect("one verdict per undetected fault");
+            let slot = 2 * f.net.index() + usize::from(f.stuck_at_one);
+            if hit && !std::mem::replace(&mut seen[slot], true) {
+                detected.push(f);
+            }
+            !hit
+        });
+        self.stats.wall_fault += start.elapsed();
+        self.detected_count() - before
+    }
+
+    /// Drops every undetected copy of `fault` without grading it: a
+    /// target the caller settled some other way.
+    pub(crate) fn drop_fault(&mut self, fault: Fault) {
+        self.remaining.retain(|&f| f != fault);
+    }
+
+    /// The run's detected set over the whole universe, and its work
+    /// summed over every call.
+    pub(crate) fn finish(self) -> (FaultSimSummary, GradeStats) {
+        let start = Instant::now();
+        let detected = self.detected.into_iter().collect();
+        let mut stats = self.stats;
+        stats.faults = self.total;
+        stats.wall_fault += start.elapsed();
+        (
+            FaultSimSummary {
+                detected,
+                total: self.total,
+            },
+            stats,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::fault::all_faults;
     use crate::net::NetlistBuilder;
@@ -617,6 +755,41 @@ mod tests {
         // The per-level slices tile the combinational order.
         let total: usize = (0..soa.level_count()).map(|l| soa.level(l).len()).sum();
         assert_eq!(total, nl.topo().len());
+    }
+
+    #[test]
+    fn a_session_drops_every_copy_and_counts_each_fault_once() {
+        let nl = mixed();
+        let base = all_faults(&nl);
+        // Every fault twice, and not ascending: both copies drop on the
+        // first hit and the fault counts once.
+        let faults: Vec<Fault> = base.iter().rev().chain(&base).copied().collect();
+        let observed = crate::fsim::scan_observed(&nl);
+        let frames: Vec<TestFrame> = (0..3u64)
+            .map(|k| {
+                let pi = (0..6)
+                    .map(|i| 0x2545_f491_4f6c_dd1du64.rotate_left((k * 5 + i) as u32))
+                    .collect();
+                TestFrame::with_lanes(pi, Vec::new(), 3)
+            })
+            .collect();
+        let mut session = GradeSession::new(&nl, &faults, &observed, &ParallelOptions::default());
+        let mut want = BTreeSet::new();
+        for frame in &frames {
+            let frame = std::slice::from_ref(frame);
+            let (oracle, _) = crate::fsim::comb_fault_sim_oracle(&nl, &base, frame, &observed);
+            let before = want.len();
+            want.extend(oracle.detected);
+            assert_eq!(session.grade(frame), want.len() - before);
+            assert_eq!(session.detected_count(), want.len());
+            assert_eq!(session.remaining().len(), 2 * (base.len() - want.len()));
+            assert!(session.remaining().iter().all(|f| !want.contains(f)));
+        }
+        let (summary, stats) = session.finish();
+        assert_eq!(summary.detected, want);
+        assert_eq!(summary.total, faults.len());
+        assert_eq!(stats.faults, faults.len());
+        assert_eq!(stats.frames, frames.len());
     }
 
     #[test]

@@ -3,15 +3,13 @@
 //! structure-of-arrays engine must reproduce the naive oracle's
 //! detected sets and coverage curves bit-for-bit at every word width.
 
-use std::collections::BTreeSet;
-
 use hlstb_netlist::fault::{all_faults, Fault};
 use hlstb_netlist::fsim::{
     comb_fault_sim_observed_opts, comb_fault_sim_opts, comb_fault_sim_oracle, lane_mask,
     scan_observed, FaultSimSummary, ParallelOptions, TestFrame,
 };
 use hlstb_netlist::net::{random_combinational, NetId, Netlist};
-use hlstb_netlist::random::{random_pattern_run_opts, CoveragePoint};
+use hlstb_netlist::random::{random_pattern_oracle, random_pattern_run_opts};
 use hlstb_netlist::stats::GradeStats;
 use hlstb_netlist::word::WordWidth;
 use proptest::prelude::*;
@@ -32,40 +30,6 @@ fn frames_for(nl: &Netlist, count: usize, rng: &mut StdRng) -> Vec<TestFrame> {
 /// The oracle on the default (scan) observation set.
 fn oracle(nl: &Netlist, faults: &[Fault], frames: &[TestFrame]) -> (FaultSimSummary, GradeStats) {
     comb_fault_sim_oracle(nl, faults, frames, &scan_observed(nl))
-}
-
-/// The oracle's coverage curve for `random_pattern_run_opts`: the same
-/// rng draws, one 64-pattern frame per batch with the final batch
-/// lane-masked to the budget, each batch's detections accumulated, and
-/// the run stopping once every fault is detected.
-fn oracle_curve(
-    nl: &Netlist,
-    faults: &[Fault],
-    budget: usize,
-    rng: &mut StdRng,
-) -> (Vec<CoveragePoint>, FaultSimSummary) {
-    let mut detected = BTreeSet::new();
-    let mut curve = Vec::new();
-    for bi in 0..budget.div_ceil(64) {
-        let frame = TestFrame::with_lanes(
-            (0..nl.inputs().len()).map(|_| rng.gen()).collect(),
-            (0..nl.dffs().len()).map(|_| rng.gen()).collect(),
-            budget - bi * 64,
-        );
-        detected.extend(oracle(nl, faults, &[frame]).0.detected);
-        curve.push(CoveragePoint {
-            patterns: ((bi + 1) * 64).min(budget),
-            coverage_percent: 100.0 * detected.len() as f64 / faults.len().max(1) as f64,
-        });
-        if detected.len() == faults.len() {
-            break;
-        }
-    }
-    let summary = FaultSimSummary {
-        detected,
-        total: faults.len(),
-    };
-    (curve, summary)
 }
 
 proptest! {
@@ -158,7 +122,8 @@ proptest! {
 
     /// Coverage curves from the pseudorandom runner are bit-identical
     /// (same rng consumption, same points) at every width to the curve
-    /// the oracle rebuilds over the same frames.
+    /// the oracle rebuilds over the same frames, also on two ungated
+    /// shards, whose per-shard scratch lives across the batches.
     #[test]
     fn coverage_curves_match(
         seed in 0u64..10_000,
@@ -168,14 +133,22 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let nl = random_combinational(5, gates, 2, &mut rng);
         let faults = all_faults(&nl);
-        let (curve, summary) =
-            oracle_curve(&nl, &faults, budget, &mut StdRng::seed_from_u64(seed ^ 0xC0FFEE));
+        let oracle =
+            random_pattern_oracle(&nl, &faults, budget, &mut StdRng::seed_from_u64(seed ^ 0xC0FFEE));
         for width in WordWidth::ALL {
-            let (soa, _) = random_pattern_run_opts(
-                &nl, &faults, budget, &mut StdRng::seed_from_u64(seed ^ 0xC0FFEE),
-                &ParallelOptions::with_width(width));
-            prop_assert_eq!(&soa.curve, &curve, "width {} seed {}", width, seed);
-            prop_assert_eq!(&soa.summary, &summary, "width {} seed {}", width, seed);
+            for threads in [1, 2] {
+                let opts = ParallelOptions {
+                    threads,
+                    min_faults_per_thread: 0,
+                    ..ParallelOptions::with_width(width)
+                };
+                let (soa, _) = random_pattern_run_opts(
+                    &nl, &faults, budget, &mut StdRng::seed_from_u64(seed ^ 0xC0FFEE), &opts);
+                prop_assert_eq!(&soa.curve, &oracle.curve,
+                                "width {} threads {} seed {}", width, threads, seed);
+                prop_assert_eq!(&soa.summary, &oracle.summary,
+                                "width {} threads {} seed {}", width, threads, seed);
+            }
         }
     }
 }

@@ -27,11 +27,14 @@ use hlstb::netlist::fault::collapsed_faults;
 use hlstb::netlist::fsim::{
     comb_fault_sim_opts, comb_fault_sim_oracle, scan_observed, ParallelOptions, TestFrame,
 };
+use hlstb::netlist::random::{random_pattern_oracle, random_pattern_run_opts};
 use hlstb::netlist::word::WordWidth;
 use hlstb::trace::Sinks;
 use hlstb_dse::cache::{CacheOutcome, StageCounts};
 use hlstb_dse::spec::{parse_policy, parse_scheduler, parse_strategy};
 use hlstb_dse::{run_sweep_with, run_sweep_workers, FailPlan, Recovery, SweepOptions, SweepSpec};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn designs() -> Vec<Cdfg> {
     benchmarks::all()
@@ -139,8 +142,10 @@ const USAGE: &str =
                                 the CI perf gate
   soa-check [design...]         grade each design (default: all) with the
                                 naive oracle and the SoA engine at every
-                                word width; fail on any detected-set
-                                difference (--grade N patterns, default 256)
+                                word width, one-shot and as a batched
+                                random-pattern run; fail on any detected-set
+                                or curve difference (--grade N patterns,
+                                default 256)
 options:
   --strategy  none|full-scan|gate-partial-scan|behavioral-partial-scan|
               loop-avoidance|bist-naive|bist-shared|k-level=<k>
@@ -1090,7 +1095,11 @@ fn perf_floor(files: &[&str]) -> Result<(), String> {
 
 /// Grades one full-scan design with the naive oracle, then with the SoA
 /// engine at every word width, and requires identical detected fault
-/// sets — the differential smoke behind `just soa-equiv`.
+/// sets — the differential smoke behind `just soa-equiv`. It then runs
+/// `random_pattern_run_opts` at every width, serial and on two ungated
+/// shards, and requires the curve and detected set the oracle rebuilds
+/// batch by batch over the same rng frames: one grading session serves
+/// every batch of those runs.
 fn soa_check(g: Cdfg, patterns: usize) -> Result<(), String> {
     let name = g.name().to_string();
     let d = SynthesisFlow::new(g)
@@ -1129,11 +1138,42 @@ fn soa_check(g: Cdfg, patterns: usize) -> Result<(), String> {
             ));
         }
     }
+    let seed = 0x5345_4544_0000_0001u64 ^ name.len() as u64;
+    let oracle = random_pattern_oracle(nl, &faults, patterns, &mut StdRng::seed_from_u64(seed));
+    for width in WordWidth::ALL {
+        for threads in [1, 2] {
+            let opts = ParallelOptions {
+                threads,
+                min_faults_per_thread: 0,
+                ..ParallelOptions::with_width(width)
+            };
+            let (run, _) = random_pattern_run_opts(
+                nl,
+                &faults,
+                patterns,
+                &mut StdRng::seed_from_u64(seed),
+                &opts,
+            );
+            if run.curve != oracle.curve || run.summary != oracle.summary {
+                return Err(format!(
+                    "soa-check: {name}: batched run at width {width} on {threads} thread(s) \
+                     detected {} faults in {} batches, oracle {} in {}",
+                    run.summary.detected.len(),
+                    run.curve.len(),
+                    oracle.summary.detected.len(),
+                    oracle.curve.len()
+                ));
+            }
+        }
+    }
     println!(
-        "soa-check: {name}: {} faults, {} detected ({:.1}%), widths 64/256/512 match",
+        "soa-check: {name}: {} faults, {} detected ({:.1}%), widths 64/256/512 match; \
+         batched: {} detected in {} batches, match",
         base.total,
         base.detected.len(),
-        base.coverage_percent()
+        base.coverage_percent(),
+        oracle.summary.detected.len(),
+        oracle.curve.len()
     );
     Ok(())
 }
