@@ -317,11 +317,11 @@ step_coalesce_smoke() {
 }
 
 # SoA differential smoke: the naive oracle and the SoA engine must
-# produce identical detected fault sets at every word width
-# (64/256/512) on two designs; `soa-check` exits nonzero on any
-# difference.
+# produce identical detected fault sets and batched coverage curves at
+# every word width (64/256/512) on all nine benchmark designs;
+# `soa-check` exits nonzero on any difference.
 step_soa_equiv() {
-    ./target/release/hlstb soa-check figure1 tseng
+    ./target/release/hlstb soa-check
 }
 
 # Digest smoke: a short perfbench run of the 297-point scoreboard sweep,

@@ -212,12 +212,10 @@ pub fn bist_coverage_table() -> Table {
     use hlstb::bist::selftest::bist_coverage_opts;
     use hlstb::bist::share::shared_plan;
     use hlstb::flow::SynthesisFlow;
-    use hlstb::netlist::fsim::ParallelOptions;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let costs = RegisterCosts::default();
-    let opts = ParallelOptions::default();
     let mut t = Table::new(
         "E17  Executable BIST: naive vs shared plan, gate-level coverage",
         &[
@@ -243,7 +241,6 @@ pub fn bist_coverage_table() -> Table {
             &naive,
             10,
             &mut StdRng::seed_from_u64(21),
-            &opts,
         );
         let (cs, ss) = bist_coverage_opts(
             &d.expanded,
@@ -251,7 +248,6 @@ pub fn bist_coverage_table() -> Table {
             &shared,
             10,
             &mut StdRng::seed_from_u64(21),
-            &opts,
         );
         t.row(vec![
             g.name().to_string(),

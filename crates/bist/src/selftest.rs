@@ -34,18 +34,17 @@ pub fn bist_coverage<R: Rng>(
     batches: usize,
     rng: &mut R,
 ) -> f64 {
-    bist_coverage_opts(exp, dp, plan, batches, rng, &ParallelOptions::default()).0
+    bist_coverage_opts(exp, dp, plan, batches, rng).0
 }
 
-/// [`bist_coverage`] with grading-engine options and the aggregated run
-/// instrumentation of every batch.
+/// [`bist_coverage`] with the aggregated run instrumentation of every
+/// batch.
 pub fn bist_coverage_opts<R: Rng>(
     exp: &ExpandedDatapath,
     dp: &Datapath,
     plan: &BistPlan,
     batches: usize,
     rng: &mut R,
-    opts: &ParallelOptions,
 ) -> (f64, GradeStats) {
     let nl = &exp.netlist;
     let (cs, ce) = exp.controller_nets;
@@ -102,7 +101,14 @@ pub fn bist_coverage_opts<R: Rng>(
         let vectors: Vec<Vec<u64>> = (0..cycles)
             .map(|_| (0..nl.inputs().len()).map(|_| rng.gen()).collect())
             .collect();
-        let (r, s) = seq_fault_sim_observed_opts(nl, &remaining, &vectors, &ff, &observed, opts);
+        let (r, s) = seq_fault_sim_observed_opts(
+            nl,
+            &remaining,
+            &vectors,
+            &ff,
+            &observed,
+            &ParallelOptions::default(),
+        );
         stats.absorb(&s);
         for f in r.detected {
             detected.insert(f);

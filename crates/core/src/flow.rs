@@ -19,7 +19,7 @@ use hlstb_sgraph::depth::sequential_depth;
 use hlstb_sgraph::mfvs::{minimum_feedback_vertex_set, MfvsOptions};
 use hlstb_sgraph::NodeId;
 
-use hlstb_netlist::atpg::{generate_all_opts, AtpgOptions};
+use hlstb_netlist::atpg::{generate_all, AtpgOptions};
 use hlstb_netlist::fsim::ParallelOptions;
 use hlstb_netlist::random::random_pattern_run_opts;
 use rand::rngs::StdRng;
@@ -211,7 +211,6 @@ pub struct SynthesisFlow {
     controller: ControllerMode,
     reset_controller: bool,
     grade_patterns: Option<usize>,
-    grade_threads: usize,
     run_atpg: bool,
 }
 
@@ -230,7 +229,6 @@ impl SynthesisFlow {
             controller: ControllerMode::Expanded,
             reset_controller: false,
             grade_patterns: None,
-            grade_threads: 1,
             run_atpg: false,
         }
     }
@@ -294,13 +292,6 @@ impl SynthesisFlow {
     /// attaches an [`AtpgSummary`] to the report.
     pub fn grade_atpg(mut self, on: bool) -> Self {
         self.run_atpg = on;
-        self
-    }
-
-    /// Worker threads for the grading pass (default 1 — serial; the
-    /// detected fault set is identical at any thread count).
-    pub fn grade_threads(mut self, threads: usize) -> Self {
-        self.grade_threads = threads.max(1);
         self
     }
 
@@ -562,7 +553,7 @@ impl SynthesisFlow {
                 faults,
                 patterns,
                 &mut rng,
-                &ParallelOptions::with_threads(self.grade_threads),
+                &ParallelOptions::default(),
             );
             let coverage_percent = run.summary.coverage_percent();
             random_detected = run.summary.detected;
@@ -581,12 +572,7 @@ impl SynthesisFlow {
                 .filter(|f| !random_detected.contains(f))
                 .copied()
                 .collect();
-            let (run, _) = generate_all_opts(
-                &expanded.netlist,
-                &residual,
-                &AtpgOptions::default(),
-                &ParallelOptions::with_threads(self.grade_threads),
-            );
+            let run = generate_all(&expanded.netlist, &residual, &AtpgOptions::default());
             let combined = random_detected.len() + run.detected;
             AtpgSummary {
                 targeted: residual.len(),
@@ -743,9 +729,8 @@ mod tests {
     }
 
     #[test]
-    fn grading_pass_attaches_coverage_and_is_thread_invariant() {
-        let g = benchmarks::figure1();
-        let base = SynthesisFlow::new(g.clone())
+    fn grading_pass_attaches_coverage() {
+        let base = SynthesisFlow::new(benchmarks::figure1())
             .strategy(DftStrategy::FullScan)
             .grade_random(256)
             .run()
@@ -758,21 +743,6 @@ mod tests {
         );
         assert_eq!(graded.patterns, 256);
         assert!(graded.stats.fault_evals > 0);
-        // Same design, 4 grading threads: identical coverage.
-        let par = SynthesisFlow::new(g)
-            .strategy(DftStrategy::FullScan)
-            .grade_random(256)
-            .grade_threads(4)
-            .run()
-            .unwrap();
-        let p = par.report.grading.as_ref().unwrap();
-        assert_eq!(p.coverage_percent, graded.coverage_percent);
-        // The engine records the *effective* worker count: the
-        // small-universe gate may collapse the requested 4 threads.
-        assert_eq!(
-            p.stats.threads,
-            ParallelOptions::with_threads(4).effective_threads(p.stats.faults)
-        );
         // The default flow stays grading-free (report shape unchanged).
         let plain = SynthesisFlow::new(benchmarks::figure1()).run().unwrap();
         assert!(plain.report.grading.is_none());

@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-/// An optional wall-clock cutoff, cheap to copy into worker shards.
+/// An optional wall-clock cutoff, cheap to copy into every grading loop.
 ///
 /// The default ([`Deadline::none`]) never expires, so engines behave
 /// exactly as before unless a caller opts in.

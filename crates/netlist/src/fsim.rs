@@ -28,28 +28,10 @@
 //! frame, and none of the screens above. The differential suites and
 //! `hlstb soa-check` compare the engine against it.
 //!
-//! With `threads > 1` combinational and sequential grading shard the
-//! fault universe contiguously across `std::thread::scope` workers, in
-//! one shared fault phase. Shards are disjoint and each fault's verdict
-//! depends only on the shared good-machine trace, so the merged result
-//! is bit-identical to the serial one regardless of scheduling — the
-//! default options keep the engine serial anyway.
-//!
-//! ## The small-universe gate
-//!
-//! Spawning workers is not free: each worker pays the thread-spawn
-//! cost on every call and needs its own scratch state, so for small
-//! fault universes the sharded engine is *slower* than the serial one
-//! (every benchmark design collapses to under ~2k faults, and sharding
-//! them measured behind serial grading).
-//! [`ParallelOptions::min_faults_per_thread`] gates the shard count:
-//! the engine uses at most `faults / min_faults_per_thread` workers
-//! (never fewer than one), falling back to the serial path when the
-//! universe cannot feed every worker at least that many faults. The
-//! gate changes only the schedule, never the detected set, and the
-//! *effective* worker count is what [`GradeStats::threads`] records.
-//! Set the field to `0` to disable the gate (tests and measurements
-//! that must exercise the sharded path do this).
+//! Every call grades on the caller's thread. Parallelism lives a layer
+//! up, in the sweep's lanes and workers and the daemon's executors:
+//! every benchmark design collapses to under ~2k faults, and sharding
+//! universes that small measured slower than grading them in one pass.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -129,25 +111,12 @@ impl FaultSimSummary {
     }
 }
 
-/// Options for the grading engine. The default — one thread, fault
-/// dropping on, 64-pattern words — reproduces the historical serial
-/// behavior and results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options for the grading engine: the width of its parallel-pattern
+/// word and a deadline. The default — 64-pattern words and no deadline
+/// — is what sweep and flow grading run with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelOptions {
-    /// Worker threads for the faulty-machine phase; `1` grades in place
-    /// without spawning.
-    pub threads: usize,
-    /// Skip a fault's remaining frames (combinational) or cycles
-    /// (sequential) once it is detected. Detection is monotone, so this
-    /// changes only the work done, never the detected set.
-    pub drop_detected: bool,
-    /// Minimum faults each worker shard must receive before the engine
-    /// spawns threads at all (see the module-level *small-universe
-    /// gate*). `0` disables the gate. The default,
-    /// [`DEFAULT_MIN_FAULTS_PER_THREAD`], keeps every benchmark-sized
-    /// universe on the serial path, where it is measurably faster.
-    pub min_faults_per_thread: usize,
-    /// Cooperative wall-clock cutoff. Shard loops poll it every
+    /// Cooperative wall-clock cutoff. Fault loops poll it every
     /// [`deadline_poll_stride`] faults and stop early with
     /// [`GradeStats::timed_out`] set; the default never expires.
     pub deadline: Deadline,
@@ -157,7 +126,7 @@ pub struct ParallelOptions {
     pub word_width: WordWidth,
 }
 
-/// How many faults a shard grades between deadline polls at the
+/// How many faults a fault loop grades between deadline polls at the
 /// historical one-lane width: often enough that an expired budget stops
 /// work promptly, rarely enough that the `Instant::now` syscall is
 /// invisible in the profile. Wider words poll at the scaled
@@ -173,7 +142,7 @@ pub const DEADLINE_POLL_STRIDE: usize = 64;
 /// worth of evaluation per fault chunk, so the fault stride shrinks by
 /// `L` to keep the work between polls — and therefore the worst-case
 /// overshoot past an expired deadline — roughly constant across widths.
-/// The stride never drops below one fault, and shard loops still skip
+/// The stride never drops below one fault, and fault loops still skip
 /// the poll before the first stride, so a zero-budget run always grades
 /// exactly one stride's worth of faults: deterministic at every width,
 /// with [`GradeStats::timed_out`] set the same way.
@@ -181,67 +150,13 @@ pub fn deadline_poll_stride(lanes: usize) -> usize {
     (DEADLINE_POLL_STRIDE / lanes.max(1)).max(1)
 }
 
-/// Default for [`ParallelOptions::min_faults_per_thread`]: below ~4k
-/// faults per worker, thread-spawn cost and per-worker scratch
-/// duplication outweigh the parallel win on every design we measure.
-pub const DEFAULT_MIN_FAULTS_PER_THREAD: usize = 4096;
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions {
-            threads: 1,
-            drop_detected: true,
-            min_faults_per_thread: DEFAULT_MIN_FAULTS_PER_THREAD,
-            deadline: Deadline::none(),
-            word_width: WordWidth::W64,
-        }
-    }
-}
-
 impl ParallelOptions {
-    /// The serial engine (the default).
-    pub fn serial() -> Self {
-        ParallelOptions::default()
-    }
-
-    /// The serial engine at the given pattern-word width.
+    /// The engine at the given pattern-word width.
     pub fn with_width(width: WordWidth) -> Self {
         ParallelOptions {
             word_width: width,
             ..ParallelOptions::default()
         }
-    }
-
-    /// An `n`-thread engine with fault dropping and the default
-    /// small-universe gate.
-    pub fn with_threads(n: usize) -> Self {
-        ParallelOptions {
-            threads: n.max(1),
-            ..ParallelOptions::default()
-        }
-    }
-
-    /// An `n`-thread engine with the small-universe gate disabled —
-    /// for tests and measurements that must exercise the sharded path
-    /// regardless of universe size.
-    pub fn with_threads_ungated(n: usize) -> Self {
-        ParallelOptions {
-            threads: n.max(1),
-            min_faults_per_thread: 0,
-            ..ParallelOptions::default()
-        }
-    }
-
-    /// Worker threads the engine will actually use for a universe of
-    /// `faults` faults: the requested count, capped by the universe
-    /// size and by the small-universe gate. This is the value recorded
-    /// in [`GradeStats::threads`].
-    pub fn effective_threads(&self, faults: usize) -> usize {
-        let mut t = self.threads.max(1).min(faults.max(1));
-        if let Some(full_shards) = faults.checked_div(self.min_faults_per_thread) {
-            t = t.min(full_shards.max(1));
-        }
-        t
     }
 }
 
@@ -309,7 +224,7 @@ pub fn comb_fault_sim_observed_opts(
 /// differential-tested against: for every fault and every frame, one
 /// full [`eval_comb`] with the fault forced, compared with the good
 /// machine on the `observed` nets under the frame's lane mask. Serial,
-/// with no cones, screens, fault dropping, threads, or deadline. Pass
+/// with no cones, screens, fault dropping, or deadline. Pass
 /// [`scan_observed`] for the observation set of [`comb_fault_sim`].
 ///
 /// The stats carry the run's shape, its work (`fault_evals` is always
@@ -371,7 +286,6 @@ pub fn comb_fault_sim_oracle(
         frames: frames.len(),
         fault_evals: (faults.len() * frames.len()) as u64,
         unobservable: faults.iter().filter(|f| !reaches[f.net.index()]).count() as u64,
-        threads: 1,
         wall_good,
         wall_fault,
         ..GradeStats::default()
@@ -386,59 +300,28 @@ pub fn comb_fault_sim_oracle(
 }
 
 /// The faulty-machine phase shared by combinational and sequential
-/// grading: runs `grade` over the fault universe on
-/// [`ParallelOptions::effective_threads`] workers, sums the shards' work
-/// counters, and stamps the run's shape and phase walls onto the stats.
-/// `grade` sees one contiguous shard, the matching slice of `hits` to
-/// set a verdict per fault in, and its own entry of `scratch`; the phase
-/// first grows `scratch` with `make` to one entry per worker, inside its
-/// timed wall, so a caller that keeps `scratch` across calls builds each
-/// entry once. A single worker grades in place without spawning. The
-/// public entry point that returns the stats journals them, once per
-/// run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fault_phase<S, G>(
+/// grading: runs `grade` over the fault universe, which sets a verdict
+/// per fault in `hits`, and stamps the run's shape and phase walls onto
+/// the stats it returns. `grade` works in `scratch`, which the phase
+/// first builds with `make` if it is empty, inside its timed wall, so a
+/// caller that keeps `scratch` across calls builds it once and a run
+/// that never grades builds none. The public entry point that returns
+/// the stats journals them, once per run.
+pub(crate) fn fault_phase<S>(
     faults: &[Fault],
     hits: &mut [bool],
-    scratch: &mut Vec<S>,
-    make: impl Fn() -> S,
+    scratch: &mut Option<S>,
+    make: impl FnOnce() -> S,
     frames: usize,
     wall_good: Duration,
-    opts: &ParallelOptions,
-    grade: G,
-) -> GradeStats
-where
-    S: Send,
-    G: Fn(&[Fault], &mut [bool], &mut S) -> GradeStats + Sync,
-{
+    grade: impl FnOnce(&[Fault], &mut [bool], &mut S) -> GradeStats,
+) -> GradeStats {
     let span = hlstb_trace::span("fsim.fault");
     let start = Instant::now();
-    let threads = opts.effective_threads(faults.len());
-    if scratch.len() < threads {
-        scratch.resize_with(threads, make);
-    }
-    let mut stats = if threads == 1 {
-        grade(faults, hits, &mut scratch[0])
-    } else {
-        let shard = faults.len().div_ceil(threads);
-        let mut counts = GradeStats::default();
-        std::thread::scope(|scope| {
-            let grade = &grade;
-            let handles: Vec<_> = faults
-                .chunks(shard)
-                .zip(hits.chunks_mut(shard))
-                .zip(scratch.iter_mut())
-                .map(|((faults, hits), scratch)| scope.spawn(move || grade(faults, hits, scratch)))
-                .collect();
-            for handle in handles {
-                counts.merge_counts(&handle.join().expect("grading worker panicked"));
-            }
-        });
-        counts
-    };
+    let scratch = scratch.get_or_insert_with(make);
+    let mut stats = grade(faults, hits, scratch);
     stats.faults = faults.len();
     stats.frames = frames;
-    stats.threads = threads;
     stats.wall_good = wall_good;
     stats.wall_fault = start.elapsed();
     span.end();
@@ -469,8 +352,8 @@ pub fn seq_fault_sim_opts(
 /// observed net differs in any cycle.
 ///
 /// The faulty machine replays the whole sequence per fault (state
-/// feedback defeats per-frame cone restriction), but the fault universe
-/// shards across threads exactly like the combinational engine.
+/// feedback defeats per-frame cone restriction) and stops at the first
+/// cycle that detects it.
 pub fn seq_fault_sim_observed_opts(
     nl: &Netlist,
     faults: &[Fault],
@@ -510,50 +393,42 @@ pub fn seq_fault_sim_observed_masked_opts(
     let wall_good = good_start.elapsed();
     good_span.end();
 
-    let drop_detected = opts.drop_detected;
-    let deadline = opts.deadline;
     let mut hits = vec![false; faults.len()];
-    let phase = |shard: &[Fault], hits: &mut [bool], _: &mut ()| {
+    let phase = |faults: &[Fault], hits: &mut [bool], _: &mut ()| {
         let mut stats = GradeStats::default();
-        for (fault_idx, &fault) in shard.iter().enumerate() {
-            if fault_idx > 0 && fault_idx % DEADLINE_POLL_STRIDE == 0 && deadline.expired() {
+        for (fault_idx, &fault) in faults.iter().enumerate() {
+            if fault_idx > 0 && fault_idx % DEADLINE_POLL_STRIDE == 0 && opts.deadline.expired() {
                 stats.timed_out = true;
                 break;
             }
             let mut ff = initial.to_vec();
             pin_state(nl, fault, &mut ff);
-            let mut hit = false;
             for (t, v) in vectors.iter().enumerate() {
-                if hit && drop_detected {
-                    stats.dropped += (vectors.len() - t) as u64;
-                    break;
-                }
                 stats.fault_evals += 1;
                 let values = eval_comb(nl, v, &ff, Some(forced(fault)));
-                if !hit {
-                    let differs = obs
-                        .iter()
-                        .zip(&good_trace[t])
-                        .any(|(&i, &g)| (values[i] ^ g) & lane_mask != 0);
-                    if differs {
-                        hit = true;
-                    }
+                let differs = obs
+                    .iter()
+                    .zip(&good_trace[t])
+                    .any(|(&i, &g)| (values[i] ^ g) & lane_mask != 0);
+                if differs {
+                    // Detected: the remaining cycles are dropped.
+                    stats.dropped += (vectors.len() - t - 1) as u64;
+                    hits[fault_idx] = true;
+                    break;
                 }
                 ff = next_state(nl, &values);
                 pin_state(nl, fault, &mut ff);
             }
-            hits[fault_idx] = hit;
         }
         stats
     };
     let stats = fault_phase(
         faults,
         &mut hits,
-        &mut Vec::new(),
+        &mut None,
         || (),
         vectors.len(),
         wall_good,
-        opts,
         phase,
     );
     stats.trace_bridge();
@@ -730,20 +605,12 @@ mod tests {
         let faults = all_faults(&nl);
         let frames = some_frames();
         let baseline = comb_fault_sim(&nl, &faults, &frames);
-        for threads in [1, 2, 4] {
-            for drop_detected in [false, true] {
-                // Gate disabled: the point is to exercise the sharded
-                // path even on this tiny universe.
-                let opts = ParallelOptions {
-                    threads,
-                    drop_detected,
-                    ..ParallelOptions::with_threads_ungated(1)
-                };
-                let (r, stats) = comb_fault_sim_opts(&nl, &faults, &frames, &opts);
-                assert_eq!(r, baseline, "threads={threads} drop={drop_detected}");
-                assert_eq!(stats.faults, faults.len());
-                assert_eq!(stats.frames, frames.len());
-            }
+        for width in crate::word::WordWidth::ALL {
+            let opts = ParallelOptions::with_width(width);
+            let (r, stats) = comb_fault_sim_opts(&nl, &faults, &frames, &opts);
+            assert_eq!(r, baseline, "width {width}");
+            assert_eq!(stats.faults, faults.len());
+            assert_eq!(stats.frames, frames.len());
         }
     }
 
@@ -788,14 +655,12 @@ mod tests {
             })
             .collect();
         let baseline = seq_fault_sim(&nl, &faults, &vectors);
-        for threads in [1, 3] {
-            let opts = ParallelOptions {
-                threads,
-                drop_detected: true,
-                ..ParallelOptions::with_threads_ungated(1)
-            };
+        // Sequential grading steps one 64-pattern word per cycle at any
+        // configured width.
+        for width in crate::word::WordWidth::ALL {
+            let opts = ParallelOptions::with_width(width);
             let (r, _) = seq_fault_sim_opts(&nl, &faults, &vectors, &opts);
-            assert_eq!(r, baseline, "threads={threads}");
+            assert_eq!(r, baseline, "width {width}");
         }
     }
 
@@ -804,15 +669,8 @@ mod tests {
         let nl = mixed_circuit();
         let faults = all_faults(&nl);
         let frames = some_frames();
-        let (kept, s_keep) = comb_fault_sim_opts(
-            &nl,
-            &faults,
-            &frames,
-            &ParallelOptions {
-                drop_detected: false,
-                ..ParallelOptions::default()
-            },
-        );
+        // The oracle never drops: it evaluates every (fault, frame).
+        let (kept, s_keep) = comb_fault_sim_oracle(&nl, &faults, &frames, &scan_observed(&nl));
         let (dropped, s_drop) =
             comb_fault_sim_opts(&nl, &faults, &frames, &ParallelOptions::default());
         assert_eq!(kept, dropped);

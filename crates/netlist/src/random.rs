@@ -69,9 +69,8 @@ pub fn random_pattern_run<R: Rng>(
 }
 
 /// [`random_pattern_run`] with engine options and aggregated run
-/// instrumentation. The batch loop already drops detected faults from
-/// the graded universe between batches; `opts` additionally controls
-/// sharding and in-batch dropping.
+/// instrumentation. Each batch grades only the faults no earlier batch
+/// detected; `opts` sets the pattern-word width and the deadline.
 pub fn random_pattern_run_opts<R: Rng>(
     nl: &Netlist,
     faults: &[Fault],
@@ -128,7 +127,7 @@ pub fn random_pattern_run_opts<R: Rng>(
     let run = RandomRun {
         curve,
         summary,
-        // An in-batch truncation (the fsim shards poll the same
+        // An in-batch truncation (the fault loop polls the same
         // deadline) also makes the curve partial.
         timed_out: timed_out || stats.timed_out,
     };
@@ -194,37 +193,14 @@ pub fn pattern_source_run(
     nl: &Netlist,
     faults: &[Fault],
     max_patterns: usize,
-    source: impl FnMut(usize) -> (Vec<bool>, Vec<bool>),
-) -> RandomRun {
-    pattern_source_run_opts(
-        nl,
-        faults,
-        max_patterns,
-        source,
-        &ParallelOptions::default(),
-    )
-    .0
-}
-
-/// [`pattern_source_run`] with engine options and aggregated run
-/// instrumentation.
-pub fn pattern_source_run_opts(
-    nl: &Netlist,
-    faults: &[Fault],
-    max_patterns: usize,
     mut source: impl FnMut(usize) -> (Vec<bool>, Vec<bool>),
-    opts: &ParallelOptions,
-) -> (RandomRun, GradeStats) {
+) -> RandomRun {
     let _span = hlstb_trace::span("fsim.grade");
     let mut curve = Vec::new();
-    let mut session = GradeSession::new(nl, faults, &scan_observed(nl), opts);
+    let mut session =
+        GradeSession::new(nl, faults, &scan_observed(nl), &ParallelOptions::default());
     let mut applied = 0usize;
-    let mut timed_out = false;
     while applied < max_patterns && !session.remaining().is_empty() {
-        if applied > 0 && opts.deadline.expired() {
-            timed_out = true;
-            break;
-        }
         // Pack up to 64 patterns into one frame.
         let count = 64.min(max_patterns - applied);
         let mut pi = vec![0u64; nl.inputs().len()];
@@ -256,12 +232,11 @@ pub fn pattern_source_run_opts(
     }
     let (summary, stats) = session.finish();
     stats.trace_bridge();
-    let run = RandomRun {
+    RandomRun {
         curve,
         summary,
-        timed_out: timed_out || stats.timed_out,
-    };
-    (run, stats)
+        timed_out: false,
+    }
 }
 
 #[cfg(test)]
@@ -427,7 +402,7 @@ mod tests {
             &faults,
             256,
             &mut StdRng::seed_from_u64(5),
-            &ParallelOptions::with_threads_ungated(2),
+            &ParallelOptions::with_width(crate::word::WordWidth::W512),
         );
         assert_eq!(plain.curve, opted.curve);
         assert_eq!(plain.summary, opted.summary);

@@ -36,11 +36,13 @@
 //! Every call of a grading run (a 64-pattern batch of a coverage curve,
 //! an ATPG fault-dropping pass, or the one call of
 //! [`crate::fsim::comb_fault_sim_observed_opts`]) grades through the
-//! run's one `GradeSession`, which builds the observation tables and
-//! per-shard scratch once and drops detected faults by position.
+//! run's one `GradeSession`, on the caller's thread. The session builds
+//! the observation tables and event scratch once and drops detected
+//! faults by position.
 
 use std::time::Instant;
 
+use crate::deadline::Deadline;
 use crate::fault::Fault;
 use crate::fsim::{deadline_poll_stride, fault_phase, FaultSimSummary, ParallelOptions, TestFrame};
 use crate::net::{GateKind, NetId, Netlist, SoaIr};
@@ -50,7 +52,7 @@ use crate::word::{self, PatternWord, WordWidth};
 /// Marker for nets that are stems (no unique forward path).
 const STEM: u32 = u32::MAX;
 
-/// Observation tables shared read-only by every grading worker.
+/// Observation tables, built once per session and read-only after.
 struct ObsTables {
     /// Net index → is an observation point.
     mark: Vec<bool>,
@@ -137,7 +139,7 @@ impl ObsTables {
     }
 }
 
-/// Per-shard reusable state, kept for a whole session: an epoch-marked
+/// Reusable grading state, kept for a whole session: an epoch-marked
 /// faulty-value overlay (unmarked nets read through to the good values),
 /// one worklist bucket per level, and the per-chunk stem-observability
 /// memo. One `mark` word per net carries both scheduling states —
@@ -149,8 +151,8 @@ struct EventScratch<const N: usize> {
     epoch: u64,
     buckets: Vec<Vec<u32>>,
     /// Stem → observability word, valid when `stem_stamp[stem]` equals
-    /// the stamp of the chunk being graded. Shared by every fault in the
-    /// shard that funnels into the stem, for either stuck-at polarity.
+    /// the stamp of the chunk being graded. Shared by every fault that
+    /// funnels into the stem, for either stuck-at polarity.
     stem_obs: Vec<PatternWord<N>>,
     stem_stamp: Vec<u64>,
     /// Chunks graded with this scratch over every call of its session.
@@ -350,8 +352,8 @@ fn stem_flip_obs<const N: usize>(
     obs_word
 }
 
-/// The wide good-machine trace plus per-chunk bookkeeping, shared
-/// read-only by the workers.
+/// The wide good-machine trace plus per-chunk bookkeeping, read-only
+/// while the faults are graded.
 struct WideTrace<const N: usize> {
     /// Chunk-major good values: `goods[c * nets + net]`.
     goods: Vec<PatternWord<N>>,
@@ -413,14 +415,14 @@ impl<const N: usize> WideTrace<N> {
     }
 }
 
-/// Grades one contiguous fault shard against the shared wide trace,
-/// setting `hits[i]` when `shard[i]` is detected.
-fn grade_shard<const N: usize>(
+/// Grades the session's undetected `faults` against the wide trace,
+/// setting `hits[i]` when `faults[i]` is detected.
+fn grade_faults<const N: usize>(
     soa: &SoaIr,
     obs: &ObsTables,
     trace: &WideTrace<N>,
-    opts: &ParallelOptions,
-    shard: &[Fault],
+    deadline: Deadline,
+    faults: &[Fault],
     hits: &mut [bool],
     scratch: &mut EventScratch<N>,
 ) -> GradeStats {
@@ -429,11 +431,11 @@ fn grade_shard<const N: usize>(
     scratch.chunks += trace.chunks() as u64;
     let stride = deadline_poll_stride(N);
     let zero: PatternWord<N> = word::zeros();
-    for (fault_idx, &fault) in shard.iter().enumerate() {
+    for (fault_idx, &fault) in faults.iter().enumerate() {
         // Cooperative cutoff between faults, at the width-scaled
         // stride; the first stride always grades, which keeps
         // zero-budget runs deterministic.
-        if fault_idx > 0 && fault_idx % stride == 0 && opts.deadline.expired() {
+        if fault_idx > 0 && fault_idx % stride == 0 && deadline.expired() {
             stats.timed_out = true;
             break;
         }
@@ -444,12 +446,7 @@ fn grade_shard<const N: usize>(
         }
         let stuck = if fault.stuck_at_one { u64::MAX } else { 0 };
         let stuck_word: PatternWord<N> = word::splat(fault.stuck_at_one);
-        let mut hit = false;
         for c in 0..trace.chunks() {
-            if hit && opts.drop_detected {
-                stats.dropped += trace.active[c..].iter().sum::<usize>() as u64;
-                break;
-            }
             let good = trace.chunk(c);
             let mask = &trace.masks[c];
             // Per-lane activation screen, counted in frame units so the
@@ -500,25 +497,27 @@ fn grade_shard<const N: usize>(
                 w
             };
             if word::and(s, ow) != zero {
-                hit = true;
+                // Detected: the remaining chunks are dropped.
+                stats.dropped += trace.active[c + 1..].iter().sum::<usize>() as u64;
+                hits[fault_idx] = true;
+                break;
             }
         }
-        hits[fault_idx] = hit;
     }
     stats
 }
 
 /// Grades `faults` against `frames` with the session's tables and
-/// per-shard scratch (grown to the call's shard count on first need),
-/// setting `hits[i]` when `faults[i]` is detected.
+/// scratch (built on first need), setting `hits[i]` when `faults[i]`
+/// is detected.
 fn grade_frames<const N: usize>(
     nl: &Netlist,
     obs: &ObsTables,
-    opts: &ParallelOptions,
+    deadline: Deadline,
     faults: &[Fault],
     frames: &[TestFrame],
     hits: &mut [bool],
-    scratch: &mut Vec<EventScratch<N>>,
+    scratch: &mut Option<EventScratch<N>>,
 ) -> GradeStats {
     let good_span = hlstb_trace::span("fsim.good");
     let good_start = Instant::now();
@@ -534,31 +533,30 @@ fn grade_frames<const N: usize>(
         || EventScratch::new(nl.num_nets(), soa.level_count().max(1)),
         frames.len(),
         wall_good,
-        opts,
-        |shard, hits, scratch| grade_shard(soa, obs, &trace, opts, shard, hits, scratch),
+        |faults, hits, scratch| grade_faults(soa, obs, &trace, deadline, faults, hits, scratch),
     )
 }
 
-/// Per-shard scratch at the session's word width.
+/// The session's event scratch at its word width, built by the first
+/// call that grades.
 enum Scratch {
-    W64(Vec<EventScratch<1>>),
-    W256(Vec<EventScratch<4>>),
-    W512(Vec<EventScratch<8>>),
+    W64(Option<EventScratch<1>>),
+    W256(Option<EventScratch<4>>),
+    W512(Option<EventScratch<8>>),
 }
 
 /// One grading run of the combinational engine, for one netlist,
 /// observation set and [`ParallelOptions`]. It is built once per run and
 /// owns everything the run's calls share: the observation tables, one
-/// event scratch per shard (built by the first call that grades, which
-/// has the most shards, since the undetected list only shrinks), and the
-/// undetected faults, in universe order. Each [`grade`](Self::grade)
+/// event scratch at the run's word width (built by the first call that
+/// grades), and the undetected faults, in universe order. Each [`grade`](Self::grade)
 /// call drops the faults it detects by position;
 /// [`finish`](Self::finish) builds the detected set and returns the
 /// run's summed work. It journals nothing: the public entry points
 /// journal the stats `finish` returns, once per run.
 pub(crate) struct GradeSession<'a> {
     nl: &'a Netlist,
-    opts: ParallelOptions,
+    deadline: Deadline,
     obs: ObsTables,
     scratch: Scratch,
     /// Undetected faults, in universe order.
@@ -584,13 +582,13 @@ impl<'a> GradeSession<'a> {
         let start = Instant::now();
         let obs = ObsTables::new(nl, observed);
         let scratch = match opts.word_width {
-            WordWidth::W64 => Scratch::W64(Vec::new()),
-            WordWidth::W256 => Scratch::W256(Vec::new()),
-            WordWidth::W512 => Scratch::W512(Vec::new()),
+            WordWidth::W64 => Scratch::W64(None),
+            WordWidth::W256 => Scratch::W256(None),
+            WordWidth::W512 => Scratch::W512(None),
         };
         GradeSession {
             nl,
-            opts: *opts,
+            deadline: opts.deadline,
             obs,
             scratch,
             remaining: faults.to_vec(),
@@ -621,12 +619,12 @@ impl<'a> GradeSession<'a> {
         let before = self.detected_count();
         self.hits.clear();
         self.hits.resize(self.remaining.len(), false);
-        let (nl, obs, opts) = (self.nl, &self.obs, &self.opts);
+        let (nl, obs, deadline) = (self.nl, &self.obs, self.deadline);
         let (faults, hits) = (&self.remaining[..], &mut self.hits[..]);
         let stats = match &mut self.scratch {
-            Scratch::W64(s) => grade_frames(nl, obs, opts, faults, frames, hits, s),
-            Scratch::W256(s) => grade_frames(nl, obs, opts, faults, frames, hits, s),
-            Scratch::W512(s) => grade_frames(nl, obs, opts, faults, frames, hits, s),
+            Scratch::W64(s) => grade_frames(nl, obs, deadline, faults, frames, hits, s),
+            Scratch::W256(s) => grade_frames(nl, obs, deadline, faults, frames, hits, s),
+            Scratch::W512(s) => grade_frames(nl, obs, deadline, faults, frames, hits, s),
         };
         self.stats.absorb(&stats);
         // Recording the verdicts counts in the fault phase's wall, as

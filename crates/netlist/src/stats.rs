@@ -46,16 +46,11 @@ pub struct GradeStats {
     /// observability word saturated (every parallel pattern already
     /// differed at an observation point).
     pub early_exits: u64,
-    /// Worker threads the faulty-machine phase actually ran on — the
-    /// *effective* count after the small-universe gate
-    /// ([`crate::fsim::ParallelOptions::min_faults_per_thread`]) may
-    /// have reduced the requested `threads`.
-    pub threads: usize,
     /// Wall time of the good-machine phase (fault-free evaluations).
     pub wall_good: Duration,
-    /// Wall time of the faulty-machine phase (sharded grading).
+    /// Wall time of the faulty-machine phase.
     pub wall_fault: Duration,
-    /// Whether any shard stopped early because its
+    /// Whether the fault loop stopped early because its
     /// [`crate::deadline::Deadline`] expired — the counters above then
     /// describe a truncated (but internally consistent) run.
     pub timed_out: bool,
@@ -73,16 +68,6 @@ impl GradeStats {
     pub fn absorb(&mut self, other: &GradeStats) {
         self.faults = self.faults.max(other.faults);
         self.frames += other.frames;
-        self.merge_counts(other);
-        self.threads = self.threads.max(other.threads);
-        self.wall_good += other.wall_good;
-        self.wall_fault += other.wall_fault;
-    }
-
-    /// Sums the per-shard work counters only; phase walls and shape
-    /// fields stay as the orchestrator measured them (shards run
-    /// concurrently, so their elapsed times must not be added).
-    pub(crate) fn merge_counts(&mut self, other: &GradeStats) {
         self.fault_evals += other.fault_evals;
         self.screened += other.screened;
         self.dropped += other.dropped;
@@ -92,6 +77,8 @@ impl GradeStats {
         self.flip_events += other.flip_events;
         self.early_exits += other.early_exits;
         self.timed_out |= other.timed_out;
+        self.wall_good += other.wall_good;
+        self.wall_fault += other.wall_fault;
     }
 
     /// Renders the stats as one JSON object (no trailing newline).
@@ -107,7 +94,6 @@ impl GradeStats {
             .number_u64("stem_memo_misses", self.stem_memo_misses)
             .number_u64("flip_events", self.flip_events)
             .number_u64("early_exits", self.early_exits)
-            .number_u64("threads", self.threads as u64)
             .raw(
                 "wall_good_ms",
                 &format!("{:.3}", self.wall_good.as_secs_f64() * 1e3),
@@ -121,9 +107,9 @@ impl GradeStats {
     }
 
     /// Journals this run's work as `fsim.*` counter records and the
-    /// thread/universe gauges. Every public `_opts` grading entry point
-    /// calls it once, on the stats it returns — a random, pattern-source
-    /// or ATPG run journals its total, not one set per frame — so
+    /// universe gauge. Every public grading entry point calls it once,
+    /// on its run's stats — a random, pattern-source or ATPG run
+    /// journals its total, not one set per frame — so
     /// `GradeStats` stays the per-run record while the journal's views
     /// sum whole-run totals. No-op when the journal is off.
     pub fn trace_bridge(&self) {
@@ -136,7 +122,6 @@ impl GradeStats {
         hlstb_trace::counter("fsim.flip_events", self.flip_events);
         hlstb_trace::counter("fsim.early_exits", self.early_exits);
         hlstb_trace::counter("fsim.frames", self.frames as u64);
-        hlstb_trace::gauge("fsim.threads", self.threads as u64);
         hlstb_trace::gauge("fsim.faults", self.faults as u64);
     }
 }
@@ -146,14 +131,13 @@ impl fmt::Display for GradeStats {
         write!(
             f,
             "{} faults x {} frames: {} evals ({} screened, {} dropped, \
-             {} unobservable) on {} thread(s) in {:.1} ms good + {:.1} ms fault",
+             {} unobservable) in {:.1} ms good + {:.1} ms fault",
             self.faults,
             self.frames,
             self.fault_evals,
             self.screened,
             self.dropped,
             self.unobservable,
-            self.threads.max(1),
             self.wall_good.as_secs_f64() * 1e3,
             self.wall_fault.as_secs_f64() * 1e3,
         )
@@ -173,7 +157,6 @@ mod tests {
             screened: 1,
             dropped: 0,
             unobservable: 1,
-            threads: 2,
             wall_good: Duration::from_millis(1),
             wall_fault: Duration::from_millis(2),
             timed_out: false,
@@ -186,7 +169,6 @@ mod tests {
             screened: 2,
             dropped: 4,
             unobservable: 0,
-            threads: 1,
             wall_good: Duration::from_millis(3),
             wall_fault: Duration::from_millis(4),
             timed_out: true,
@@ -201,7 +183,6 @@ mod tests {
         assert_eq!(a.fault_evals, 12);
         assert_eq!(a.screened, 3);
         assert_eq!(a.dropped, 4);
-        assert_eq!(a.threads, 2);
         assert_eq!(a.wall(), Duration::from_millis(10));
         assert_eq!(a.stem_memo_hits, 6);
         assert_eq!(a.stem_memo_misses, 2);
@@ -225,7 +206,6 @@ mod tests {
             "stem_memo_misses",
             "flip_events",
             "early_exits",
-            "threads",
             "wall_good_ms",
             "wall_fault_ms",
             "timed_out",
@@ -238,6 +218,6 @@ mod tests {
     fn display_is_compact() {
         let s = GradeStats::default().to_string();
         assert!(s.contains("faults"));
-        assert!(s.contains("thread"));
+        assert!(s.contains("ms fault"));
     }
 }

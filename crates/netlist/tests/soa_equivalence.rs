@@ -122,8 +122,8 @@ proptest! {
 
     /// Coverage curves from the pseudorandom runner are bit-identical
     /// (same rng consumption, same points) at every width to the curve
-    /// the oracle rebuilds over the same frames, also on two ungated
-    /// shards, whose per-shard scratch lives across the batches.
+    /// the oracle rebuilds over the same frames, with the session's
+    /// scratch living across the batches.
     #[test]
     fn coverage_curves_match(
         seed in 0u64..10_000,
@@ -136,41 +136,11 @@ proptest! {
         let oracle =
             random_pattern_oracle(&nl, &faults, budget, &mut StdRng::seed_from_u64(seed ^ 0xC0FFEE));
         for width in WordWidth::ALL {
-            for threads in [1, 2] {
-                let opts = ParallelOptions {
-                    threads,
-                    min_faults_per_thread: 0,
-                    ..ParallelOptions::with_width(width)
-                };
-                let (soa, _) = random_pattern_run_opts(
-                    &nl, &faults, budget, &mut StdRng::seed_from_u64(seed ^ 0xC0FFEE), &opts);
-                prop_assert_eq!(&soa.curve, &oracle.curve,
-                                "width {} threads {} seed {}", width, threads, seed);
-                prop_assert_eq!(&soa.summary, &oracle.summary,
-                                "width {} threads {} seed {}", width, threads, seed);
-            }
-        }
-    }
-}
-
-/// Threading the SoA engine never changes the result either.
-#[test]
-fn soa_sharding_is_deterministic() {
-    let mut rng = StdRng::seed_from_u64(1996);
-    let nl = random_combinational(6, 64, 3, &mut rng);
-    let faults = all_faults(&nl);
-    let frames = frames_for(&nl, 8, &mut rng);
-    let (reference, _) = oracle(&nl, &faults, &frames);
-    for width in WordWidth::ALL {
-        for threads in [1, 2, 4] {
-            let opts = ParallelOptions {
-                threads,
-                min_faults_per_thread: 0,
-                ..ParallelOptions::with_width(width)
-            };
-            let (soa, stats) = comb_fault_sim_opts(&nl, &faults, &frames, &opts);
-            assert_eq!(soa, reference, "width {width} threads {threads}");
-            assert_eq!(stats.threads, threads.min(faults.len()));
+            let (soa, _) = random_pattern_run_opts(
+                &nl, &faults, budget, &mut StdRng::seed_from_u64(seed ^ 0xC0FFEE),
+                &ParallelOptions::with_width(width));
+            prop_assert_eq!(&soa.curve, &oracle.curve, "width {} seed {}", width, seed);
+            prop_assert_eq!(&soa.summary, &oracle.summary, "width {} seed {}", width, seed);
         }
     }
 }

@@ -15,8 +15,7 @@ use hlstb_hls::datapath::{Datapath, StepControl};
 use hlstb_hls::expand::{self, control_signal_table, fu_kinds, ControllerMode, ExpandOptions};
 use hlstb_netlist::atpg::{generate_all, AtpgOptions};
 use hlstb_netlist::fault::collapsed_faults;
-use hlstb_netlist::fsim::{comb_fault_sim_opts, ParallelOptions, TestFrame};
-use hlstb_netlist::stats::GradeStats;
+use hlstb_netlist::fsim::{comb_fault_sim, TestFrame};
 use rand::Rng;
 
 /// A partial requirement on the control signals: signal name → needed
@@ -174,18 +173,6 @@ pub fn augment_controller(dp: &Datapath, cubes: &[ControlCube]) -> (Datapath, us
 /// patterns whose controller state is constrained to *reachable* step
 /// encodings — the measurement that exposes control conflicts.
 pub fn composite_coverage<R: Rng>(dp: &Datapath, width: u32, batches: usize, rng: &mut R) -> f64 {
-    composite_coverage_opts(dp, width, batches, rng, &ParallelOptions::default()).0
-}
-
-/// [`composite_coverage`] with grading-engine options and run
-/// instrumentation.
-pub fn composite_coverage_opts<R: Rng>(
-    dp: &Datapath,
-    width: u32,
-    batches: usize,
-    rng: &mut R,
-    opts: &ParallelOptions,
-) -> (f64, GradeStats) {
     let exp = expand::expand(
         dp,
         &ExpandOptions {
@@ -206,7 +193,6 @@ pub fn composite_coverage_opts<R: Rng>(
         .into_iter()
         .filter(|f| f.net.0 < cs || f.net.0 >= ce)
         .collect();
-    let state_count = exp.state_flops.len();
     let dffs = nl.dffs();
     let state_pos: Vec<usize> = exp
         .state_flops
@@ -221,9 +207,6 @@ pub fn composite_coverage_opts<R: Rng>(
     for _ in 0..batches {
         let mut ff: Vec<u64> = (0..dffs.len()).map(|_| rng.gen()).collect();
         // Constrain the controller state lanes to valid step encodings.
-        for bits in state_pos.iter().enumerate() {
-            let _ = bits;
-        }
         for lane in 0..64u32 {
             let step = rng.gen_range(0..dp.period()) as u64;
             for (b, &pos) in state_pos.iter().enumerate() {
@@ -234,14 +217,12 @@ pub fn composite_coverage_opts<R: Rng>(
                 }
             }
         }
-        let _ = state_count;
         frames.push(TestFrame::new(
             (0..nl.inputs().len()).map(|_| rng.gen()).collect(),
             ff,
         ));
     }
-    let (summary, stats) = comb_fault_sim_opts(&nl, &faults, &frames, opts);
-    (summary.coverage_percent(), stats)
+    comb_fault_sim(&nl, &faults, &frames).coverage_percent()
 }
 
 #[cfg(test)]

@@ -154,7 +154,6 @@ options:
   --width     data-path width in bits (default 4)
   --grade     (synth) grade the netlist with N pseudorandom patterns
   --atpg      (synth) deterministic ATPG top-up on the residual faults
-  --threads   (synth) worker threads for the grading engine (default 1)
   --json      (synth) print the report as JSON instead of text
   --trace <file>          write a Chrome trace (chrome://tracing, Perfetto)
   --trace-metrics <file>  write flat span/counter metrics as JSON
@@ -315,11 +314,6 @@ fn run(args: &[String]) -> Result<(), String> {
                         value
                             .parse()
                             .map_err(|_| format!("bad pattern count {value}"))?,
-                    ),
-                    "--threads" => flow.grade_threads(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad thread count {value}"))?,
                     ),
                     "--trace" => {
                         sinks.chrome = Some(value.clone());
@@ -1096,10 +1090,9 @@ fn perf_floor(files: &[&str]) -> Result<(), String> {
 /// Grades one full-scan design with the naive oracle, then with the SoA
 /// engine at every word width, and requires identical detected fault
 /// sets — the differential smoke behind `just soa-equiv`. It then runs
-/// `random_pattern_run_opts` at every width, serial and on two ungated
-/// shards, and requires the curve and detected set the oracle rebuilds
-/// batch by batch over the same rng frames: one grading session serves
-/// every batch of those runs.
+/// `random_pattern_run_opts` at every width and requires the curve and
+/// detected set the oracle rebuilds batch by batch over the same rng
+/// frames: one grading session serves every batch of those runs.
 fn soa_check(g: Cdfg, patterns: usize) -> Result<(), String> {
     let name = g.name().to_string();
     let d = SynthesisFlow::new(g)
@@ -1141,29 +1134,22 @@ fn soa_check(g: Cdfg, patterns: usize) -> Result<(), String> {
     let seed = 0x5345_4544_0000_0001u64 ^ name.len() as u64;
     let oracle = random_pattern_oracle(nl, &faults, patterns, &mut StdRng::seed_from_u64(seed));
     for width in WordWidth::ALL {
-        for threads in [1, 2] {
-            let opts = ParallelOptions {
-                threads,
-                min_faults_per_thread: 0,
-                ..ParallelOptions::with_width(width)
-            };
-            let (run, _) = random_pattern_run_opts(
-                nl,
-                &faults,
-                patterns,
-                &mut StdRng::seed_from_u64(seed),
-                &opts,
-            );
-            if run.curve != oracle.curve || run.summary != oracle.summary {
-                return Err(format!(
-                    "soa-check: {name}: batched run at width {width} on {threads} thread(s) \
-                     detected {} faults in {} batches, oracle {} in {}",
-                    run.summary.detected.len(),
-                    run.curve.len(),
-                    oracle.summary.detected.len(),
-                    oracle.curve.len()
-                ));
-            }
+        let (run, _) = random_pattern_run_opts(
+            nl,
+            &faults,
+            patterns,
+            &mut StdRng::seed_from_u64(seed),
+            &ParallelOptions::with_width(width),
+        );
+        if run.curve != oracle.curve || run.summary != oracle.summary {
+            return Err(format!(
+                "soa-check: {name}: batched run at width {width} detected {} faults in {} \
+                 batches, oracle {} in {}",
+                run.summary.detected.len(),
+                run.curve.len(),
+                oracle.summary.detected.len(),
+                oracle.curve.len()
+            ));
         }
     }
     println!(

@@ -68,8 +68,6 @@ fn synth_grade_reports_coverage() {
         "full-scan",
         "--grade",
         "128",
-        "--threads",
-        "2",
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("fault grading"), "{stdout}");

@@ -87,6 +87,32 @@ fn every_design_matches_golden_at_every_width() {
     }
 }
 
+/// The goldens above grade width-4 data paths, whose universes stop
+/// under 1.7k faults. ewf at width 32 collapses to 10,654: two fixed
+/// frames of it, graded at every word width, must still detect exactly
+/// the oracle's set.
+#[test]
+fn a_wide_universe_matches_the_oracle_at_every_width() {
+    let nl = SynthesisFlow::new(benchmarks::ewf())
+        .strategy(DftStrategy::FullScan)
+        .width(32)
+        .run()
+        .unwrap()
+        .expanded
+        .netlist;
+    let faults = collapsed_faults(&nl);
+    assert_eq!(faults.len(), 10_654, "fault universe");
+    let frames = frames(0xE3F_0032, 128, nl.inputs().len(), nl.dffs().len());
+    let (base, _) = comb_fault_sim_oracle(&nl, &faults, &frames, &scan_observed(&nl));
+    assert_eq!(base.detected.len(), 8_606, "oracle detects");
+    for width in WordWidth::ALL {
+        let (got, stats) =
+            comb_fault_sim_opts(&nl, &faults, &frames, &ParallelOptions::with_width(width));
+        assert_eq!(got, base, "width {width}");
+        assert!(!stats.timed_out, "width {width}");
+    }
+}
+
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
 
