@@ -45,6 +45,18 @@ pub fn chain_circuit(n: usize) -> (Netlist, Fault) {
     (nl, Fault::sa0(g))
 }
 
+/// The ring lengths E1 measures.
+pub const RING_LENGTHS: [usize; 5] = [1, 2, 3, 4, 5];
+
+/// The chain depths E1 measures.
+pub const CHAIN_DEPTHS: [usize; 5] = [1, 2, 4, 6, 8];
+
+/// E1's sequential-ATPG budget.
+pub const OPTIONS: SeqAtpgOptions = SeqAtpgOptions {
+    max_frames: 12,
+    backtrack_limit: 50_000,
+};
+
 /// Effort table over cycle lengths and chain depths.
 pub fn run() -> Table {
     let mut t = Table::new(
@@ -59,13 +71,9 @@ pub fn run() -> Table {
             "implications",
         ],
     );
-    let opts = SeqAtpgOptions {
-        max_frames: 12,
-        backtrack_limit: 50_000,
-    };
-    for n in [1usize, 2, 3, 4, 5] {
+    for n in RING_LENGTHS {
         let (nl, fault) = ring_circuit(n);
-        let (status, effort) = seq_podem(&nl, fault, &opts);
+        let (status, effort) = seq_podem(&nl, fault, &OPTIONS);
         let (det, frames) = match status {
             SeqStatus::Detected { frames, .. } => ("yes", frames.to_string()),
             SeqStatus::Untestable => ("no(unt)", "-".into()),
@@ -81,9 +89,9 @@ pub fn run() -> Table {
             effort.implications.to_string(),
         ]);
     }
-    for n in [1usize, 2, 4, 6, 8] {
+    for n in CHAIN_DEPTHS {
         let (nl, fault) = chain_circuit(n);
-        let (status, effort) = seq_podem(&nl, fault, &opts);
+        let (status, effort) = seq_podem(&nl, fault, &OPTIONS);
         let (det, frames) = match status {
             SeqStatus::Detected { frames, .. } => ("yes", frames.to_string()),
             SeqStatus::Untestable => ("no(unt)", "-".into()),

@@ -1,7 +1,7 @@
 //! E9–E13 — the §5 BIST experiments.
 
 use hlstb::bist::arith;
-use hlstb::bist::registers::{naive_plan, BistPlan};
+use hlstb::bist::registers::naive_plan;
 use hlstb::bist::selfadj;
 use hlstb::bist::sessions;
 use hlstb::bist::share;
@@ -259,11 +259,4 @@ pub fn bist_coverage_table() -> Table {
         ]);
     }
     t
-}
-
-/// Helper: naive plan counts for a design (used by tests).
-pub fn naive_counts(g: &Cdfg) -> BistPlan {
-    let s = sched_for(g);
-    let d = dp_with(g, &s, bind::assign_registers(g, &s, RegAlgo::LeftEdge));
-    naive_plan(&d)
 }

@@ -8,7 +8,8 @@
 
 use hlstb::cdfg::benchmarks;
 use hlstb::flow::DftStrategy;
-use hlstb::netlist::fault::collapsed_faults;
+use hlstb::netlist::fault::{collapsed_faults, Fault};
+use hlstb::netlist::net::Netlist;
 use hlstb::netlist::seq::{seq_generate_all, SeqAtpgOptions};
 use hlstb_dse::{run_sweep, SweepOptions, SweepSpec};
 
@@ -28,10 +29,25 @@ pub fn spec() -> SweepSpec {
     spec
 }
 
-/// Runs sequential ATPG on a fault sample for each strategy.
-///
-/// `sample` bounds the targeted faults per design (evenly spaced through
-/// the collapsed list so the sample covers the whole structure).
+/// E20's sequential-ATPG budget for a design of the given period: two
+/// frames past one iteration.
+pub fn atpg_options(period: u32) -> SeqAtpgOptions {
+    SeqAtpgOptions {
+        max_frames: period as usize + 2,
+        backtrack_limit: 1_500,
+    }
+}
+
+/// At most `sample` collapsed faults of `nl`, evenly spaced through the
+/// collapsed list so the sample covers the whole structure.
+pub fn sample_faults(nl: &Netlist, sample: usize) -> Vec<Fault> {
+    let all = collapsed_faults(nl);
+    let step = (all.len() / sample).max(1);
+    all.iter().step_by(step).copied().take(sample).collect()
+}
+
+/// Runs sequential ATPG on a fault sample of `sample` faults per design
+/// ([`sample_faults`]) for each strategy.
 pub fn run(sample: usize) -> Table {
     let mut t = Table::new(
         "E20  DFT scoreboard: sequential ATPG per strategy (sampled faults)",
@@ -52,15 +68,9 @@ pub fn run(sample: usize) -> Table {
     );
     for (point, design) in outcome.report.points.iter().zip(&outcome.designs) {
         let d = design.as_ref().expect("scoreboard sweep point failed");
-        let opts = SeqAtpgOptions {
-            max_frames: d.report.period as usize + 2,
-            backtrack_limit: 1_500,
-        };
         let nl = &d.expanded.netlist;
-        let all = collapsed_faults(nl);
-        let step = (all.len() / sample).max(1);
-        let faults: Vec<_> = all.iter().step_by(step).copied().take(sample).collect();
-        let run = seq_generate_all(nl, &faults, &opts);
+        let faults = sample_faults(nl, sample);
+        let run = seq_generate_all(nl, &faults, &atpg_options(d.report.period));
         t.row(vec![
             point.design.clone(),
             point.strategy.clone(),

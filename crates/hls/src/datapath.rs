@@ -442,11 +442,6 @@ impl Datapath {
         &self.control
     }
 
-    /// Mutable control table (controller DFT rewrites it).
-    pub fn control_mut(&mut self) -> &mut Vec<StepControl> {
-        &mut self.control
-    }
-
     /// Appends extra control steps — the extra test vectors of the
     /// controller-based DFT technique (survey §3.5). The period grows
     /// accordingly; the added states are reached in test mode.

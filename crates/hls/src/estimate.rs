@@ -7,7 +7,6 @@
 //! (gate equivalents, NAND2 = 1, at a given data-path width).
 
 use crate::datapath::Datapath;
-use crate::fu::FuKind;
 
 /// Per-bit register implementation costs in gate equivalents, following
 /// the BILBO literature's relative ordering \[21\]: scan < BILBO < CBILBO.
@@ -112,11 +111,6 @@ pub fn baseline_area(dp: &Datapath, width: u32) -> AreaEstimate {
     let mut est = estimate_area(&clean, width, &costs);
     est.registers = registers;
     est
-}
-
-/// FU area lookup re-export for report tables.
-pub fn fu_area(kind: FuKind, width: u32) -> f64 {
-    kind.gate_equivalents_per_bit() * width as f64
 }
 
 #[cfg(test)]

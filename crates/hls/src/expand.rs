@@ -105,29 +105,6 @@ pub struct ExpandedDatapath {
     pub width: u32,
 }
 
-impl ExpandedDatapath {
-    /// Reads a register's value for parallel lane `lane` from a
-    /// flip-flop state vector (order of `netlist.dffs()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reg` is out of range or the state vector is too short.
-    pub fn read_register(&self, ff_words: &[u64], reg: usize, lane: u32) -> u64 {
-        let dffs = self.netlist.dffs();
-        let mut v = 0u64;
-        for (bit, &ff) in self.reg_flops[reg].iter().enumerate() {
-            let pos = dffs
-                .iter()
-                .position(|g| g.net() == ff)
-                .expect("register flop is a dff");
-            if ff_words[pos] >> lane & 1 == 1 {
-                v |= 1 << bit;
-            }
-        }
-        v
-    }
-}
-
 /// The canonical control-signal table of a data path: signal name and
 /// its boolean value per control step. The expansion and the controller
 /// DFT analyses share this enumeration.

@@ -134,7 +134,6 @@ struct Podem<'a> {
     assignable: HashMap<NetId, Option<bool>>,
     values: Vec<V5>,
     effort: Effort,
-    fanouts: Vec<Vec<GateId>>,
     observed_mask: Vec<bool>,
 }
 
@@ -153,7 +152,6 @@ impl<'a> Podem<'a> {
             assignable,
             values: vec![V5::X; nl.num_gates()],
             effort: Effort::default(),
-            fanouts: nl.fanouts(),
             observed_mask,
         }
     }
@@ -187,7 +185,7 @@ impl<'a> Podem<'a> {
             if self.observed_mask[n.index()] {
                 return true;
             }
-            for &g in &self.fanouts[n.index()] {
+            for &g in self.nl.readers(n) {
                 let out = g.net();
                 if seen[out.index()] {
                     continue;

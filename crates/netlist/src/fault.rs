@@ -64,13 +64,6 @@ pub fn all_faults(nl: &Netlist) -> Vec<Fault> {
 /// The collapse only ever removes faults, so coverage percentages remain
 /// comparable between the full and collapsed universes.
 pub fn collapsed_faults(nl: &Netlist) -> Vec<Fault> {
-    // Reads of each net, one per input pin (flip-flops included).
-    let mut readers = vec![0u32; nl.num_nets()];
-    for (_, g) in nl.gates() {
-        for inp in &g.inputs {
-            readers[inp.index()] += 1;
-        }
-    }
     let mut keep = Vec::new();
     for (id, g) in nl.gates() {
         if matches!(g.kind, GateKind::Const(_)) {
@@ -78,8 +71,10 @@ pub fn collapsed_faults(nl: &Netlist) -> Vec<Fault> {
         }
         let drop = match g.kind {
             GateKind::Buf | GateKind::Not => {
+                // This pin is the source's only reader (flip-flop pins
+                // count too).
                 let src = g.inputs[0];
-                readers[src.index()] == 1
+                nl.readers(src).len() == 1
                     && !matches!(nl.gate(crate::net::GateId(src.0)).kind, GateKind::Const(_))
             }
             _ => false,

@@ -25,16 +25,6 @@ pub struct FfGraph {
     pub output_nodes: Vec<NodeId>,
 }
 
-impl FfGraph {
-    /// The node of a given flop, if it is in the graph.
-    pub fn node_of(&self, flop: GateId) -> Option<NodeId> {
-        self.flops
-            .iter()
-            .position(|&f| f == flop)
-            .map(|i| NodeId(i as u32))
-    }
-}
-
 /// Builds the flip-flop S-graph of a netlist.
 pub fn ff_sgraph(nl: &Netlist) -> FfGraph {
     let flops: Vec<GateId> = nl.dffs().to_vec();
@@ -48,7 +38,6 @@ pub fn ff_sgraph(nl: &Netlist) -> FfGraph {
                 .unwrap_or_else(|| f.to_string()),
         );
     }
-    let fanouts = nl.fanouts();
 
     // For each source net, the set of flop D-inputs its combinational
     // cone reaches, found by forward DFS that stops at flops.
@@ -58,7 +47,7 @@ pub fn ff_sgraph(nl: &Netlist) -> FfGraph {
         let mut hit = Vec::new();
         seen[start.index()] = true;
         while let Some(net) = stack.pop() {
-            for &g in &fanouts[net.index()] {
+            for &g in nl.readers(net) {
                 match nl.gate(g).kind {
                     GateKind::Dff { .. } => {
                         if let Some(pos) = flops.iter().position(|&f| f == g) {
@@ -107,7 +96,7 @@ pub fn ff_sgraph(nl: &Netlist) -> FfGraph {
         if gate.kind.is_dff() {
             continue; // stop at flops: their Q is the observed point
         }
-        for &inp in &gate.inputs {
+        for &inp in gate.inputs {
             if !reaches_po[inp.index()] {
                 reaches_po[inp.index()] = true;
                 stack.push(inp.index());

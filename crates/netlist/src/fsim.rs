@@ -27,6 +27,10 @@
 //! held to: serial, one full faulty-machine evaluation per fault and
 //! frame, and none of the screens above. The differential suites and
 //! `hlstb soa-check` compare the engine against it.
+//! [`seq_replay_oracle`] is the same kind of check for sequential ATPG:
+//! it replays a generated test on the netlist itself, cycle by cycle in
+//! 3-valued logic, instead of trusting the time-frame expansion PODEM
+//! searched.
 //!
 //! Every call grades on the caller's thread. Parallelism lives a layer
 //! up, in the sweep's lanes and workers and the daemon's executors:
@@ -38,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use crate::deadline::Deadline;
 use crate::fault::Fault;
-use crate::net::{NetId, Netlist};
+use crate::net::{GateKind, NetId, Netlist};
 use crate::sim::{eval_comb, next_state, ForcedNet};
 use crate::stats::GradeStats;
 use crate::word::WordWidth;
@@ -276,7 +280,7 @@ pub fn comb_fault_sim_oracle(
     }
     for &gid in nl.topo().iter().rev() {
         if reaches[gid.net().index()] {
-            for input in &nl.gate(gid).inputs {
+            for input in nl.gate(gid).inputs {
                 reaches[input.index()] = true;
             }
         }
@@ -297,6 +301,133 @@ pub fn comb_fault_sim_oracle(
         },
         stats,
     )
+}
+
+/// Replays a sequential test on `nl` itself, not on its time-frame
+/// expansion: the independent check of a
+/// [`crate::seq::SeqStatus::Detected`] verdict. Kept deliberately naive,
+/// and sharing no evaluation code with PODEM's 5-valued calculus: the
+/// good and the faulty machine each step one cycle at a time in 3-valued
+/// logic (`None` is unknown), gate by gate in [`Netlist::topo`] order.
+/// Non-scan flops start unknown, scan flops take `scan_load` (order of
+/// [`Netlist::scan_flops`]), `sequence[t][i]` drives the i-th primary
+/// input at cycle `t`, and the fault is forced in every cycle.
+/// The test detects the fault when some primary output in any cycle, or
+/// some scan flop's data input in the last cycle, is known in both
+/// machines and differs.
+///
+/// # Panics
+///
+/// Panics if a cycle's vector does not drive every primary input.
+pub fn seq_replay_oracle(
+    nl: &Netlist,
+    fault: Fault,
+    sequence: &[Vec<bool>],
+    scan_load: &[bool],
+) -> bool {
+    let mut load = scan_load.iter();
+    let initial: Vec<Option<bool>> = nl
+        .dffs()
+        .iter()
+        .map(|&f| match nl.gate(f).kind {
+            GateKind::Dff { scan: true } => load.next().copied(),
+            _ => None,
+        })
+        .collect();
+    let scan_d: Vec<NetId> = nl
+        .scan_flops()
+        .iter()
+        .map(|&f| nl.gate(f).inputs[0])
+        .collect();
+    let mut good_state = initial.clone();
+    let mut bad_state = initial;
+    for (t, pis) in sequence.iter().enumerate() {
+        let good = eval_comb3(nl, pis, &good_state, None);
+        let bad = eval_comb3(nl, pis, &bad_state, Some(fault));
+        let differs =
+            |n: &NetId| matches!((good[n.index()], bad[n.index()]), (Some(g), Some(b)) if g != b);
+        let last = t + 1 == sequence.len();
+        if nl.outputs().iter().map(|(_, n)| n).any(differs) || (last && scan_d.iter().any(differs))
+        {
+            return true;
+        }
+        let sample = |values: &[Option<bool>]| -> Vec<Option<bool>> {
+            nl.dffs()
+                .iter()
+                .map(|&f| values[nl.gate(f).inputs[0].index()])
+                .collect()
+        };
+        good_state = sample(&good);
+        bad_state = sample(&bad);
+    }
+    false
+}
+
+/// One cycle of [`seq_replay_oracle`]: every net's 3-valued value, with
+/// `fault` forced on its net, sources included.
+fn eval_comb3(
+    nl: &Netlist,
+    pis: &[bool],
+    state: &[Option<bool>],
+    fault: Option<Fault>,
+) -> Vec<Option<bool>> {
+    assert_eq!(pis.len(), nl.inputs().len(), "primary input count mismatch");
+    let mut v: Vec<Option<bool>> = vec![None; nl.num_nets()];
+    for (&net, &b) in nl.inputs().iter().zip(pis) {
+        v[net.index()] = Some(b);
+    }
+    for (&f, &q) in nl.dffs().iter().zip(state) {
+        v[f.index()] = q;
+    }
+    for (id, g) in nl.gates() {
+        if let GateKind::Const(c) = g.kind {
+            v[id.index()] = Some(c);
+        }
+    }
+    let force = |v: &mut [Option<bool>], net: NetId| {
+        if let Some(f) = fault.filter(|f| f.net == net) {
+            v[net.index()] = Some(f.stuck_at_one);
+        }
+    };
+    if let Some(f) = fault {
+        force(&mut v, f.net);
+    }
+    let and = |a: Option<bool>, b: Option<bool>| match (a, b) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    };
+    let or = |a: Option<bool>, b: Option<bool>| match (a, b) {
+        (Some(true), _) | (_, Some(true)) => Some(true),
+        (Some(false), Some(false)) => Some(false),
+        _ => None,
+    };
+    let xor = |a: Option<bool>, b: Option<bool>| Some(a? != b?);
+    let not = |a: Option<bool>| a.map(|x| !x);
+    for &gid in nl.topo() {
+        let g = nl.gate(gid);
+        let i = |k: usize| v[g.inputs[k].index()];
+        v[gid.index()] = match g.kind {
+            GateKind::Buf => i(0),
+            GateKind::Not => not(i(0)),
+            GateKind::And => and(i(0), i(1)),
+            GateKind::Or => or(i(0), i(1)),
+            GateKind::Nand => not(and(i(0), i(1))),
+            GateKind::Nor => not(or(i(0), i(1))),
+            GateKind::Xor => xor(i(0), i(1)),
+            GateKind::Xnor => not(xor(i(0), i(1))),
+            // An unknown select still gives a known output when both
+            // data inputs agree.
+            GateKind::Mux => match i(0) {
+                Some(true) => i(1),
+                Some(false) => i(2),
+                None => i(1).filter(|_| i(1) == i(2)),
+            },
+            GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. } => continue,
+        };
+        force(&mut v, gid.net());
+    }
+    v
 }
 
 /// The faulty-machine phase shared by combinational and sequential
@@ -353,7 +484,8 @@ pub fn seq_fault_sim_opts(
 ///
 /// The faulty machine replays the whole sequence per fault (state
 /// feedback defeats per-frame cone restriction) and stops at the first
-/// cycle that detects it.
+/// cycle that detects it. A stuck flip-flop output is forced by every
+/// cycle's evaluation, so its sampled state needs no pinning.
 pub fn seq_fault_sim_observed_opts(
     nl: &Netlist,
     faults: &[Fault],
@@ -402,7 +534,6 @@ pub fn seq_fault_sim_observed_masked_opts(
                 break;
             }
             let mut ff = initial.to_vec();
-            pin_state(nl, fault, &mut ff);
             for (t, v) in vectors.iter().enumerate() {
                 stats.fault_evals += 1;
                 let values = eval_comb(nl, v, &ff, Some(forced(fault)));
@@ -417,7 +548,6 @@ pub fn seq_fault_sim_observed_masked_opts(
                     break;
                 }
                 ff = next_state(nl, &values);
-                pin_state(nl, fault, &mut ff);
             }
         }
         stats
@@ -444,15 +574,6 @@ pub fn seq_fault_sim_observed_masked_opts(
         },
         stats,
     )
-}
-
-/// A stuck flip-flop output keeps its sampled state pinned as well.
-fn pin_state(nl: &Netlist, fault: Fault, ff: &mut [u64]) {
-    for (i, &f) in nl.dffs().iter().enumerate() {
-        if f.net() == fault.net {
-            ff[i] = if fault.stuck_at_one { u64::MAX } else { 0 };
-        }
-    }
 }
 
 #[cfg(test)]
@@ -569,6 +690,34 @@ mod tests {
         let vectors = vec![vec![0u64], vec![0u64]];
         let r = seq_fault_sim(&nl, &faults, &vectors);
         assert_eq!(r.detected.len(), 1);
+    }
+
+    #[test]
+    fn replay_oracle_needs_a_known_difference() {
+        // o = q AND x, q <- x: the flop starts unknown unless scanned.
+        let mut b = NetlistBuilder::new("replay");
+        let x = b.input("x");
+        let q = b.register(&[x], None, false)[0];
+        let g = b.and2(q, x);
+        b.output("o", g);
+        let nl = b.finish().unwrap();
+        let x_sa0 = Fault::sa0(x);
+        let replay = |nl: &Netlist, fault, vectors: &[bool], load: &[bool]| {
+            let sequence: Vec<Vec<bool>> = vectors.iter().map(|&x| vec![x]).collect();
+            seq_replay_oracle(nl, fault, &sequence, load)
+        };
+        // Cycle 0 reads the unknown state; cycle 1 reads the x = 1 just
+        // loaded.
+        assert!(!replay(&nl, x_sa0, &[true], &[]));
+        assert!(replay(&nl, x_sa0, &[true, true], &[]));
+        assert!(!replay(&nl, x_sa0, &[false, false], &[]));
+        // The fault is forced in every cycle, flop outputs included.
+        assert!(replay(&nl, Fault::sa1(q), &[false, true], &[]));
+        // A scan load makes the state known, and the scan flop's data
+        // input is observed in the last cycle.
+        let scanned = nl.with_full_scan();
+        assert!(replay(&scanned, x_sa0, &[true], &[true]));
+        assert!(replay(&scanned, x_sa0, &[true], &[false]));
     }
 
     /// A multi-level circuit with reconvergence, flops, and a mux, used

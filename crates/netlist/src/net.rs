@@ -6,6 +6,13 @@
 //! analyses treat a scannable flop's output as a pseudo primary input
 //! and its data input as a pseudo primary output, which is the standard
 //! model for coverage studies.
+//!
+//! A [`Netlist`] stores each gate once, in flat arrays: one [`GateKind`]
+//! and three operand slots per gate. [`NetlistBuilder`] appends to those
+//! arrays, and [`NetlistBuilder::finish`] derives, once, the tables every
+//! analysis reads: the topological order, the gate levels and level
+//! order the grading engine walks, and the reader table PODEM, the
+//! flip-flop S-graph and fault collapsing walk.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -105,7 +112,7 @@ impl GateKind {
     /// Whether the gate starts a combinational path: an input, a
     /// constant or a flip-flop. These are the sources of the
     /// levelization.
-    fn is_source(self) -> bool {
+    pub(crate) fn is_source(self) -> bool {
         matches!(
             self,
             GateKind::Input | GateKind::Const(_) | GateKind::Dff { .. }
@@ -127,27 +134,19 @@ impl GateKind {
     }
 }
 
-/// A gate instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gate {
+/// A gate: its kind and its operand nets, borrowed from the netlist's
+/// flat arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate<'a> {
     /// The kind.
     pub kind: GateKind,
     /// Operand nets; length is `kind.arity()`.
-    pub inputs: Vec<NetId>,
+    pub inputs: &'a [NetId],
 }
 
 /// Errors from netlist construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlistError {
-    /// A gate has the wrong operand count.
-    Arity {
-        /// Offending gate.
-        gate: GateId,
-        /// Expected operand count.
-        expected: usize,
-        /// Found operand count.
-        found: usize,
-    },
     /// A combinational cycle exists (not broken by a flip-flop).
     CombinationalCycle {
         /// A gate on the cycle.
@@ -168,13 +167,6 @@ pub enum NetlistError {
 impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetlistError::Arity {
-                gate,
-                expected,
-                found,
-            } => {
-                write!(f, "{gate} expects {expected} operands, found {found}")
-            }
             NetlistError::CombinationalCycle { gate } => {
                 write!(f, "combinational cycle through {gate}")
             }
@@ -186,192 +178,33 @@ impl fmt::Display for NetlistError {
 
 impl Error for NetlistError {}
 
-/// The CSR (compressed sparse row) fanout table of `gates`: per net,
-/// the combinational gates reading it, in gate-id order and once per
-/// operand slot. Returns `(starts, readers)`: net `i` is read by
-/// `readers[starts[i]..starts[i + 1]]`.
-fn comb_readers(gates: &[Gate]) -> (Vec<u32>, Vec<u32>) {
-    let n = gates.len();
-    let mut starts = vec![0u32; n + 1];
-    for g in gates.iter().filter(|g| !g.kind.is_source()) {
-        for inp in &g.inputs {
-            starts[inp.index() + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        starts[i + 1] += starts[i];
-    }
-    let mut cursor = starts.clone();
-    let mut readers = vec![0u32; starts[n] as usize];
-    for (i, g) in gates
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| !g.kind.is_source())
-    {
-        for inp in &g.inputs {
-            readers[cursor[inp.index()] as usize] = i as u32;
-            cursor[inp.index()] += 1;
-        }
-    }
-    (starts, readers)
-}
-
-/// Index-based structure-of-arrays view of a netlist, built once by
-/// [`NetlistBuilder::finish`] and shared read-only by the evaluators.
+/// A validated gate-level netlist, stored once as flat per-gate arrays
+/// plus the tables [`NetlistBuilder::finish`] derives from them.
 ///
-/// The per-gate [`Gate`] records are the convenient API view; the hot
-/// simulation loops instead walk these flat `u32` arrays: gate kinds,
-/// fixed three-slot operand ids, a levelized topological order with
-/// contiguous per-level ranges, and a CSR fanout table. Unused operand
-/// slots hold the gate's own id so every slot is always a valid index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SoaIr {
-    kinds: Vec<GateKind>,
-    ops: Vec<[u32; 3]>,
-    level_of: Vec<u32>,
-    level_order: Vec<u32>,
-    level_starts: Vec<u32>,
-    fanout_starts: Vec<u32>,
-    fanout_edges: Vec<u32>,
-}
-
-impl SoaIr {
-    /// Builds the flat arrays from the validated AoS gate list, its
-    /// topological order and its [`comb_readers`] table.
-    fn build(gates: &[Gate], topo: &[GateId], fanout: (Vec<u32>, Vec<u32>)) -> SoaIr {
-        let n = gates.len();
-        let mut kinds = Vec::with_capacity(n);
-        let mut ops = Vec::with_capacity(n);
-        for (i, g) in gates.iter().enumerate() {
-            kinds.push(g.kind);
-            let mut slots = [i as u32; 3];
-            for (k, inp) in g.inputs.iter().enumerate() {
-                slots[k] = inp.0;
-            }
-            ops.push(slots);
-        }
-        // Levels: sources sit at 0; a combinational gate is one past its
-        // deepest operand. `topo` is topologically sorted, so operand
-        // levels are final when a gate is reached.
-        let mut level_of = vec![0u32; n];
-        let mut max_level = 0u32;
-        for &gid in topo {
-            let g = &gates[gid.index()];
-            let lvl = 1 + g
-                .inputs
-                .iter()
-                .map(|inp| level_of[inp.index()])
-                .max()
-                .unwrap_or(0);
-            level_of[gid.index()] = lvl;
-            max_level = max_level.max(lvl);
-        }
-        let num_levels = if topo.is_empty() {
-            0
-        } else {
-            max_level as usize + 1
-        };
-        // Bucket the combinational gates by (level, id): counting sort
-        // keeps the order deterministic and the per-level runs
-        // contiguous.
-        let mut counts = vec![0u32; num_levels + 1];
-        for &gid in topo {
-            counts[level_of[gid.index()] as usize] += 1;
-        }
-        let mut level_starts = vec![0u32; num_levels + 1];
-        let mut acc = 0u32;
-        for (l, c) in counts.iter().enumerate().take(num_levels) {
-            level_starts[l] = acc;
-            acc += c;
-        }
-        level_starts[num_levels] = acc;
-        let mut cursor = level_starts.clone();
-        let mut level_order = vec![0u32; topo.len()];
-        for (i, g) in gates.iter().enumerate() {
-            if g.kind.is_source() {
-                continue;
-            }
-            let l = level_of[i] as usize;
-            level_order[cursor[l] as usize] = i as u32;
-            cursor[l] += 1;
-        }
-        let (fanout_starts, fanout_edges) = fanout;
-        SoaIr {
-            kinds,
-            ops,
-            level_of,
-            level_order,
-            level_starts,
-            fanout_starts,
-            fanout_edges,
-        }
-    }
-
-    /// The kind of gate `g`.
-    #[inline]
-    pub fn kind(&self, g: u32) -> GateKind {
-        self.kinds[g as usize]
-    }
-
-    /// The three operand slots of gate `g`; unused slots hold `g`
-    /// itself, so every slot indexes a valid net.
-    #[inline]
-    pub fn operands(&self, g: u32) -> [u32; 3] {
-        self.ops[g as usize]
-    }
-
-    /// The level of gate `g`: 0 for sources, `1 + max(operand levels)`
-    /// for combinational gates.
-    #[inline]
-    pub fn level_of(&self, g: u32) -> u32 {
-        self.level_of[g as usize]
-    }
-
-    /// Number of combinational levels (0 for a source-only netlist).
-    /// Level 0 itself holds only sources, so the per-level slices start
-    /// at level 1.
-    pub fn level_count(&self) -> usize {
-        self.level_starts.len() - 1
-    }
-
-    /// The combinational gates at `level`, in id order. Empty for level
-    /// 0 (sources are not scheduled).
-    #[inline]
-    pub fn level(&self, level: usize) -> &[u32] {
-        let lo = self.level_starts[level] as usize;
-        let hi = self.level_starts[level + 1] as usize;
-        &self.level_order[lo..hi]
-    }
-
-    /// Every combinational gate, level-major then id order — a valid
-    /// topological order with contiguous per-level runs.
-    #[inline]
-    pub fn comb_order(&self) -> &[u32] {
-        &self.level_order
-    }
-
-    /// The combinational gates reading net `net`, in id order.
-    #[inline]
-    pub fn fanout(&self, net: u32) -> &[u32] {
-        let lo = self.fanout_starts[net as usize] as usize;
-        let hi = self.fanout_starts[net as usize + 1] as usize;
-        &self.fanout_edges[lo..hi]
-    }
-}
-
-/// A validated gate-level netlist.
+/// Each gate is one [`GateKind`] and three operand slots; unused slots
+/// hold the gate's own id, so every slot is a valid net index. The
+/// derived tables are the Kahn topological order, each gate's level
+/// (sources at 0, a combinational gate one past its deepest operand),
+/// the combinational gates in level-major then id order, and a CSR
+/// (compressed sparse row) reader table. [`Netlist::gate`] and
+/// [`Netlist::gates`] return borrowed [`Gate`] views of the arrays.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Netlist {
     name: String,
-    gates: Vec<Gate>,
+    kinds: Vec<GateKind>,
+    ops: Vec<[NetId; 3]>,
     net_names: Vec<Option<String>>,
     outputs: Vec<(String, NetId)>,
     inputs: Vec<NetId>,
     dffs: Vec<GateId>,
     /// Combinational gates in topological order (sources excluded).
     topo: Vec<GateId>,
-    /// Structure-of-arrays mirror of `gates` + levelization, built once.
-    soa: SoaIr,
+    level_of: Vec<u32>,
+    /// Combinational gates, level-major then id order.
+    level_order: Vec<u32>,
+    /// Net `i` is read by `readers[reader_starts[i]..reader_starts[i + 1]]`.
+    reader_starts: Vec<u32>,
+    readers: Vec<GateId>,
 }
 
 impl Netlist {
@@ -382,7 +215,7 @@ impl Netlist {
 
     /// Number of gates (including inputs, constants and flops).
     pub fn num_gates(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
     }
 
     /// Number of nets.
@@ -393,14 +226,7 @@ impl Netlist {
     /// Value buffers in [`crate::sim`] and [`crate::soa`] are sized by
     /// this and indexed by `NetId`.
     pub fn num_nets(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// The structure-of-arrays view: flat kind/operand arrays, gate
-    /// levels, and a CSR fanout table, built once at
-    /// [`NetlistBuilder::finish`] time.
-    pub fn soa(&self) -> &SoaIr {
-        &self.soa
+        self.kinds.len()
     }
 
     /// The gate with the given id.
@@ -408,16 +234,68 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id.index()]
+    pub fn gate(&self, id: GateId) -> Gate<'_> {
+        let kind = self.kinds[id.index()];
+        Gate {
+            kind,
+            inputs: &self.ops[id.index()][..kind.arity()],
+        }
     }
 
     /// Iterates all gates in id order.
-    pub fn gates(&self) -> impl Iterator<Item = (GateId, &Gate)> {
-        self.gates
+    pub fn gates(&self) -> impl Iterator<Item = (GateId, Gate<'_>)> {
+        self.kinds
             .iter()
+            .zip(&self.ops)
             .enumerate()
-            .map(|(i, g)| (GateId(i as u32), g))
+            .map(|(i, (&kind, ops))| {
+                let inputs = &ops[..kind.arity()];
+                (GateId(i as u32), Gate { kind, inputs })
+            })
+    }
+
+    /// Every gate reading `net`, flip-flops included, in gate-id order
+    /// and once per operand slot.
+    pub(crate) fn readers(&self, net: NetId) -> &[GateId] {
+        let lo = self.reader_starts[net.index()] as usize;
+        let hi = self.reader_starts[net.index() + 1] as usize;
+        &self.readers[lo..hi]
+    }
+
+    /// The kind of gate `g`.
+    #[inline]
+    pub(crate) fn kind_of(&self, g: u32) -> GateKind {
+        self.kinds[g as usize]
+    }
+
+    /// The three operand slots of gate `g`; unused slots hold `g`
+    /// itself, so every slot indexes a valid net.
+    #[inline]
+    pub(crate) fn operands(&self, g: u32) -> [u32; 3] {
+        self.ops[g as usize].map(|n| n.0)
+    }
+
+    /// The level of gate `g`: 0 for sources, `1 + max(operand levels)`
+    /// for combinational gates.
+    #[inline]
+    pub(crate) fn level_of(&self, g: u32) -> u32 {
+        self.level_of[g as usize]
+    }
+
+    /// Number of levels (0 for a source-only netlist). Level 0 holds
+    /// only sources, which are never scheduled.
+    pub(crate) fn level_count(&self) -> usize {
+        // The level order ends at the deepest level.
+        self.level_order
+            .last()
+            .map_or(0, |&g| self.level_of(g) as usize + 1)
+    }
+
+    /// Every combinational gate, level-major then id order: a valid
+    /// topological order whose levels are contiguous runs.
+    #[inline]
+    pub(crate) fn level_order(&self) -> &[u32] {
+        &self.level_order
     }
 
     /// Primary input nets in declaration order.
@@ -447,43 +325,15 @@ impl Netlist {
 
     /// Total area in gate equivalents.
     pub fn area(&self) -> f64 {
-        self.gates.iter().map(|g| g.kind.gate_equivalents()).sum()
-    }
-
-    /// Fanout lists: for each net, the gates reading it.
-    pub fn fanouts(&self) -> Vec<Vec<GateId>> {
-        let mut fan = vec![Vec::new(); self.gates.len()];
-        for (id, g) in self.gates() {
-            for &inp in &g.inputs {
-                fan[inp.index()].push(id);
-            }
-        }
-        fan
+        self.kinds.iter().map(|k| k.gate_equivalents()).sum()
     }
 
     /// Marks every flip-flop scannable (full scan).
     pub fn with_full_scan(mut self) -> Netlist {
-        for (i, g) in self.gates.iter_mut().enumerate() {
-            if let GateKind::Dff { scan } = &mut g.kind {
+        for kind in &mut self.kinds {
+            if let GateKind::Dff { scan } = kind {
                 *scan = true;
-                self.soa.kinds[i] = g.kind;
             }
-        }
-        self
-    }
-
-    /// Marks the given flip-flops scannable (partial scan).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is not a flip-flop.
-    pub fn with_scan(mut self, flops: &[GateId]) -> Netlist {
-        for &f in flops {
-            match &mut self.gates[f.index()].kind {
-                GateKind::Dff { scan } => *scan = true,
-                _ => panic!("{f} is not a flip-flop"),
-            }
-            self.soa.kinds[f.index()] = self.gates[f.index()].kind;
         }
         self
     }
@@ -493,16 +343,19 @@ impl Netlist {
         self.dffs
             .iter()
             .copied()
-            .filter(|&f| matches!(self.gates[f.index()].kind, GateKind::Dff { scan: true }))
+            .filter(|&f| matches!(self.kinds[f.index()], GateKind::Dff { scan: true }))
             .collect()
     }
 }
 
 /// Incremental netlist construction with structural arithmetic blocks.
+/// Gates append to the same flat kind and operand arrays a [`Netlist`]
+/// keeps, so adding one allocates nothing of its own.
 #[derive(Debug, Clone)]
 pub struct NetlistBuilder {
     name: String,
-    gates: Vec<Gate>,
+    kinds: Vec<GateKind>,
+    ops: Vec<[NetId; 3]>,
     net_names: Vec<Option<String>>,
     outputs: Vec<(String, NetId)>,
     const0: Option<NetId>,
@@ -514,7 +367,8 @@ impl NetlistBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         NetlistBuilder {
             name: name.into(),
-            gates: Vec::new(),
+            kinds: Vec::new(),
+            ops: Vec::new(),
             net_names: Vec::new(),
             outputs: Vec::new(),
             const0: None,
@@ -522,17 +376,20 @@ impl NetlistBuilder {
         }
     }
 
-    fn push(&mut self, kind: GateKind, inputs: Vec<NetId>, name: Option<String>) -> NetId {
+    fn push(&mut self, kind: GateKind, inputs: &[NetId], name: Option<String>) -> NetId {
         debug_assert_eq!(inputs.len(), kind.arity());
-        let id = NetId(self.gates.len() as u32);
-        self.gates.push(Gate { kind, inputs });
+        let id = NetId(self.kinds.len() as u32);
+        let mut slots = [id; 3];
+        slots[..inputs.len()].copy_from_slice(inputs);
+        self.kinds.push(kind);
+        self.ops.push(slots);
         self.net_names.push(name);
         id
     }
 
     /// Adds a named primary input bit.
     pub fn input(&mut self, name: impl Into<String>) -> NetId {
-        self.push(GateKind::Input, Vec::new(), Some(name.into()))
+        self.push(GateKind::Input, &[], Some(name.into()))
     }
 
     /// Adds a `width`-bit primary input bus named `name[0..width)`,
@@ -548,7 +405,7 @@ impl NetlistBuilder {
         if let Some(z) = self.const0 {
             return z;
         }
-        let z = self.push(GateKind::Const(false), Vec::new(), Some("const0".into()));
+        let z = self.push(GateKind::Const(false), &[], Some("const0".into()));
         self.const0 = Some(z);
         z
     }
@@ -558,7 +415,7 @@ impl NetlistBuilder {
         if let Some(o) = self.const1 {
             return o;
         }
-        let o = self.push(GateKind::Const(true), Vec::new(), Some("const1".into()));
+        let o = self.push(GateKind::Const(true), &[], Some("const1".into()));
         self.const1 = Some(o);
         o
     }
@@ -583,7 +440,7 @@ impl NetlistBuilder {
     /// Panics if the operand count does not match the kind's arity.
     pub fn gate(&mut self, kind: GateKind, inputs: &[NetId]) -> NetId {
         assert_eq!(inputs.len(), kind.arity(), "{kind:?} arity mismatch");
-        self.push(kind, inputs.to_vec(), None)
+        self.push(kind, inputs, None)
     }
 
     /// Replays a gate verbatim, preserving indices — no constant
@@ -596,32 +453,32 @@ impl NetlistBuilder {
     /// Panics if the operand count does not match the kind's arity.
     pub fn push_gate(&mut self, kind: GateKind, inputs: &[NetId], name: Option<String>) -> NetId {
         assert_eq!(inputs.len(), kind.arity(), "{kind:?} arity mismatch");
-        self.push(kind, inputs.to_vec(), name)
+        self.push(kind, inputs, name)
     }
 
     /// NOT gate.
     pub fn not(&mut self, a: NetId) -> NetId {
-        self.push(GateKind::Not, vec![a], None)
+        self.push(GateKind::Not, &[a], None)
     }
 
     /// 2-input AND.
     pub fn and2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::And, vec![a, b], None)
+        self.push(GateKind::And, &[a, b], None)
     }
 
     /// 2-input OR.
     pub fn or2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Or, vec![a, b], None)
+        self.push(GateKind::Or, &[a, b], None)
     }
 
     /// 2-input XOR.
     pub fn xor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Xor, vec![a, b], None)
+        self.push(GateKind::Xor, &[a, b], None)
     }
 
     /// 2:1 mux: `sel ? a : b`.
     pub fn mux2(&mut self, sel: NetId, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Mux, vec![sel, a, b], None)
+        self.push(GateKind::Mux, &[sel, a, b], None)
     }
 
     /// Word-wide 2:1 mux.
@@ -680,16 +537,16 @@ impl NetlistBuilder {
         let mut q = Vec::with_capacity(d.len());
         for &bit in d {
             // Reserve the flop first so the enable mux can reference Q.
-            let ff = NetId(self.gates.len() as u32);
+            let ff = NetId(self.kinds.len() as u32);
             match en {
                 None => {
-                    self.push(GateKind::Dff { scan }, vec![bit], None);
+                    self.push(GateKind::Dff { scan }, &[bit], None);
                     q.push(ff);
                 }
                 Some(e) => {
                     // flop at index ff+1; mux at ff reads (e, d, q=ff+1)
-                    let mux = self.push(GateKind::Mux, vec![e, bit, NetId(ff.0 + 1)], None);
-                    let flop = self.push(GateKind::Dff { scan }, vec![mux], None);
+                    let mux = self.push(GateKind::Mux, &[e, bit, NetId(ff.0 + 1)], None);
+                    let flop = self.push(GateKind::Dff { scan }, &[mux], None);
                     q.push(flop);
                 }
             }
@@ -733,8 +590,8 @@ impl NetlistBuilder {
     /// [`set_dff_input`](Self::set_dff_input). This is how structures
     /// with register↔logic cycles (data paths) are built.
     pub fn dff_uninit(&mut self, scan: bool) -> NetId {
-        let id = NetId(self.gates.len() as u32);
-        self.push(GateKind::Dff { scan }, vec![id], None)
+        let id = NetId(self.kinds.len() as u32);
+        self.push(GateKind::Dff { scan }, &[id], None)
     }
 
     /// Rewires a flip-flop's data input.
@@ -743,9 +600,8 @@ impl NetlistBuilder {
     ///
     /// Panics if `ff` is not a flip-flop.
     pub fn set_dff_input(&mut self, ff: NetId, d: NetId) {
-        let gate = &mut self.gates[ff.index()];
-        assert!(gate.kind.is_dff(), "{ff} is not a flip-flop");
-        gate.inputs[0] = d;
+        assert!(self.kinds[ff.index()].is_dff(), "{ff} is not a flip-flop");
+        self.ops[ff.index()][0] = d;
     }
 
     /// Ripple-carry adder; returns `(sum, carry_out)`.
@@ -848,7 +704,7 @@ impl NetlistBuilder {
         assert_eq!(a.len(), b.len());
         let mut acc = self.one();
         for (&x, &y) in a.iter().zip(b) {
-            let e = self.push(GateKind::Xnor, vec![x, y], None);
+            let e = self.push(GateKind::Xnor, &[x, y], None);
             acc = self.and2(acc, e);
         }
         acc
@@ -862,7 +718,7 @@ impl NetlistBuilder {
         for (&x, &y) in a.iter().zip(b) {
             let nx = self.not(x);
             let strict = self.and2(nx, y);
-            let eq = self.push(GateKind::Xnor, vec![x, y], None);
+            let eq = self.push(GateKind::Xnor, &[x, y], None);
             let keep = self.and2(eq, lt);
             lt = self.or2(strict, keep);
         }
@@ -903,29 +759,18 @@ impl NetlistBuilder {
 
     /// Number of gates so far.
     pub fn num_gates(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
     }
 
-    /// A snapshot of the gates added so far, as
-    /// `(kind, inputs, net name)` — the companion of
-    /// [`push_gate`](Self::push_gate) for rewrite passes that need to
-    /// rewire an in-progress netlist.
-    pub fn gates_snapshot(&self) -> Vec<(GateKind, Vec<NetId>, Option<String>)> {
-        self.gates
-            .iter()
-            .zip(&self.net_names)
-            .map(|(g, n)| (g.kind, g.inputs.clone(), n.clone()))
-            .collect()
-    }
-
-    /// Validates and finishes the netlist.
+    /// Validates and finishes the netlist, deriving its topological
+    /// order, levels and reader table.
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError`] on arity mismatches, dangling nets,
-    /// duplicate output names, or combinational cycles.
+    /// Returns [`NetlistError`] on dangling nets, duplicate output names,
+    /// or combinational cycles.
     pub fn finish(self) -> Result<Netlist, NetlistError> {
-        let n = self.gates.len();
+        let n = self.kinds.len();
         let mut seen = HashMap::new();
         for (name, net) in &self.outputs {
             if net.index() >= n {
@@ -935,39 +780,45 @@ impl NetlistBuilder {
                 return Err(NetlistError::DuplicateOutput { name: name.clone() });
             }
         }
+        let operands = |i: usize| &self.ops[i][..self.kinds[i].arity()];
         let mut inputs = Vec::new();
         let mut dffs = Vec::new();
-        for (i, g) in self.gates.iter().enumerate() {
-            if g.inputs.len() != g.kind.arity() {
-                return Err(NetlistError::Arity {
-                    gate: GateId(i as u32),
-                    expected: g.kind.arity(),
-                    found: g.inputs.len(),
-                });
+        for (i, kind) in self.kinds.iter().enumerate() {
+            if let Some(&net) = operands(i).iter().find(|inp| inp.index() >= n) {
+                return Err(NetlistError::DanglingNet { net });
             }
-            for &inp in &g.inputs {
-                if inp.index() >= n {
-                    return Err(NetlistError::DanglingNet { net: inp });
-                }
-            }
-            match g.kind {
+            match kind {
                 GateKind::Input => inputs.push(NetId(i as u32)),
                 GateKind::Dff { .. } => dffs.push(GateId(i as u32)),
                 _ => {}
             }
         }
+        // The reader table (CSR): every reader of each net, in gate-id
+        // order and once per operand slot.
+        let mut reader_starts = vec![0u32; n + 1];
+        for i in 0..n {
+            for inp in operands(i) {
+                reader_starts[inp.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            reader_starts[i + 1] += reader_starts[i];
+        }
+        let mut cursor = reader_starts.clone();
+        let mut readers = vec![GateId(0); reader_starts[n] as usize];
+        for i in 0..n {
+            for inp in operands(i) {
+                readers[cursor[inp.index()] as usize] = GateId(i as u32);
+                cursor[inp.index()] += 1;
+            }
+        }
         // Kahn levelization over combinational gates; DFF/Input/Const are
-        // sources. It walks the readers table the SoA view keeps, and the
-        // topological order doubles as the FIFO queue.
-        let comb = |i: usize| !self.gates[i].kind.is_source();
-        let (starts, readers) = comb_readers(&self.gates);
+        // sources, and source readers are skipped. The topological order
+        // doubles as the FIFO queue.
+        let comb = |i: usize| !self.kinds[i].is_source();
         let mut indeg = vec![0u32; n];
         for i in (0..n).filter(|&i| comb(i)) {
-            indeg[i] = self.gates[i]
-                .inputs
-                .iter()
-                .filter(|inp| comb(inp.index()))
-                .count() as u32;
+            indeg[i] = operands(i).iter().filter(|inp| comb(inp.index())).count() as u32;
         }
         let mut topo: Vec<GateId> = (0..n)
             .filter(|&i| indeg[i] == 0 && comb(i))
@@ -977,10 +828,14 @@ impl NetlistBuilder {
         while head < topo.len() {
             let u = topo[head].index();
             head += 1;
-            for &v in &readers[starts[u] as usize..starts[u + 1] as usize] {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    topo.push(GateId(v));
+            let lo = reader_starts[u] as usize;
+            for &v in &readers[lo..reader_starts[u + 1] as usize] {
+                if !comb(v.index()) {
+                    continue;
+                }
+                indeg[v.index()] -= 1;
+                if indeg[v.index()] == 0 {
+                    topo.push(v);
                 }
             }
         }
@@ -993,16 +848,51 @@ impl NetlistBuilder {
                 gate: GateId(stuck as u32),
             });
         }
-        let soa = SoaIr::build(&self.gates, &topo, (starts, readers));
+        // Levels: sources sit at 0; a combinational gate is one past its
+        // deepest operand. `topo` is topologically sorted, so operand
+        // levels are final when a gate is reached.
+        let mut level_of = vec![0u32; n];
+        for &gid in &topo {
+            let deepest = operands(gid.index())
+                .iter()
+                .map(|inp| level_of[inp.index()])
+                .max()
+                .unwrap_or(0);
+            level_of[gid.index()] = 1 + deepest;
+        }
+        let level_count = topo
+            .iter()
+            .map(|g| level_of[g.index()] as usize + 1)
+            .max()
+            .unwrap_or(0);
+        // Bucket the combinational gates by (level, id): counting sort
+        // keeps the order deterministic and each level one run.
+        let mut level_cursor = vec![0u32; level_count + 1];
+        for &gid in &topo {
+            level_cursor[level_of[gid.index()] as usize + 1] += 1;
+        }
+        for l in 0..level_count {
+            level_cursor[l + 1] += level_cursor[l];
+        }
+        let mut level_order = vec![0u32; topo.len()];
+        for i in (0..n).filter(|&i| comb(i)) {
+            let slot = &mut level_cursor[level_of[i] as usize];
+            level_order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
         Ok(Netlist {
             name: self.name,
-            gates: self.gates,
+            kinds: self.kinds,
+            ops: self.ops,
             net_names: self.net_names,
             outputs: self.outputs,
             inputs,
             dffs,
             topo,
-            soa,
+            level_of,
+            level_order,
+            reader_starts,
+            readers,
         })
     }
 }
@@ -1079,6 +969,35 @@ mod tests {
             assert_eq!(mux.kind, GateKind::Mux);
             assert_eq!(mux.inputs[2], ff.net());
         }
+    }
+
+    #[test]
+    fn readers_list_every_reader_once_per_slot() {
+        let mut b = NetlistBuilder::new("rd");
+        let x = b.input("x");
+        let y = b.input("y");
+        let both = b.and2(x, x);
+        let m = b.mux2(x, y, both);
+        let q = b.register(&[m], None, false)[0];
+        b.output("q", q);
+        let nl = b.finish().unwrap();
+        let ff = GateId(q.0);
+        // Flops are readers too, and a double read is listed twice.
+        assert_eq!(nl.readers(x), [GateId(both.0), GateId(both.0), GateId(m.0)]);
+        assert_eq!(nl.readers(both), [GateId(m.0)]);
+        assert_eq!(nl.readers(m), [ff]);
+        assert!(nl.readers(q).is_empty());
+        // Every operand slot of every gate is one reader entry.
+        for (id, g) in nl.gates() {
+            for &inp in g.inputs {
+                assert!(nl.readers(inp).contains(&id));
+            }
+        }
+        let slots: usize = nl.gates().map(|(_, g)| g.inputs.len()).sum();
+        let entries: usize = (0..nl.num_nets())
+            .map(|i| nl.readers(NetId(i as u32)).len())
+            .sum();
+        assert_eq!(entries, slots);
     }
 
     #[test]

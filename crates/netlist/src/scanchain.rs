@@ -36,7 +36,7 @@ pub fn stitch(nl: &Netlist) -> ScanDesign {
     let mut b = NetlistBuilder::new(format!("{}_chain", nl.name()));
     for (id, g) in nl.gates() {
         let name = nl.net_name(id.net()).map(str::to_owned);
-        b.push_gate(g.kind, &g.inputs, name);
+        b.push_gate(g.kind, g.inputs, name);
     }
     for (name, net) in nl.outputs() {
         b.output(name.clone(), *net);
@@ -69,12 +69,13 @@ pub fn stitch(nl: &Netlist) -> ScanDesign {
 /// Serially applies one abstract test frame (single pattern, lane 0):
 /// shift the state in, apply the primary inputs for one capture cycle,
 /// then shift the response out. Returns `(po_values_at_capture,
-/// shifted_out_bits)` for the good or faulty machine.
+/// shifted_out_bits)` for the good or faulty machine. A stuck flop
+/// output is forced by every cycle's evaluation, whatever state it
+/// sampled.
 pub fn apply_serial(
     sd: &ScanDesign,
     frame: &TestFrame,
     fault: Option<Fault>,
-    source_dff_count: usize,
 ) -> (Vec<bool>, Vec<bool>) {
     let nl = &sd.netlist;
     let n_chain = sd.chain.len();
@@ -100,7 +101,6 @@ pub fn apply_serial(
     let mut load_bits: Vec<bool> = Vec::with_capacity(n_chain);
     for &pos in sd.chain.iter().rev() {
         let word = frame.ff.get(pos).copied().unwrap_or(0);
-        let _ = source_dff_count;
         load_bits.push(word & 1 == 1);
     }
     for &bit in &load_bits {
@@ -109,7 +109,6 @@ pub fn apply_serial(
         pi.push(bit); // scan_in
         let values = eval_comb(nl, &drive(&pi), &ff, force);
         ff = next_state(nl, &values);
-        pin(nl, force, &mut ff);
     }
     // Capture cycle: scan_en = 0.
     let mut pi = functional_pi.clone();
@@ -119,7 +118,6 @@ pub fn apply_serial(
     let pos = output_values(nl, &values);
     let po_bits: Vec<bool> = pos.iter().map(|&w| w & 1 == 1).collect();
     ff = next_state(nl, &values);
-    pin(nl, force, &mut ff);
     // Shift out.
     let mut out_bits = Vec::with_capacity(n_chain);
     for _ in 0..n_chain {
@@ -135,27 +133,16 @@ pub fn apply_serial(
             .expect("scan_out exists");
         out_bits.push(scan_out);
         ff = next_state(nl, &values);
-        pin(nl, force, &mut ff);
     }
     (po_bits, out_bits)
-}
-
-fn pin(nl: &Netlist, force: Option<ForcedNet>, ff: &mut [u64]) {
-    if let Some(fr) = force {
-        for (i, &f) in nl.dffs().iter().enumerate() {
-            if f.net() == fr.net {
-                ff[i] = if fr.value { u64::MAX } else { 0 };
-            }
-        }
-    }
 }
 
 /// Whether the serial protocol detects `fault` with `frame`: any
 /// difference between good and faulty machines at the primary outputs
 /// during capture or in the shifted-out response.
-pub fn detects_serial(sd: &ScanDesign, frame: &TestFrame, fault: Fault, src_dffs: usize) -> bool {
-    let good = apply_serial(sd, frame, None, src_dffs);
-    let bad = apply_serial(sd, frame, Some(fault), src_dffs);
+pub fn detects_serial(sd: &ScanDesign, frame: &TestFrame, fault: Fault) -> bool {
+    let good = apply_serial(sd, frame, None);
+    let bad = apply_serial(sd, frame, Some(fault));
     good != bad
 }
 
@@ -198,8 +185,8 @@ mod tests {
         // must read back what we wrote (no capture disturbance means we
         // compare against the captured state instead — exercised by the
         // equivalence test below). Here: just assert determinism.
-        let a = apply_serial(&sd, &frame, None, 2);
-        let b = apply_serial(&sd, &frame, None, 2);
+        let a = apply_serial(&sd, &frame, None);
+        let b = apply_serial(&sd, &frame, None);
         assert_eq!(a, b);
     }
 
@@ -224,7 +211,7 @@ mod tests {
             let serially = run
                 .patterns
                 .iter()
-                .any(|frame| detects_serial(&sd, frame, fault, nl.dffs().len()));
+                .any(|frame| detects_serial(&sd, frame, fault));
             if !serially {
                 missed.push(fault);
             }
@@ -238,7 +225,7 @@ mod tests {
         let sd = stitch(&nl);
         // Shift in a 1 into the deepest flop; it must come back out.
         let frame = TestFrame::new(vec![0, 0], vec![u64::MAX, u64::MAX]);
-        let (_, out) = apply_serial(&sd, &frame, None, 2);
+        let (_, out) = apply_serial(&sd, &frame, None);
         assert_eq!(out.len(), 2);
     }
 }

@@ -3,6 +3,12 @@
 //! Each `u64` word carries 64 independent patterns down a net — the
 //! classic PPSFP trick that makes fault grading of the experiment
 //! circuits fast enough to run in unit tests.
+//!
+//! [`eval_comb`] walks [`Netlist::topo`] gate by gate: it is the naive
+//! evaluator behind the oracles and sequential grading. [`eval_comb_wide`]
+//! walks the netlist's level order over its flat kind and operand arrays,
+//! as the good-machine evaluator of the [`crate::soa`] engine; the two
+//! share nothing but the netlist.
 
 use crate::net::{GateKind, NetId, Netlist};
 use crate::word::{self, PatternWord};
@@ -86,10 +92,9 @@ pub fn eval_comb(nl: &Netlist, pi: &[u64], ff: &[u64], force: Option<ForcedNet>)
 }
 
 /// Wide-word variant of [`eval_comb`]: each net carries a
-/// [`PatternWord`] of `64·N` parallel patterns. The walk runs over the
-/// netlist's structure-of-arrays view ([`Netlist::soa`]) — flat kind,
-/// operand, and level arrays — so it is also the good-machine
-/// evaluator of the SoA grading engine.
+/// [`PatternWord`] of `64·N` parallel patterns. The walk reads the
+/// netlist's flat kind and three-slot operand arrays in level order,
+/// so it is also the good-machine evaluator of the SoA grading engine.
 ///
 /// # Panics
 ///
@@ -102,7 +107,6 @@ pub fn eval_comb_wide<const N: usize>(
 ) -> Vec<PatternWord<N>> {
     assert_eq!(pi.len(), nl.inputs().len(), "primary input count mismatch");
     assert_eq!(ff.len(), nl.dffs().len(), "flip-flop count mismatch");
-    let soa = nl.soa();
     let mut values: Vec<PatternWord<N>> = vec![word::zeros(); nl.num_nets()];
     for (i, &net) in nl.inputs().iter().enumerate() {
         values[net.index()] = pi[i];
@@ -124,11 +128,11 @@ pub fn eval_comb_wide<const N: usize>(
             values[fr.net.index()] = word::splat(fr.value);
         }
     }
-    for &g in soa.comb_order() {
+    for &g in nl.level_order() {
         let gi = g as usize;
-        let ops = soa.operands(g);
+        let ops = nl.operands(g);
         let a = values[ops[0] as usize];
-        let v = match soa.kind(g) {
+        let v = match nl.kind_of(g) {
             GateKind::Buf => a,
             GateKind::Not => word::not(a),
             GateKind::And => word::and(a, values[ops[1] as usize]),
@@ -148,17 +152,6 @@ pub fn eval_comb_wide<const N: usize>(
         }
     }
     values
-}
-
-/// Wide-word variant of [`next_state`].
-pub fn next_state_wide<const N: usize>(
-    nl: &Netlist,
-    values: &[PatternWord<N>],
-) -> Vec<PatternWord<N>> {
-    nl.dffs()
-        .iter()
-        .map(|&f| values[nl.gate(f).inputs[0].index()])
-        .collect()
 }
 
 /// Samples the next flip-flop state from a completed evaluation frame.
@@ -181,7 +174,10 @@ pub fn output_values(nl: &Netlist, values: &[u64]) -> Vec<u64> {
 /// Runs a vector sequence from the all-zero state (or a given initial
 /// state) and returns the primary output words per cycle.
 ///
-/// `vectors[t]` holds one word per primary input at cycle `t`.
+/// `vectors[t]` holds one word per primary input at cycle `t`. A forced
+/// flip-flop output needs no pinning of the sampled state: every cycle's
+/// [`eval_comb`] forces the net again, and [`next_state`] reads only
+/// data inputs.
 pub fn run_sequence(
     nl: &Netlist,
     vectors: &[Vec<u64>],
@@ -194,14 +190,6 @@ pub fn run_sequence(
         let values = eval_comb(nl, v, &ff, force);
         outs.push(output_values(nl, &values));
         ff = next_state(nl, &values);
-        // A stuck flip-flop output also corrupts the sampled state.
-        if let Some(fr) = force {
-            for (i, &f) in nl.dffs().iter().enumerate() {
-                if f.net() == fr.net {
-                    ff[i] = if fr.value { u64::MAX } else { 0 };
-                }
-            }
-        }
     }
     outs
 }

@@ -5,10 +5,11 @@
 //! oracle ([`crate::fsim::comb_fault_sim_oracle`]) and gets its speed
 //! three ways, none of which may change a detected set:
 //!
-//! * **Levelized SoA walk** — gate kinds, operand ids, and levels live
-//!   in flat `u32`-indexed arrays ([`crate::net::SoaIr`]) instead of
-//!   per-gate heap nodes, so the inner loop is a handful of contiguous
-//!   array reads.
+//! * **Levelized SoA walk** — the engine reads the netlist's own
+//!   storage ([`crate::net::Netlist`]): one kind and three operand slots
+//!   per gate in flat arrays, the gate levels, the level order and the
+//!   reader table, so the inner loop is a handful of contiguous array
+//!   reads.
 //! * **Wide pattern words** — frames are packed [`WordWidth::lanes`]
 //!   at a time into [`PatternWord`]s, so one propagation pass grades up
 //!   to 512 patterns. Lanes are independent bitwise channels; the
@@ -45,7 +46,7 @@ use std::time::Instant;
 use crate::deadline::Deadline;
 use crate::fault::Fault;
 use crate::fsim::{deadline_poll_stride, fault_phase, FaultSimSummary, ParallelOptions, TestFrame};
-use crate::net::{GateKind, NetId, Netlist, SoaIr};
+use crate::net::{GateKind, NetId, Netlist};
 use crate::stats::GradeStats;
 use crate::word::{self, PatternWord, WordWidth};
 
@@ -60,10 +61,11 @@ struct ObsTables {
     /// combinational fanout cone (including the net itself). Faults on
     /// nets outside this set are structurally undetectable.
     reach: Vec<bool>,
-    /// CSR fanout restricted to obs-reaching readers, rebuilt per
-    /// observation set: `fedges[fstarts[g]..fstarts[g+1]]` holds each
-    /// reader packed as `level << 32 | gate`, so the enqueue loop needs
-    /// no `reach` or `level_of` lookups of its own.
+    /// CSR fanout restricted to obs-reaching combinational readers (the
+    /// netlist's reader table less flip-flops and unreaching gates),
+    /// rebuilt per observation set: `fedges[fstarts[g]..fstarts[g+1]]`
+    /// holds each reader packed as `level << 32 | gate`, so the enqueue
+    /// loop needs no `reach` or `level_of` lookups of its own.
     fstarts: Vec<u32>,
     fedges: Vec<u64>,
     /// Net index → the unique obs-reaching comb reader when the net is
@@ -76,7 +78,6 @@ struct ObsTables {
 impl ObsTables {
     fn new(nl: &Netlist, observed: &[NetId]) -> ObsTables {
         let n = nl.num_nets();
-        let soa = nl.soa();
         let mut mark = vec![false; n];
         for net in observed {
             mark[net.index()] = true;
@@ -86,9 +87,9 @@ impl ObsTables {
         // Unused operand slots hold the gate's own id, so blanket
         // propagation over all three slots is harmless.
         let mut reach = mark.clone();
-        for &g in soa.comb_order().iter().rev() {
+        for &g in nl.level_order().iter().rev() {
             if reach[g as usize] {
-                for op in soa.operands(g) {
+                for op in nl.operands(g) {
                     reach[op as usize] = true;
                 }
             }
@@ -97,9 +98,9 @@ impl ObsTables {
         let mut fedges = Vec::new();
         fstarts.push(0u32);
         for g in 0..n as u32 {
-            for &h in soa.fanout(g) {
-                if reach[h as usize] {
-                    fedges.push(u64::from(soa.level_of(h)) << 32 | u64::from(h));
+            for &h in nl.readers(NetId(g)) {
+                if reach[h.index()] && !nl.kind_of(h.0).is_source() {
+                    fedges.push(u64::from(nl.level_of(h.0)) << 32 | u64::from(h.0));
                 }
             }
             fstarts.push(fedges.len() as u32);
@@ -197,12 +198,12 @@ fn rd<const N: usize>(
 /// a gate reading the same net on two pins is handled exactly.
 #[inline]
 fn eval_flip<const N: usize>(
-    soa: &SoaIr,
+    nl: &Netlist,
     good: &[PatternWord<N>],
     p: u32,
     flip: u32,
 ) -> PatternWord<N> {
-    let ops = soa.operands(p);
+    let ops = nl.operands(p);
     let ld = |k: usize| {
         let i = ops[k];
         if i == flip {
@@ -211,7 +212,7 @@ fn eval_flip<const N: usize>(
             good[i as usize]
         }
     };
-    match soa.kind(p) {
+    match nl.kind_of(p) {
         GateKind::Buf => ld(0),
         GateKind::Not => word::not(ld(0)),
         GateKind::And => word::and(ld(0), ld(1)),
@@ -232,7 +233,7 @@ fn eval_flip<const N: usize>(
 /// every live bit is covered — so the result is exact per pattern and
 /// reusable by every fault that funnels into `stem` this chunk.
 fn stem_flip_obs<const N: usize>(
-    soa: &SoaIr,
+    nl: &Netlist,
     obs: &ObsTables,
     good: &[PatternWord<N>],
     mask: &PatternWord<N>,
@@ -277,9 +278,9 @@ fn stem_flip_obs<const N: usize>(
         for &g in &bucket {
             let gi = g as usize;
             stats.flip_events += 1;
-            let ops = soa.operands(g);
+            let ops = nl.operands(g);
             let a = rd(&scratch.mark, &scratch.val, good, stamped, ops[0] as usize);
-            let v = match soa.kind(g) {
+            let v = match nl.kind_of(g) {
                 GateKind::Buf => a,
                 GateKind::Not => word::not(a),
                 GateKind::And => word::and(
@@ -418,7 +419,7 @@ impl<const N: usize> WideTrace<N> {
 /// Grades the session's undetected `faults` against the wide trace,
 /// setting `hits[i]` when `faults[i]` is detected.
 fn grade_faults<const N: usize>(
-    soa: &SoaIr,
+    nl: &Netlist,
     obs: &ObsTables,
     trace: &WideTrace<N>,
     deadline: Deadline,
@@ -474,7 +475,7 @@ fn grade_faults<const N: usize>(
                 if p == STEM {
                     break;
                 }
-                s = word::and(s, word::xor(eval_flip(soa, good, p, n), good[p as usize]));
+                s = word::and(s, word::xor(eval_flip(nl, good, p, n), good[p as usize]));
                 if s == zero {
                     break;
                 }
@@ -491,7 +492,7 @@ fn grade_faults<const N: usize>(
                 scratch.stem_obs[n as usize]
             } else {
                 stats.stem_memo_misses += 1;
-                let w = stem_flip_obs(soa, obs, good, mask, n, scratch, &mut stats);
+                let w = stem_flip_obs(nl, obs, good, mask, n, scratch, &mut stats);
                 scratch.stem_stamp[n as usize] = stamp;
                 scratch.stem_obs[n as usize] = w;
                 w
@@ -525,15 +526,14 @@ fn grade_frames<const N: usize>(
     let wall_good = good_start.elapsed();
     good_span.end();
 
-    let soa = nl.soa();
     fault_phase(
         faults,
         hits,
         scratch,
-        || EventScratch::new(nl.num_nets(), soa.level_count().max(1)),
+        || EventScratch::new(nl.num_nets(), nl.level_count().max(1)),
         frames.len(),
         wall_good,
-        |faults, hits, scratch| grade_faults(soa, obs, &trace, deadline, faults, hits, scratch),
+        |faults, hits, scratch| grade_faults(nl, obs, &trace, deadline, faults, hits, scratch),
     )
 }
 
@@ -739,20 +739,23 @@ mod tests {
     #[test]
     fn levelization_is_a_topological_order() {
         let nl = mixed();
-        let soa = nl.soa();
-        for &g in soa.comb_order() {
-            for op in soa.operands(g) {
+        let order = nl.level_order();
+        for &g in order {
+            for op in nl.operands(g) {
                 if op != g {
                     assert!(
-                        soa.level_of(op) < soa.level_of(g),
+                        nl.level_of(op) < nl.level_of(g),
                         "operand {op} of gate {g} is not at a lower level"
                     );
                 }
             }
         }
-        // The per-level slices tile the combinational order.
-        let total: usize = (0..soa.level_count()).map(|l| soa.level(l).len()).sum();
-        assert_eq!(total, nl.topo().len());
+        // Every combinational gate once, level-major then id order.
+        assert_eq!(order.len(), nl.topo().len());
+        let key = |g: u32| (nl.level_of(g), g);
+        assert!(order.windows(2).all(|w| key(w[0]) < key(w[1])));
+        let deepest = order.iter().map(|&g| nl.level_of(g)).max().unwrap();
+        assert_eq!(nl.level_count(), deepest as usize + 1);
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn replay(nl: &Netlist) -> NetlistBuilder {
     let mut b = NetlistBuilder::new(nl.name().to_string());
     for (id, g) in nl.gates() {
         let name = nl.net_name(id.net()).map(str::to_owned);
-        b.push_gate(g.kind, &g.inputs, name);
+        b.push_gate(g.kind, g.inputs, name);
     }
     for (name, net) in nl.outputs() {
         b.output(name.clone(), *net);
@@ -106,33 +106,34 @@ pub fn insert_test_points(nl: &Netlist, options: &TpiOptions) -> TpiResult {
 /// Inserts `fixed = net ⊕ (test_en ∧ tp<i>)` and rewires every reader
 /// of `net` (and the primary-output table) to the fixed value.
 pub fn add_control_point(nl: &Netlist, net: NetId, index: usize) -> Netlist {
-    let mut b = replay(nl);
-    let test_en = existing_input(nl, "test_en").unwrap_or_else(|| b.input("test_en"));
+    // The fixed value is the last gate added: after the replayed gates,
+    // a new `test_en` input when there is none yet, `tp<i>` and the AND.
+    // Its id is known up front, so the readers of `net` are rewired as
+    // they are replayed.
+    let test_en = existing_input(nl, "test_en");
+    let fixed = NetId(nl.num_gates() as u32 + u32::from(test_en.is_none()) + 2);
+    let mut b = NetlistBuilder::new(nl.name().to_string());
+    for (id, g) in nl.gates() {
+        let inputs: Vec<NetId> = g
+            .inputs
+            .iter()
+            .map(|&inp| if inp == net { fixed } else { inp })
+            .collect();
+        b.push_gate(g.kind, &inputs, nl.net_name(id.net()).map(str::to_owned));
+    }
+    let test_en = test_en.unwrap_or_else(|| b.input("test_en"));
     let tp = b.input(format!("tp{index}"));
     let inject = b.and2(test_en, tp);
     let muxed = b.xor2(net, inject);
-    let mut rebuilt = NetlistBuilder::new(nl.name().to_string());
-    // Second replay pass with rewiring (the first pass fixed indices for
-    // the three new gates; now rewire the original readers).
-    let snapshot = b.gates_snapshot();
-    for (id, (kind, gate_inputs, name)) in snapshot.iter().enumerate() {
-        let inputs: Vec<NetId> = gate_inputs
-            .iter()
-            .map(|&inp| {
-                if inp == net && id != muxed.index() {
-                    muxed
-                } else {
-                    inp
-                }
-            })
-            .collect();
-        rebuilt.push_gate(*kind, &inputs, name.clone());
-    }
+    assert_eq!(
+        muxed, fixed,
+        "the fixed value lands where the rewiring expects"
+    );
     for (name, out) in nl.outputs() {
         let target = if *out == net { muxed } else { *out };
-        rebuilt.output(name.clone(), target);
+        b.output(name.clone(), target);
     }
-    rebuilt.finish().expect("control-point rewrite stays valid")
+    b.finish().expect("control-point rewrite stays valid")
 }
 
 /// Adds `net` as an extra primary output `op<i>`.

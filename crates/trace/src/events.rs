@@ -422,13 +422,6 @@ impl Journal {
         self.records.is_empty()
     }
 
-    /// Records attributed to some point, in canonical order.
-    pub fn point_records(&self) -> Vec<&Record> {
-        let mut v: Vec<&Record> = self.records.iter().filter(|r| r.point.is_some()).collect();
-        v.sort_by_key(|r| canonical_key(r));
-        v
-    }
-
     /// The full journal as JSONL, one record per line, re-sorted into
     /// canonical order so the file's content does not depend on which
     /// thread flushed first. Timestamps, seqs, and tids are included —

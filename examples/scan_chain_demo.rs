@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sd.netlist.num_gates()
     );
     if let (Some(frame), Some(&fault)) = (run.patterns.first(), faults.first()) {
-        let hit = scanchain::detects_serial(&sd, frame, fault, nl.dffs().len());
+        let hit = scanchain::detects_serial(&sd, frame, fault);
         println!("first pattern vs {fault}: serial protocol detects = {hit}");
     }
 

@@ -64,6 +64,11 @@ coalesce-smoke: build
 soa-equiv: build
     ./ci.sh soa-equiv
 
+# Every exp_all table must match crates/bench/golden/exp_all.txt, E21's
+# timing columns aside.
+exp-smoke: build
+    ./ci.sh exp-smoke
+
 # Short perfbench runs must reproduce perfbench/digests.txt and answer
 # every serve-mix request byte-identically.
 digest-smoke:
