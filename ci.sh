@@ -363,9 +363,13 @@ step_digest_smoke() {
 }
 
 # Events smoke: the same tiny sweep journaled at 1 thread uncached and
-# 4 threads cached must produce byte-identical canonical journals, and
-# the full journal must roll up through trace-view (which exits nonzero
-# on unparseable lines or a journal without point records).
+# 4 threads cached must produce byte-identical canonical journals equal
+# to crates/bench/golden/events_canonical.jsonl, and the full journal
+# must roll up through trace-view (which exits nonzero on unparseable
+# lines or a journal without point records). The canonical journal
+# holds stable records only; a change that moves them on purpose
+# regenerates the golden from the t1 run's canonical output and says
+# why.
 step_events_smoke() {
     ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 128 \
@@ -378,6 +382,7 @@ step_events_smoke() {
         --events events_t4.jsonl --events-canonical events_t4_canon.jsonl \
         >/dev/null
     cmp events_t1_canon.jsonl events_t4_canon.jsonl
+    cmp crates/bench/golden/events_canonical.jsonl events_t1_canon.jsonl
     ./target/release/hlstb trace-view events_t4.jsonl >events_view.txt
     grep "6 points" events_view.txt
     grep "point.completed" events_view.txt

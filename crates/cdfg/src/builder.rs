@@ -277,13 +277,6 @@ impl CdfgBuilder {
                 output,
             });
         }
-        // Fill def/uses caches.
-        for op in &ops {
-            vars[op.output.index()].def = Some(op.id);
-            for (port, operand) in op.inputs.iter().enumerate() {
-                vars[operand.var.index()].uses.push((op.id, port));
-            }
-        }
         Cdfg::new(self.name, vars, ops)
     }
 }

@@ -46,9 +46,11 @@ pub struct Variable {
     pub name: String,
     /// Boundary role.
     pub kind: VarKind,
-    /// Defining operation, if any.
+    /// Defining operation, if any. Derived from the operations by
+    /// [`Cdfg::new`], which ignores the value it is given.
     pub def: Option<OpId>,
-    /// Consuming operations with the operand port they use.
+    /// Consuming operations with the operand port they use, ops
+    /// ascending, then ports. Derived by [`Cdfg::new`] like `def`.
     pub uses: Vec<(OpId, usize)>,
 }
 
@@ -211,7 +213,8 @@ pub struct Cdfg {
 }
 
 impl Cdfg {
-    /// Builds a CDFG from parts, validating all invariants.
+    /// Builds a CDFG from parts, deriving every variable's `def` and
+    /// `uses` from `ops` and validating all invariants.
     ///
     /// # Errors
     ///
@@ -221,9 +224,24 @@ impl Cdfg {
     /// names, and no dangling ids.
     pub fn new(
         name: impl Into<String>,
-        vars: Vec<Variable>,
+        mut vars: Vec<Variable>,
         ops: Vec<Operation>,
     ) -> Result<Self, CdfgError> {
+        for v in vars.iter_mut() {
+            v.def = None;
+            v.uses.clear();
+        }
+        // Out-of-range ids are skipped here and rejected by `validate`.
+        for op in &ops {
+            if let Some(v) = vars.get_mut(op.output.index()) {
+                v.def = Some(op.id);
+            }
+            for (port, o) in op.inputs.iter().enumerate() {
+                if let Some(v) = vars.get_mut(o.var.index()) {
+                    v.uses.push((op.id, port));
+                }
+            }
+        }
         let cdfg = Cdfg {
             name: name.into(),
             vars,
@@ -283,21 +301,6 @@ impl Cdfg {
                 }
             } else if d != 0 {
                 return Err(CdfgError::DefinedBoundary { var: v.id });
-            }
-            // Cross-check the cached def/uses against the operations.
-            match v.def {
-                Some(op) => {
-                    if self.ops.get(op.index()).map(|o| o.output) != Some(v.id) {
-                        return Err(CdfgError::UnknownId {
-                            what: format!("{} def cache points at wrong op", v.id),
-                        });
-                    }
-                }
-                None => {
-                    if d != 0 {
-                        return Err(CdfgError::BadDefinition { var: v.id, defs: d });
-                    }
-                }
             }
         }
         // Intra-iteration acyclicity via DFS coloring.
@@ -800,6 +803,32 @@ mod tests {
         // Well-formed stimuli succeed.
         streams.insert("c".to_string(), vec![3, 4]);
         assert!(g.try_evaluate(&streams, &HashMap::new(), 8).is_ok());
+    }
+
+    #[test]
+    fn new_derives_def_and_uses_and_rejects_dangling_ids() {
+        let g = chain();
+        // Stale caches in the parts are ignored: `new` derives its own.
+        let mut vars: Vec<Variable> = g.vars().cloned().collect();
+        for v in vars.iter_mut() {
+            v.def = Some(OpId(7));
+            v.uses = vec![(OpId(9), 3)];
+        }
+        let ops: Vec<Operation> = g.ops().cloned().collect();
+        assert_eq!(Cdfg::new("chain", vars.clone(), ops.clone()), Ok(g));
+        // A dangling operand or result is rejected, never indexed.
+        let mut bad = ops.clone();
+        bad[1].inputs[0].var = VarId(99);
+        assert!(matches!(
+            Cdfg::new("chain", vars.clone(), bad),
+            Err(CdfgError::UnknownId { .. })
+        ));
+        let mut bad = ops;
+        bad[0].output = VarId(99);
+        assert!(matches!(
+            Cdfg::new("chain", vars, bad),
+            Err(CdfgError::UnknownId { .. })
+        ));
     }
 
     #[test]

@@ -145,17 +145,6 @@ pub fn insert_deflection(
     // Redirect the targeted use.
     ops[site.user.index()].inputs[site.port] = Operand::now(new_var);
 
-    // Recompute def/uses caches from scratch.
-    for v in vars.iter_mut() {
-        v.def = None;
-        v.uses.clear();
-    }
-    for op in &ops {
-        vars[op.output.index()].def = Some(op.id);
-        for (port, o) in op.inputs.iter().enumerate() {
-            vars[o.var.index()].uses.push((op.id, port));
-        }
-    }
     let name = cdfg.name().to_string();
     let cdfg = Cdfg::new(name, vars, ops).map_err(TransformError::Rebuild)?;
     Ok(Deflected {
@@ -199,7 +188,7 @@ pub fn insert_deflection_all(
         .var_by_name(&d.new_var)
         .expect("deflection output exists")
         .id;
-    let mut vars: Vec<Variable> = d.cdfg.vars().cloned().collect();
+    let vars: Vec<Variable> = d.cdfg.vars().cloned().collect();
     let mut ops: Vec<Operation> = d.cdfg.ops().cloned().collect();
     for op in ops.iter_mut() {
         if op.id == d.new_op {
@@ -209,16 +198,6 @@ pub fn insert_deflection_all(
             if operand.var == var && operand.distance == distance {
                 *operand = Operand::now(new_var);
             }
-        }
-    }
-    for v in vars.iter_mut() {
-        v.def = None;
-        v.uses.clear();
-    }
-    for op in &ops {
-        vars[op.output.index()].def = Some(op.id);
-        for (port, o) in op.inputs.iter().enumerate() {
-            vars[o.var.index()].uses.push((op.id, port));
         }
     }
     let name = d.cdfg.name().to_string();

@@ -610,9 +610,6 @@ impl SynthesisFlow {
             atpg,
         };
         report_span.end();
-        hlstb_trace::gauge("flow.gates", report.gates as u64);
-        hlstb_trace::gauge("flow.registers", report.registers as u64);
-        hlstb_trace::gauge("flow.scan_registers", report.scan_registers as u64);
         report
     }
 

@@ -898,7 +898,6 @@ impl<'a> SweepDriver<'a> {
             stats
         });
         let reissued = self.reissued.into_inner();
-        hlstb_trace::counter("dse.points", records.len() as u64);
         hlstb_trace::events::emit("sweep.end", None, |e| {
             e.u64("points", records.len() as u64)
                 .u64(

@@ -77,18 +77,7 @@ pub fn optimize_port_assignment(
             sources[f][1].push(y);
         }
     }
-    // Rebuild with fresh def/use caches.
-    let mut vars: Vec<Variable> = cdfg.vars().cloned().collect();
-    for v in vars.iter_mut() {
-        v.def = None;
-        v.uses.clear();
-    }
-    for op in &ops {
-        vars[op.output.index()].def = Some(op.id);
-        for (port, o) in op.inputs.iter().enumerate() {
-            vars[o.var.index()].uses.push((op.id, port));
-        }
-    }
+    let vars: Vec<Variable> = cdfg.vars().cloned().collect();
     let cdfg =
         Cdfg::new(cdfg.name().to_string(), vars, ops).expect("operand swap preserves validity");
     PortSwapResult { cdfg, swapped }

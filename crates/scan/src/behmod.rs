@@ -225,17 +225,6 @@ pub fn add_test_statements(
         }
     }
 
-    // Rebuild def/use caches and validate.
-    for v in vars.iter_mut() {
-        v.def = None;
-        v.uses.clear();
-    }
-    for op in &ops {
-        vars[op.output.index()].def = Some(op.id);
-        for (port, o) in op.inputs.iter().enumerate() {
-            vars[o.var.index()].uses.push((op.id, port));
-        }
-    }
     let name = format!("{}_tst", cdfg.name());
     let cdfg = Cdfg::new(name, vars, ops)?;
     Ok(ModifiedBehavior {

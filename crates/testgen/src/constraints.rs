@@ -122,16 +122,6 @@ pub fn repair(cdfg: &Cdfg, width: u32) -> Result<Repaired, CdfgError> {
         }
     }
 
-    for v in vars.iter_mut() {
-        v.def = None;
-        v.uses.clear();
-    }
-    for op in &ops {
-        vars[op.output.index()].def = Some(op.id);
-        for (port, o) in op.inputs.iter().enumerate() {
-            vars[o.var.index()].uses.push((op.id, port));
-        }
-    }
     let cdfg = Cdfg::new(format!("{}_rep", cdfg.name()), vars, ops)?;
     Ok(Repaired {
         cdfg,

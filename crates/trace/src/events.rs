@@ -14,7 +14,7 @@
 //!   thread's own event order without trusting wall clocks;
 //! * the recording thread's dense id (`tid`) and a microsecond
 //!   timestamp since the trace epoch;
-//! * a static `kind` (e.g. `point.completed`, `span.open`), an
+//! * a static `kind` (e.g. `point.completed`, `span.close`), an
 //!   optional **point index** attributing the record to one unit of
 //!   work (a sweep point), and a list of typed [`Field`]s.
 //!
@@ -76,7 +76,6 @@ thread_local! {
     static LOCAL: RefCell<Local> = const {
         RefCell::new(Local {
             next_seq: 0,
-            open_spans: Vec::new(),
             buf: None,
             worker: None,
         })
@@ -88,9 +87,6 @@ thread_local! {
 /// being alive (or on its TLS destructors having run).
 struct Local {
     next_seq: u64,
-    /// Seqs of this thread's currently open journaled spans, for
-    /// parent attribution.
-    open_spans: Vec<u64>,
     /// This thread's registered buffer, created on first emission.
     buf: Option<Arc<Mutex<Vec<Record>>>>,
     /// The executor lane this thread serves (see [`set_worker`]).
@@ -269,7 +265,6 @@ pub fn set_worker(id: u32) {
 /// dropped count. Call between runs (concurrent emitters racing a
 /// reset keep whatever they emit after it, as expected).
 pub fn reset() {
-    LOCAL.with(|l| l.borrow_mut().open_spans.clear());
     let mut reg = lock(&REGISTRY);
     for buf in reg.iter() {
         lock(buf).clear();
@@ -281,7 +276,7 @@ pub fn reset() {
     DROPPED.store(0, Ordering::Relaxed);
 }
 
-fn record(kind: &'static str, point: Option<u64>, stable: bool, fields: Vec<Field>) -> u64 {
+fn record(kind: &'static str, point: Option<u64>, stable: bool, fields: Vec<Field>) {
     let tid = crate::thread_tid();
     let t_us = crate::epoch_us();
     if TOTAL.fetch_add(1, Ordering::Relaxed) >= MAX_RECORDS {
@@ -289,7 +284,7 @@ fn record(kind: &'static str, point: Option<u64>, stable: bool, fields: Vec<Fiel
         DROPPED.fetch_add(1, Ordering::Relaxed);
         // Dropped records are accounted centrally; the per-thread seq
         // does not advance, so stored sequences stay gap-free.
-        return LOCAL.with(|l| l.borrow().next_seq);
+        return;
     }
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
@@ -306,7 +301,6 @@ fn record(kind: &'static str, point: Option<u64>, stable: bool, fields: Vec<Fiel
             stable,
             fields,
         });
-        seq
     })
 }
 
@@ -324,8 +318,7 @@ pub fn emit(kind: &'static str, point: Option<u64>, fill: impl FnOnce(&mut Event
 }
 
 /// Emits one **volatile** record (dropped by the canonical
-/// projection): timings, cache outcomes under racing workers, span
-/// scaffolding.
+/// projection): timings, cache outcomes under racing workers.
 #[inline]
 pub fn emit_volatile(kind: &'static str, point: Option<u64>, fill: impl FnOnce(&mut EventBuilder)) {
     if !enabled() {
@@ -336,35 +329,14 @@ pub fn emit_volatile(kind: &'static str, point: Option<u64>, fill: impl FnOnce(&
     record(kind, point, false, b.fields);
 }
 
-/// Journals a span opening (volatile) with parent attribution — the
-/// seq of the innermost still-open journaled span on this thread.
-/// Returns the open record's seq for [`span_close`]. Called by
-/// [`crate::span`]; not part of the typical user surface.
-pub(crate) fn span_open(name: &'static str) -> u64 {
-    let mut b = EventBuilder::default();
-    b.volatile_str("name", name);
-    if let Some(p) = LOCAL.with(|l| l.borrow().open_spans.last().copied()) {
-        b.volatile_u64("parent", p);
-    }
-    let seq = record("span.open", None, false, b.fields);
-    LOCAL.with(|l| l.borrow_mut().open_spans.push(seq));
-    seq
-}
-
-/// Journals a span closing (volatile), referencing its open record.
-pub(crate) fn span_close(name: &'static str, open_seq: u64, dur_us: u64) {
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        // Spans are RAII guards, so closes normally pop in stack
-        // order; a guard moved across an early return still finds and
-        // removes its own entry.
-        if let Some(pos) = l.open_spans.iter().rposition(|&s| s == open_seq) {
-            l.open_spans.remove(pos);
-        }
-    });
+/// Journals one finished span (volatile): its name, its start in
+/// microseconds since the trace epoch, and its duration. Called by
+/// [`crate::Span`]'s drop; a span is this one record, and readers
+/// recover nesting from each thread's `(start_us, dur_us)` intervals.
+pub(crate) fn span_close(name: &'static str, start_us: u64, dur_us: u64) {
     let mut b = EventBuilder::default();
     b.volatile_str("name", name)
-        .volatile_u64("open", open_seq)
+        .volatile_u64("start_us", start_us)
         .volatile_u64("dur_us", dur_us);
     record("span.close", None, false, b.fields);
 }
@@ -531,7 +503,7 @@ mod tests {
         });
         emit("point.scheduled", Some(1), |_| {});
         emit("point.scheduled", Some(0), |_| {});
-        emit_volatile("span.openish", None, |_| {});
+        emit_volatile("volatile.probe", None, |_| {});
         set_enabled(false);
         let j = drain();
         let canon = j.to_canonical_jsonl();
@@ -548,36 +520,37 @@ mod tests {
     }
 
     #[test]
-    fn spans_journal_open_close_with_parent_attribution() {
+    fn a_span_is_one_close_record_nested_by_interval() {
         let _x = exclusive();
         set_enabled(true);
         reset();
         {
             let _outer = crate::span("outer");
+            std::thread::sleep(std::time::Duration::from_millis(1));
             let _inner = crate::span("inner");
         }
         set_enabled(false);
         let j = drain();
         let kinds: Vec<&str> = j.records.iter().map(|r| r.kind).collect();
-        assert_eq!(
-            kinds,
-            vec!["span.open", "span.open", "span.close", "span.close"]
-        );
-        let outer_seq = j.records[0].seq;
-        let inner_open = &j.records[1];
-        assert!(
-            inner_open
-                .fields
-                .iter()
-                .any(|f| f.name == "parent" && f.value == FieldValue::U64(outer_seq)),
-            "{inner_open:?}"
-        );
-        // Inner closes before outer, referencing its own open seq.
-        let inner_close = &j.records[2];
-        assert!(inner_close
-            .fields
-            .iter()
-            .any(|f| f.name == "open" && f.value == FieldValue::U64(inner_open.seq)));
+        assert_eq!(kinds, vec!["span.close", "span.close"]);
+        let interval = |r: &Record| {
+            let u = |name| match r.fields.iter().find(|f| f.name == name) {
+                Some(Field {
+                    value: FieldValue::U64(v),
+                    ..
+                }) => *v,
+                _ => panic!("{name} missing: {r:?}"),
+            };
+            (u("start_us"), u("start_us") + u("dur_us"))
+        };
+        // Inner closes first; its interval lies inside the outer one.
+        let (inner, outer) = (interval(&j.records[0]), interval(&j.records[1]));
+        assert!(outer.0 <= inner.0 && inner.1 <= outer.1, "{:?}", j.records);
+        assert!(outer.1 - outer.0 >= 1000, "{:?}", j.records);
+        for r in &j.records {
+            let names: Vec<&str> = r.fields.iter().map(|f| f.name).collect();
+            assert_eq!(names, vec!["name", "start_us", "dur_us"]);
+        }
         // Nothing canonical came out of spans alone.
         assert!(j.to_canonical_jsonl().is_empty());
     }

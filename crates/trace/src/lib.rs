@@ -7,8 +7,8 @@
 //!
 //! * **RAII spans** ([`span`]): scoped wall-time measurements of the
 //!   synthesis phases (scheduling, binding, expansion, scan selection,
-//!   BIST planning, ATPG, fault grading, …), journaled as a
-//!   `span.open`/`span.close` pair;
+//!   BIST planning, ATPG, fault grading, …), each journaled as one
+//!   `span.close` record carrying its start and duration;
 //! * **counters** ([`counter`]) and **gauges** ([`gauge`]): one
 //!   volatile `counter` or `gauge` record per call;
 //! * **views** ([`Snapshot::from_journal`]): per-phase totals and log₂
@@ -44,7 +44,7 @@ mod sinks;
 pub use sinks::Sinks;
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -87,8 +87,8 @@ pub(crate) fn thread_tid() -> u32 {
 }
 
 /// An RAII span guard: measures wall time from construction to drop and
-/// journals the close. When the journal is off at construction the
-/// guard is inert (no allocation, no lock on drop).
+/// journals it then, as one record. When the journal is off at
+/// construction the guard is inert (no allocation, no lock on drop).
 #[derive(Debug)]
 #[must_use = "a span measures until dropped; binding it to `_` drops immediately"]
 pub struct Span {
@@ -98,26 +98,25 @@ pub struct Span {
 #[derive(Debug)]
 struct ActiveSpan {
     name: &'static str,
-    start: Instant,
-    /// Seq of the journal's `span.open` record.
-    open_seq: u64,
+    /// Microseconds since the trace epoch at construction.
+    start_us: u64,
 }
 
 /// Opens a span named `name`. Close it by dropping the guard (or
-/// explicitly via [`Span::end`]). Journals a `span.open` record (with
-/// parent attribution) now and a `span.close` record with the duration
-/// on drop; inert when the journal is off.
+/// explicitly via [`Span::end`]), which journals one `span.close`
+/// record with the span's start and duration; inert when the journal
+/// is off. Both ends are read from the one epoch clock, so a span
+/// opened inside another on the same thread has an interval inside
+/// the outer one.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     if !events::enabled() {
         return Span { inner: None };
     }
-    let open_seq = events::span_open(name);
     Span {
         inner: Some(ActiveSpan {
             name,
-            start: Instant::now(),
-            open_seq,
+            start_us: epoch_us(),
         }),
     }
 }
@@ -130,7 +129,8 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(s) = self.inner.take() {
-            events::span_close(s.name, s.open_seq, s.start.elapsed().as_micros() as u64);
+            let dur_us = epoch_us().saturating_sub(s.start_us);
+            events::span_close(s.name, s.start_us, dur_us);
         }
     }
 }
@@ -241,17 +241,10 @@ fn u64_field(r: &Record, name: &str) -> u64 {
 
 impl Snapshot {
     /// Folds a drained journal into the views: one span event and one
-    /// phase sample per `span.close` (its start is the `t_us` of the
-    /// paired `span.open` — same `tid`, `seq` equal to the close's
-    /// `open`), counters summed over `counter` deltas, and gauges at
+    /// phase sample per `span.close` (with its own `start_us` and
+    /// `dur_us`), counters summed over `counter` deltas, and gauges at
     /// the largest `gauge` value.
     pub fn from_journal(journal: &Journal) -> Snapshot {
-        let opens: HashMap<(u32, u64), u64> = journal
-            .records
-            .iter()
-            .filter(|r| r.kind == "span.open")
-            .map(|r| ((r.tid, r.seq), r.t_us))
-            .collect();
         let mut events = Vec::new();
         let mut phases: BTreeMap<&str, PhaseSummary> = BTreeMap::new();
         let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
@@ -263,12 +256,6 @@ impl Snapshot {
             match r.kind {
                 "span.close" => {
                     let dur_us = u64_field(r, "dur_us");
-                    // A span opened before the journal's last reset
-                    // has no open record; start it from its close.
-                    let start_us = opens
-                        .get(&(r.tid, u64_field(r, "open")))
-                        .copied()
-                        .unwrap_or_else(|| r.t_us.saturating_sub(dur_us));
                     phases
                         .entry(name)
                         .or_insert_with(|| PhaseSummary::new(name))
@@ -276,7 +263,7 @@ impl Snapshot {
                     events.push(Event {
                         name: name.clone(),
                         tid: r.tid,
-                        start_us,
+                        start_us: u64_field(r, "start_us"),
                         dur_us,
                     });
                 }
@@ -514,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn span_start_is_its_open_record_time() {
+    fn span_start_is_its_close_record_start() {
         let _x = exclusive();
         events::set_enabled(true);
         events::reset();
@@ -526,20 +513,25 @@ mod tests {
         events::set_enabled(false);
         let journal = events::drain();
         let snap = Snapshot::from_journal(&journal);
-        let opens: Vec<u64> = journal
+        let closes: Vec<(&str, u64)> = journal
             .records
             .iter()
-            .filter(|r| r.kind == "span.open")
-            .map(|r| r.t_us)
+            .filter(|r| r.kind == "span.close")
+            .map(|r| match field(r, "name") {
+                Some(FieldValue::Str(name)) => (name.as_str(), u64_field(r, "start_us")),
+                _ => panic!("unnamed span: {r:?}"),
+            })
             .collect();
         let starts: Vec<(&str, u64)> = snap
             .events
             .iter()
             .map(|e| (e.name.as_str(), e.start_us))
             .collect();
-        assert_eq!(starts, vec![("outer", opens[0]), ("inner", opens[1])]);
+        // Inner closes first; the events are sorted by start.
+        assert_eq!(starts, vec![closes[1], closes[0]]);
         // The outer span covers the inner one.
         let (outer, inner) = (&snap.events[0], &snap.events[1]);
+        assert!(outer.start_us <= inner.start_us);
         assert!(outer.start_us + outer.dur_us >= inner.start_us + inner.dur_us);
     }
 

@@ -206,7 +206,8 @@ mod tests {
         let read = |p: &Option<String>| std::fs::read_to_string(p.as_ref().unwrap()).unwrap();
         assert!(read(&sinks.chrome).contains("\"probe\""));
         assert!(read(&sinks.metrics).contains("\"probe.count\": 2"));
-        assert_eq!(read(&sinks.events).lines().count(), 4);
+        // One span record, one counter, one point record.
+        assert_eq!(read(&sinks.events).lines().count(), 3);
         assert_eq!(read(&sinks.canonical).lines().count(), 1);
         for p in [
             &sinks.chrome,

@@ -60,7 +60,7 @@ coalesce-smoke: build
     ./ci.sh coalesce-smoke
 
 # SoA engine differential smoke: identical detected sets vs the
-# naive oracle at every word width on two designs.
+# naive oracle at every word width on all nine designs.
 soa-equiv: build
     ./ci.sh soa-equiv
 
@@ -75,7 +75,8 @@ digest-smoke:
     ./ci.sh digest-smoke
 
 # Canonical event journals are byte-identical across thread counts and
-# the full journal rolls up through trace-view.
+# to crates/bench/golden/events_canonical.jsonl, and the full journal
+# rolls up through trace-view.
 events-smoke: build
     ./ci.sh events-smoke
 

@@ -273,22 +273,31 @@ fn every_trace_view_comes_from_one_journal() {
         std::fs::remove_file(p).ok();
     }
 
-    // Chrome `X` events are the journal's span closes, name for name.
-    let mut spans: Vec<&str> = chrome
+    // A span is one `span.close` record carrying its own interval, and
+    // the Chrome `X` events are exactly those records: the same
+    // (name, tid, start, duration) multiset.
+    let mut spans: Vec<(&str, u64, u64, u64)> = chrome
         .get("traceEvents")
         .and_then(Value::as_array)
         .expect("traceEvents")
         .iter()
         .filter(|e| str_of(e, "ph") == "X")
-        .map(|e| str_of(e, "name"))
+        .map(|e| {
+            let (tid, ts, dur) = (u64_of(e, "tid"), u64_of(e, "ts"), u64_of(e, "dur"));
+            (str_of(e, "name"), tid, ts, dur)
+        })
         .collect();
-    let mut closes: Vec<&str> = of_kind(&records, "span.close")
-        .map(|r| str_of(r, "name"))
+    let mut closes: Vec<(&str, u64, u64, u64)> = of_kind(&records, "span.close")
+        .map(|r| {
+            let (tid, start, dur) = (u64_of(r, "tid"), u64_of(r, "start_us"), u64_of(r, "dur_us"));
+            (str_of(r, "name"), tid, start, dur)
+        })
         .collect();
     spans.sort_unstable();
     closes.sort_unstable();
     assert!(!closes.is_empty());
     assert_eq!(spans, closes);
+    assert_eq!(of_kind(&records, "span.open").count(), 0);
 
     // Metrics counters are the summed deltas; gauges the largest value.
     let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
