@@ -134,17 +134,18 @@ step_sweep_fault_smoke() {
 # processes must splice byte-identically to the serial uncached run,
 # and killing the only worker after one point (HLSTB_WORKER_FAIL) must
 # re-issue its lease and still reproduce the bytes via the inline
-# fallback.
+# fallback. Every coordinator and worker runs under `timeout 120`, so
+# a wind-down that never returns fails the step instead of hanging it.
 step_sweep_workers_smoke() {
     ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 64 \
         --threads 1 --no-cache --json >workers_serial.json
-    ./target/release/hlstb sweep --designs figure1,tseng \
+    timeout 120 ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 64 \
         --workers 4 --json >workers_sharded.json 2>workers_summary.txt
     cmp workers_serial.json workers_sharded.json
     grep "4 workers" workers_summary.txt
-    HLSTB_WORKER_FAIL="0:1" ./target/release/hlstb sweep \
+    HLSTB_WORKER_FAIL="0:1" timeout 120 ./target/release/hlstb sweep \
         --designs figure1,tseng --strategies none,full-scan,bist-shared \
         --grade 64 --workers 1 --json \
         >workers_killed.json 2>workers_killed_summary.txt
@@ -159,12 +160,13 @@ step_sweep_workers_smoke() {
 # dialed-in `sweep-worker --connect` processes must splice
 # byte-identically to the serial uncached run, and a worker killed
 # mid-lease (HLSTB_WORKER_FAIL) must have its lease re-issued to a
-# later-dialing replacement with the bytes still identical.
+# later-dialing replacement with the bytes still identical. As above,
+# `timeout 120` bounds every coordinator and worker.
 step_sweep_tcp_smoke() {
     ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 64 \
         --threads 1 --no-cache --json >workers_serial.json
-    ./target/release/hlstb sweep --designs figure1,tseng \
+    timeout 120 ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 64 \
         --listen 127.0.0.1:0 --json >tcp_sharded.json 2>tcp_summary.txt &
     tcp_coord=$!
@@ -176,14 +178,14 @@ step_sweep_tcp_smoke() {
     done
     test -n "$tcp_addr"
     for _ in 1 2 3 4; do
-        ./target/release/hlstb sweep-worker --connect "$tcp_addr" &
+        timeout 120 ./target/release/hlstb sweep-worker --connect "$tcp_addr" &
     done
     wait $tcp_coord
     cmp workers_serial.json tcp_sharded.json
     grep "4 workers" tcp_summary.txt
     wait || true
 
-    ./target/release/hlstb sweep --designs figure1,tseng \
+    timeout 120 ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 64 \
         --listen 127.0.0.1:0 --json >tcp_killed.json 2>tcp_killed_summary.txt &
     tcp_coord=$!
@@ -196,9 +198,9 @@ step_sweep_tcp_smoke() {
     test -n "$tcp_addr"
     # The dying worker dials first (lane 0) and is dead before the
     # replacement dials, so the kill and the re-issue are deterministic.
-    HLSTB_WORKER_FAIL="0:1" ./target/release/hlstb sweep-worker \
+    HLSTB_WORKER_FAIL="0:1" timeout 120 ./target/release/hlstb sweep-worker \
         --connect "$tcp_addr" || true
-    ./target/release/hlstb sweep-worker --connect "$tcp_addr"
+    timeout 120 ./target/release/hlstb sweep-worker --connect "$tcp_addr"
     wait $tcp_coord
     cmp workers_serial.json tcp_killed.json
     grep "re-issuing" tcp_killed_summary.txt

@@ -1,32 +1,39 @@
 //! E20 — the survey's bottom line as one scoreboard: sequential-ATPG
 //! coverage and effort for the same behavior under each DFT strategy.
 //!
-//! Synthesis runs through the DSE engine ([`hlstb_dse::run_sweep`]
-//! with `keep_designs`), so the three strategies of a design share
-//! their scheduled/bound front end; sequential ATPG is the
-//! post-processing pass over the kept designs.
+//! Each configuration is one [`SynthesisFlow`] run; sequential ATPG is
+//! the post-processing pass over its netlist.
 
 use hlstb::cdfg::benchmarks;
-use hlstb::flow::DftStrategy;
+use hlstb::flow::{DftStrategy, SynthesisFlow, SynthesizedDesign};
 use hlstb::netlist::fault::{collapsed_faults, Fault};
 use hlstb::netlist::net::Netlist;
 use hlstb::netlist::seq::{seq_generate_all, SeqAtpgOptions};
-use hlstb_dse::{run_sweep, SweepOptions, SweepSpec};
+use hlstb_dse::spec::strategy_name;
 
 use crate::Table;
 
-/// The E20 sweep: two behaviors under no DFT, behavioral partial scan,
-/// and full scan, with reset-capable controllers so the non-scan
-/// configurations are sequentially testable at all.
-pub fn spec() -> SweepSpec {
-    let mut spec = SweepSpec::new(vec![benchmarks::figure1(), benchmarks::tseng()]);
-    spec.strategies = vec![
+/// The E20 configurations: two behaviors under no DFT, behavioral
+/// partial scan, and full scan, with reset-capable controllers so the
+/// non-scan configurations are sequentially testable at all.
+pub fn designs() -> Vec<(DftStrategy, SynthesizedDesign)> {
+    let strategies = [
         DftStrategy::None,
         DftStrategy::BehavioralPartialScan,
         DftStrategy::FullScan,
     ];
-    spec.reset_controller = true;
-    spec
+    [benchmarks::figure1(), benchmarks::tseng()]
+        .into_iter()
+        .flat_map(|cdfg| {
+            strategies.map(|strategy| {
+                let flow = SynthesisFlow::new(cdfg.clone())
+                    .strategy(strategy)
+                    .reset_controller(true);
+                let design = flow.run().expect("every E20 configuration synthesizes");
+                (strategy, design)
+            })
+        })
+        .collect()
 }
 
 /// E20's sequential-ATPG budget for a design of the given period: two
@@ -59,21 +66,13 @@ pub fn run(sample: usize) -> Table {
             "decisions/fault",
         ],
     );
-    let outcome = run_sweep(
-        &spec(),
-        &SweepOptions {
-            keep_designs: true,
-            ..SweepOptions::default()
-        },
-    );
-    for (point, design) in outcome.report.points.iter().zip(&outcome.designs) {
-        let d = design.as_ref().expect("scoreboard sweep point failed");
+    for (strategy, d) in designs() {
         let nl = &d.expanded.netlist;
         let faults = sample_faults(nl, sample);
         let run = seq_generate_all(nl, &faults, &atpg_options(d.report.period));
         t.row(vec![
-            point.design.clone(),
-            point.strategy.clone(),
+            d.cdfg.name().to_string(),
+            strategy_name(strategy),
             d.report.scan_registers.to_string(),
             format!("{:.1}", run.coverage_percent()),
             format!(

@@ -13,7 +13,6 @@ use hlstb::netlist::fsim::seq_replay_oracle;
 use hlstb::netlist::net::Netlist;
 use hlstb::netlist::seq::{seq_podem, SeqAtpgOptions, SeqStatus};
 use hlstb_bench::{atpg_complexity, scoreboard};
-use hlstb_dse::{run_sweep, SweepOptions};
 
 /// Generates a test for `fault` and, when PODEM claims a detection,
 /// replays it. Returns whether PODEM claimed one.
@@ -52,17 +51,9 @@ fn e1_detections_replay_on_the_original_circuits() {
 
 #[test]
 fn e20_sample_detections_replay_on_the_original_designs() {
-    let outcome = run_sweep(
-        &scoreboard::spec(),
-        &SweepOptions {
-            keep_designs: true,
-            ..SweepOptions::default()
-        },
-    );
     let mut configurations = 0;
     let mut detected = 0;
-    for design in &outcome.designs {
-        let d = design.as_ref().expect("scoreboard sweep point failed");
+    for (_, d) in scoreboard::designs() {
         let nl = &d.expanded.netlist;
         if nl.scan_flops().is_empty() {
             continue;

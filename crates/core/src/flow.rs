@@ -203,7 +203,6 @@ pub struct SgraphFacts {
 #[derive(Debug, Clone)]
 pub struct SynthesisFlow {
     cdfg: Cdfg,
-    limits: ResourceLimits,
     scheduler: Scheduler,
     policy: RegisterPolicy,
     strategy: DftStrategy,
@@ -218,10 +217,8 @@ impl SynthesisFlow {
     /// Starts a flow for a behavior with minimal resources, the default
     /// list scheduler, left-edge registers, no DFT, 4-bit width.
     pub fn new(cdfg: Cdfg) -> Self {
-        let limits = ResourceLimits::minimal_for(&cdfg);
         SynthesisFlow {
             cdfg,
-            limits,
             scheduler: Scheduler::default(),
             policy: RegisterPolicy::default(),
             strategy: DftStrategy::default(),
@@ -231,12 +228,6 @@ impl SynthesisFlow {
             grade_patterns: None,
             run_atpg: false,
         }
-    }
-
-    /// Sets the resource limits.
-    pub fn limits(mut self, limits: ResourceLimits) -> Self {
-        self.limits = limits;
-        self
     }
 
     /// Sets the scheduler.
@@ -310,21 +301,23 @@ impl SynthesisFlow {
     /// scheduler/assigner runs instead and seeds `boundary_scan` with
     /// its loop-concentrating registers.
     ///
-    /// The result depends only on the behavior, resource limits,
-    /// scheduler, register policy, and — for the integrated strategy —
-    /// the strategy itself; the DSE engine memoizes it on exactly that
-    /// key.
+    /// Every functional-unit class the behavior uses gets one unit
+    /// ([`ResourceLimits::minimal_for`]), so the result depends only on
+    /// the behavior, scheduler, register policy, and — for the
+    /// integrated strategy — the strategy itself; the DSE engine
+    /// memoizes it on exactly that key.
     ///
     /// # Errors
     ///
     /// Returns scheduling, binding, or data-path failures as a
     /// [`FlowError`].
     pub fn front_end(&self) -> Result<FrontEnd, FlowError> {
+        let limits = ResourceLimits::minimal_for(&self.cdfg);
         if self.strategy == DftStrategy::SimultaneousLoopAvoidance {
             let r = simsched::schedule_and_assign(
                 &self.cdfg,
                 &SimSchedOptions {
-                    limits: self.limits.clone(),
+                    limits,
                     ..Default::default()
                 },
             )?;
@@ -338,8 +331,8 @@ impl SynthesisFlow {
         let cdfg = &self.cdfg;
         let sched_span = hlstb_trace::span("sched");
         let schedule = match self.scheduler {
-            Scheduler::List => sched::list_schedule(cdfg, &self.limits, ListPriority::Slack)?,
-            Scheduler::IoAware => sched::list_schedule(cdfg, &self.limits, ListPriority::IoAware)?,
+            Scheduler::List => sched::list_schedule(cdfg, &limits, ListPriority::Slack)?,
+            Scheduler::IoAware => sched::list_schedule(cdfg, &limits, ListPriority::IoAware)?,
             Scheduler::ForceDirected(extra) => {
                 sched::force_directed(cdfg, sched::critical_path(cdfg) + extra)?
             }
@@ -472,7 +465,6 @@ impl SynthesisFlow {
             &ExpandOptions {
                 width: self.width,
                 controller: self.controller,
-                scan_controller: false,
                 reset_controller: self.reset_controller,
             },
         )?)

@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hlstb::cdfg::Cdfg;
-use hlstb::flow::{DftStrategy, SynthesisFlow, SynthesizedDesign};
+use hlstb::flow::{DftStrategy, SynthesisFlow};
 use hlstb::hls::expand::ExpandedDatapath;
 use hlstb::netlist::deadline::Deadline;
 use hlstb::netlist::fault::collapsed_faults;
@@ -103,9 +103,6 @@ pub struct SweepOptions {
     pub threads: usize,
     /// Memoize stage artifacts across points.
     pub cache: bool,
-    /// Keep every point's full [`SynthesizedDesign`] in the outcome
-    /// (memory-heavy; for post-processing passes like sequential ATPG).
-    pub keep_designs: bool,
     /// Wall-clock budget per point. `None` (the default) never times
     /// out; `Some` arms the cooperative deadline the grading loops
     /// poll, and each bounded retry halves the remaining budget.
@@ -125,7 +122,6 @@ impl Default for SweepOptions {
         SweepOptions {
             threads: 1,
             cache: true,
-            keep_designs: false,
             point_budget: None,
             retries: 1,
             progress: false,
@@ -208,22 +204,16 @@ pub struct Recovery {
     /// Stream each completed point to this JSONL file.
     pub checkpoint: Option<PathBuf>,
     /// Serve points already present in `checkpoint` instead of
-    /// re-evaluating them. Restored points carry no
-    /// [`SynthesizedDesign`] even under
-    /// [`SweepOptions::keep_designs`].
+    /// re-evaluating them.
     pub resume: bool,
 }
 
-/// What [`run_sweep`] returns: the report, plus the synthesized
-/// designs (point-indexed) when [`SweepOptions::keep_designs`] asked
-/// for them.
+/// What [`run_sweep`] returns: the report and the checkpoint's write
+/// failures.
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// The deterministic per-point report.
     pub report: SweepReport,
-    /// One entry per point: `Some` when the point succeeded and
-    /// `keep_designs` was set, `None` otherwise.
-    pub designs: Vec<Option<SynthesizedDesign>>,
     /// Checkpoint lines that failed to write (the sweep itself keeps
     /// going; nonzero means the checkpoint is incomplete).
     pub checkpoint_write_errors: usize,
@@ -353,12 +343,12 @@ impl<'a> PointRunner<'a> {
 
     /// Evaluates point `i` — panic-isolated, deadline-armed, retried —
     /// and journals its completion or typed failure.
-    pub(crate) fn eval(&self, i: usize) -> (PointRecord, Option<SynthesizedDesign>) {
+    pub(crate) fn eval(&self, i: usize) -> PointRecord {
         let p = self.points[i];
         let idx = p.index as u64;
         let point_span = hlstb_trace::span("dse.point");
         let t = Instant::now();
-        let (outcome, design) = self.eval_with_retry(p);
+        let outcome = self.eval_with_retry(p);
         point_span.end();
         let record = make_record(self.spec, p, outcome, t.elapsed());
         match &record.outcome {
@@ -375,17 +365,14 @@ impl<'a> PointRunner<'a> {
                     .volatile_u64("wall_us", record.wall.as_micros() as u64);
             }),
         }
-        (record, design)
+        record
     }
 
     /// Panic-isolated, deadline-armed, bounded-retry evaluation of one
     /// point. Panics and timeouts retry up to `opts.retries` times with
     /// a halved budget each attempt; flow errors are final on first
     /// sight.
-    fn eval_with_retry(
-        &self,
-        p: Point,
-    ) -> (Result<PointMetrics, PointError>, Option<SynthesizedDesign>) {
+    fn eval_with_retry(&self, p: Point) -> Result<PointMetrics, PointError> {
         let mut attempt: u32 = 0;
         loop {
             let deadline = match self.opts.point_budget {
@@ -394,7 +381,7 @@ impl<'a> PointRunner<'a> {
             };
             let caught = catch_unwind(AssertUnwindSafe(|| self.eval_point(p, deadline, attempt)));
             let error = match caught {
-                Ok(Ok((metrics, design))) => return (Ok(metrics), design),
+                Ok(Ok(metrics)) => return Ok(metrics),
                 Ok(Err(e)) => e,
                 Err(payload) => PointError::Panic {
                     message: panic_message(payload),
@@ -409,7 +396,7 @@ impl<'a> PointRunner<'a> {
                 });
                 continue;
             }
-            return (Err(error), None);
+            return Err(error);
         }
     }
 
@@ -420,7 +407,7 @@ impl<'a> PointRunner<'a> {
         p: Point,
         deadline: Deadline,
         attempt: u32,
-    ) -> Result<PointOutput, PointError> {
+    ) -> Result<PointMetrics, PointError> {
         match self.fail_plan.as_ref().and_then(|f| f.mode(p.index)) {
             Some(FailMode::Panic) => panic!("injected panic at point {}", p.index),
             Some(FailMode::Flaky) if attempt == 0 => {
@@ -462,9 +449,8 @@ impl<'a> PointRunner<'a> {
     ///   one expansion; the content hash is taken once per DFT
     ///   artifact, so a warm point costs lookups only;
     /// * grading run — the netlist key (see [`Self::grade`]).
-    fn pipeline(&self, p: Point, deadline: Deadline) -> Result<PointOutput, PointError> {
-        let design = &self.spec.designs[p.design];
-        let flow = base_flow(self.spec, design, p);
+    fn pipeline(&self, p: Point, deadline: Deadline) -> Result<PointMetrics, PointError> {
+        let flow = base_flow(self.spec, &self.spec.designs[p.design], p);
         let front = self.cache.as_deref().map(|c| (c, self.front_key(p)));
         let fe = self.stage(p, Stage::Front, front.map(|(c, k)| (&c.front, k)), || {
             flow.front_end().map_err(PointError::from)
@@ -472,10 +458,6 @@ impl<'a> PointRunner<'a> {
         let facts = self.stage(p, Stage::Facts, front.map(|(c, k)| (&c.facts, k)), || {
             Ok::<_, PointError>(SynthesisFlow::sgraph_facts(&fe.datapath))
         })?;
-        let kept = self
-            .opts
-            .keep_designs
-            .then(|| (fe.schedule.clone(), fe.binding.clone()));
         let dft_store =
             front.map(|(c, k)| (&c.dft, key::combine(&[k, key::hash_debug(&p.strategy)])));
         let dft = self.stage(p, Stage::Dft, dft_store, || {
@@ -511,24 +493,11 @@ impl<'a> PointRunner<'a> {
             (None, false)
         };
         let report = flow.build_report(dft.datapath(), &expanded, dft.plans.bist.as_ref(), &facts);
-        let design_out = kept.map(|(schedule, binding)| SynthesizedDesign {
-            cdfg: design.clone(),
-            schedule,
-            binding,
-            datapath: dft.datapath().clone(),
-            expanded: (*expanded).clone(),
-            report: report.clone(),
-            bist_plan: dft.plans.bist.clone(),
-            kcontrol_plan: dft.plans.kcontrol.clone(),
-        });
-        Ok((
-            PointMetrics {
-                report,
-                coverage_percent,
-                timed_out,
-            },
-            design_out,
-        ))
+        Ok(PointMetrics {
+            report,
+            coverage_percent,
+            timed_out,
+        })
     }
 
     /// The front-end (and S-graph facts) key of point `p`.
@@ -659,7 +628,7 @@ pub(crate) struct Fleet {
     pub(crate) cache: CacheStats,
 }
 
-type Slot = Mutex<Option<(PointRecord, Option<SynthesizedDesign>)>>;
+type Slot = Mutex<Option<PointRecord>>;
 
 /// One sweep in flight: the single driver of a [`PointRunner`] behind
 /// the in-process pool ([`run_sweep_with`]), the scale-out coordinator
@@ -773,19 +742,14 @@ impl<'a> SweepDriver<'a> {
         self.runner.scheduled(i);
         hlstb_trace::events::emit("point.restored", Some(index as u64), |_| {});
         self.restored.fetch_add(1, Ordering::Relaxed);
-        self.settle(i, record, None);
+        self.settle(i, record);
         true
     }
 
     /// Settles point `i` with a record evaluated on a local lane or
     /// spliced from a remote worker's frame, appending it to the
     /// checkpoint first.
-    pub(crate) fn complete(
-        &self,
-        i: usize,
-        record: PointRecord,
-        design: Option<SynthesizedDesign>,
-    ) {
+    pub(crate) fn complete(&self, i: usize, record: PointRecord) {
         if let Some(ck) = &self.checkpoint {
             let index = self.runner.points[i].index;
             // The `io:` fail-point targets the append itself: the point
@@ -806,15 +770,15 @@ impl<'a> SweepDriver<'a> {
                 ck.degrade(&e.to_string());
             }
         }
-        self.settle(i, record, design);
+        self.settle(i, record);
     }
 
-    fn settle(&self, i: usize, record: PointRecord, design: Option<SynthesizedDesign>) {
+    fn settle(&self, i: usize, record: PointRecord) {
         if let Some(m) = &self.meter {
             let (runner, reissued) = (&self.runner, self.reissued.load(Ordering::Relaxed));
             m.tick(&record, runner.retries(), reissued, runner.cache_stats());
         }
-        *self.slots[i].lock().expect("slot lock") = Some((record, design));
+        *self.slots[i].lock().expect("slot lock") = Some(record);
         let done = self.settled.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(hook) = &self.on_point {
             hook(done);
@@ -839,8 +803,8 @@ impl<'a> SweepDriver<'a> {
                 }
                 if !self.restore(i) {
                     self.runner.scheduled(i);
-                    let (record, design) = self.runner.eval(i);
-                    self.complete(i, record, design);
+                    let record = self.runner.eval(i);
+                    self.complete(i, record);
                 }
             }
         };
@@ -880,12 +844,12 @@ impl<'a> SweepDriver<'a> {
         if let Some(m) = &self.meter {
             m.finish();
         }
-        let (records, designs): (Vec<PointRecord>, Vec<_>) = self
+        let records: Vec<PointRecord> = self
             .slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("slot lock"))
             .map(|settled| settled.expect("every point settled"))
-            .unzip();
+            .collect();
         let cpu = records.iter().map(|r| r.wall).sum();
         let threads = self.runner.opts.threads;
         let (threads, fleet) = match fleet {
@@ -923,7 +887,6 @@ impl<'a> SweepDriver<'a> {
                 reissued,
                 checkpoint_degraded: self.checkpoint.as_ref().is_some_and(Checkpoint::degraded),
             },
-            designs,
             checkpoint_write_errors: self.checkpoint_errors.into_inner(),
         }
     }
@@ -998,8 +961,6 @@ fn base_flow(spec: &SweepSpec, design: &Cdfg, p: Point) -> SynthesisFlow {
         .width(p.width)
         .reset_controller(spec.reset_controller)
 }
-
-type PointOutput = (PointMetrics, Option<SynthesizedDesign>);
 
 fn grade_opts(deadline: Deadline) -> ParallelOptions {
     ParallelOptions {
@@ -1145,27 +1106,6 @@ mod tests {
             got,
             standalone.report.grading.as_ref().unwrap().coverage_percent
         );
-    }
-
-    #[test]
-    fn keep_designs_returns_point_indexed_designs() {
-        let mut spec = SweepSpec::new(vec![benchmarks::figure1()]);
-        spec.strategies = vec![DftStrategy::None, DftStrategy::FullScan];
-        let out = run_sweep(
-            &spec,
-            &SweepOptions {
-                keep_designs: true,
-                ..SweepOptions::default()
-            },
-        );
-        assert_eq!(out.designs.len(), 2);
-        let none = out.designs[0].as_ref().expect("kept");
-        let full = out.designs[1].as_ref().expect("kept");
-        assert_eq!(none.report.scan_registers, 0);
-        assert_eq!(full.report.scan_registers, full.report.registers);
-        // Dropping the request drops the payloads.
-        let without = run_sweep(&spec, &SweepOptions::default());
-        assert!(without.designs.iter().all(Option::is_none));
     }
 
     #[test]

@@ -39,10 +39,13 @@
 //! [`worker::run_sweep_workers`] (`hlstb sweep --workers N`) launches
 //! N such workers against a loopback port and splices only results
 //! from them (a per-sweep token); [`worker::run_sweep_listen`] (`hlstb
-//! sweep --listen ADDR`) serves whoever dials in. Leases are re-issued
-//! when a worker dies, and results splice byte-identically from
-//! checkpoint-format frames through the same [`engine::SweepDriver`]
-//! that runs the local pool and the serve daemon's requests.
+//! sweep --listen ADDR`) serves whoever dials in. Each connection is
+//! one coordinator thread that pulls its own leases from one shared
+//! queue, the way the local pool's lanes pull points; a lane that dies
+//! puts its unreceived points back for the others. Results splice
+//! byte-identically from checkpoint-format frames through the same
+//! [`engine::SweepDriver`] that runs the local pool and the serve
+//! daemon's requests.
 //!
 //! # Fault tolerance
 //!

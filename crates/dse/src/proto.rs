@@ -332,8 +332,7 @@ pub fn opts_to_json(opts: &SweepOptions) -> String {
 
 /// Reads an `opts` wire object back. Absent fields take the
 /// [`SweepOptions`] defaults, and so does everything the wire does not
-/// carry: `threads`, `keep_designs` and `progress` are the receiver's
-/// decisions.
+/// carry: `threads` and `progress` are the receiver's decisions.
 pub fn opts_from_json(v: &Value) -> SweepOptions {
     let defaults = SweepOptions::default();
     let number = |key| v.get(key).and_then(Value::as_f64);

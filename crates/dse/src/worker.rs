@@ -14,13 +14,16 @@
 //! * [`run_sweep_listen`] (`hlstb sweep --listen ADDR`) binds where it
 //!   is told and serves whoever dials in, for as long as work remains.
 //!
-//! Each new lane gets a `hello` (spec by name + hash, options, fail
-//! plan), answers `ready`, and then pulls **leases** — contiguous
-//! point-index ranges carved from the spec's enumeration order.
-//! Work-stealing happens at the lease queue: a fast worker that
-//! finishes its range simply pulls the next one, so a slow point never
-//! idles the fleet (the same injector discipline as the in-process
-//! pool, at range granularity to amortize framing).
+//! Each accepted connection is served by one coordinator thread, its
+//! lane, which owns the socket: it writes a `hello` (spec by name +
+//! hash, options, fail plan), reads `ready`, and then pulls **leases**
+//! — contiguous point-index ranges carved from the spec's enumeration
+//! order — from one shared queue, reading each lease's points and its
+//! `done` before it pulls the next. Work-stealing happens at the lease
+//! queue: a fast worker that finishes its range simply pulls the next
+//! one, so a slow point never idles the fleet (the same injector
+//! discipline as the in-process pool, at range granularity to amortize
+//! framing).
 //!
 //! # Trust
 //!
@@ -50,25 +53,30 @@
 //! # Failure handling
 //!
 //! A lane that dies (EOF, kill, torn frame, key mismatch, version
-//! skew) surfaces as a typed [`PointError::Io`]-family verdict on its
-//! stream; the coordinator shuts its socket, re-enqueues every
-//! leased-but-unreceived index, and the surviving lanes absorb the
-//! re-issued ranges. A listen-mode sweep waits for the next dialer;
-//! a `--workers` sweep with no live lane and every launched worker
-//! exited evaluates the remainder on the driver's local loop, so it
-//! completes (byte-identically) as long as the coordinator lives.
+//! skew, a `done` before its lease's points, no `ready` within the
+//! handshake deadline) shuts its socket both ways, puts every
+//! leased-but-unreceived index back on the queue, and wakes the idle
+//! lanes, which absorb the re-issued ranges. A listen-mode sweep
+//! waits for the next dialer; a `--workers` sweep with no open lane
+//! and every launched worker exited evaluates the remainder on the
+//! driver's local loop, so it completes (byte-identically) as long as
+//! the coordinator lives.
 //!
-//! No launched worker outlives the call: once the work is done every
-//! lane gets `shutdown`, and the coordinator keeps accepting until each
-//! launched worker has exited — one that attaches late (between
-//! redials) gets `hello` and then `shutdown`.
+//! No launched worker outlives the call: once every point has settled
+//! the coordinator raises a wind-down flag, on which each idle lane
+//! sends `shutdown` and ends when its worker hangs up, and it keeps
+//! accepting until every lane has ended and each launched worker has
+//! exited — one that attaches late (between redials) gets `hello` and
+//! then `shutdown`. A lane reads each lease's `done` before it pulls
+//! again, so every lane's last counters are in by then and no drain
+//! wait is needed for them.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -110,9 +118,19 @@ impl WorkerFail {
         })
     }
 
-    /// Reads [`ENV`](Self::ENV); `None` when unset or malformed.
-    pub fn from_env() -> Option<WorkerFail> {
-        std::env::var(Self::ENV).ok().and_then(|s| Self::parse(&s))
+    /// Reads [`ENV`](Self::ENV); `Ok(None)` when unset or empty.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable when it holds anything but
+    /// `"<worker>:<after>"`.
+    pub fn from_env() -> Result<Option<WorkerFail>, String> {
+        match std::env::var(Self::ENV) {
+            Ok(s) if !s.trim().is_empty() => Self::parse(&s)
+                .map(Some)
+                .ok_or_else(|| format!("bad {} `{s}`: expected <worker>:<after>", Self::ENV)),
+            _ => Ok(None),
+        }
     }
 }
 
@@ -305,7 +323,7 @@ fn worker_session(
                 }
                 for i in start..end {
                     runner.scheduled(i);
-                    let (record, _) = runner.eval(i);
+                    let record = runner.eval(i);
                     let frame =
                         proto::encode_point(runner.key(i), i, &record.canonical_point_json());
                     if death == Some(emitted) {
@@ -413,10 +431,18 @@ fn dial(addr: &str, token: Option<&str>, fail: Option<WorkerFail>) -> Result<(),
 /// The entry point behind `sweep-worker --connect <addr>`: dial with
 /// redial, echoing the token a launching coordinator put in
 /// [`Invite::ENV`] and honoring [`WorkerFail::ENV`]. Returns the
-/// process exit code (0 clean, 3 on error or injected death).
+/// process exit code (0 clean, 3 on error or injected death); a
+/// malformed [`WorkerFail::ENV`] is an error before any dial.
 pub fn worker_connect_main(addr: &str) -> i32 {
+    let fail = match WorkerFail::from_env() {
+        Ok(fail) => fail,
+        Err(e) => {
+            eprintln!("sweep-worker: {e}");
+            return 3;
+        }
+    };
     let token = std::env::var(Invite::ENV).ok();
-    match dial(addr, token.as_deref(), WorkerFail::from_env()) {
+    match dial(addr, token.as_deref(), fail) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("sweep-worker: {}: {}", e.kind(), e.message());
@@ -427,53 +453,6 @@ pub fn worker_connect_main(addr: &str) -> i32 {
 
 // ---------------------------------------------------------------------------
 // The coordinator side.
-
-enum LaneEvent {
-    Frame(FromWorker),
-    Corrupt(PointError),
-    Eof,
-}
-
-/// Everything the coordinator's event loop can be woken by: a frame
-/// (or death) on a lane, a newly accepted connection, or a launched
-/// worker's exit.
-enum CoordEvent {
-    Lane(usize, LaneEvent),
-    Accepted(TcpStream),
-    Exited,
-}
-
-struct Lane {
-    /// The connection (the reader thread reads its own handle of it).
-    conn: TcpStream,
-    /// The reader thread, joined when the sweep ends.
-    reader: JoinHandle<()>,
-    /// Frames may still be written to the lane: cleared when it is shut
-    /// down, politely or hard.
-    live: bool,
-    /// Leased indices not yet received back.
-    outstanding: Vec<usize>,
-    ready: bool,
-    /// Latest cumulative session counters from the lane's `done`
-    /// frames (fleet aggregation sums these at sweep end).
-    stats: proto::DoneStats,
-    /// The lane's reader thread has signed off (sent `Eof` or
-    /// `Corrupt`); the wind-down waits on this so the final `done`
-    /// frame of every lane is counted.
-    reader_done: bool,
-    /// When the lane was attached — the handshake deadline measures
-    /// `hello` completion from here.
-    attached_at: Instant,
-}
-
-impl Lane {
-    /// The polite end: `shutdown`, leaving the close to the worker.
-    fn close(&mut self) {
-        if std::mem::take(&mut self.live) {
-            let _ = write_frame(&mut self.conn, &proto::encode_shutdown());
-        }
-    }
-}
 
 /// Splits `indices` (sorted, unique) into contiguous `[start, end)`
 /// leases of at most `chunk` points and appends them to the queue.
@@ -502,9 +481,8 @@ fn enqueue_leases(queue: &mut VecDeque<(usize, usize)>, indices: &[usize], chunk
 ///
 /// # Errors
 ///
-/// [`PointError::Io`] on checkpoint open/read failures, a listener or
-/// token failure, or `keep_designs` (designs cannot cross a process
-/// boundary). Worker deaths are *not* errors: their leases are
+/// [`PointError::Io`] on checkpoint open/read failures, or a listener
+/// or token failure. Worker deaths are *not* errors: their leases are
 /// re-issued to surviving lanes, and with no lanes left the
 /// coordinator evaluates the remainder inline.
 pub fn run_sweep_workers(
@@ -552,13 +530,13 @@ pub fn run_sweep_listen(
 }
 
 /// The default handshake deadline: generous for a LAN, yet bounded —
-/// a silent TCP connect can pin a reader thread for at most this long.
+/// a silent TCP connect can pin a lane thread for at most this long.
 pub const DEFAULT_HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// [`run_sweep_listen`] with an explicit handshake deadline: an
-/// accepted connection that has not completed `hello` within
-/// `hello_timeout` is dropped (socket shut down, reader released) and
-/// counted, so a stuck or hostile dialer cannot wedge the accept path.
+/// accepted connection that has not answered `hello` within
+/// `hello_timeout` is dropped (socket shut down, lane thread ended) and
+/// counted, so a stuck or hostile dialer cannot wedge the sweep.
 ///
 /// # Errors
 ///
@@ -573,213 +551,293 @@ pub fn run_sweep_listen_with_timeout(
     coordinate(spec, opts, recovery, listener, hello_timeout, None)
 }
 
-/// How often the event loop re-checks handshake deadlines and the
-/// wind-down while anything is pending.
-const POLL: Duration = Duration::from_millis(25);
-
-/// How long the wind-down waits for lanes' final `done` frames.
-const DRAIN: Duration = Duration::from_secs(5);
-
-/// The coordinator's lease book: every lane, the queue of unleased
-/// `[start, end)` ranges, and the lease size.
-struct Leases {
-    lanes: Vec<Lane>,
+/// The lease book the lanes pull from, under the coordinator's lock.
+#[derive(Default)]
+struct Book {
+    /// Unleased `[start, end)` ranges.
     queue: VecDeque<(usize, usize)>,
-    chunk: usize,
+    /// Lanes holding a lease, from taking it until its `done`.
+    busy: usize,
+    /// Lane threads still running.
+    open: usize,
+    /// Connections accepted so far; a lane's id is its accept order,
+    /// so a redialing worker gets a fresh id.
+    seen: usize,
+    /// Launched workers that have exited.
+    exited: usize,
+    /// Set once the work is done or stranded: a lane that looks for a
+    /// lease sends `shutdown` instead.
+    wind_down: bool,
+    /// Connections dropped at the handshake deadline.
+    hello_timeouts: u64,
+    /// The summed counters of every lane's last `done` frame.
+    fleet: Fleet,
 }
 
-impl Leases {
-    fn any_live(&self) -> bool {
-        self.lanes.iter().any(|l| l.live)
+/// Why a lane was abandoned.
+enum Lost {
+    /// No `ready` within the handshake deadline.
+    HelloTimeout,
+    /// Anything else, with the reason for the log.
+    Failed(String),
+}
+
+impl From<PointError> for Lost {
+    fn from(e: PointError) -> Self {
+        Lost::Failed(e.message().to_string())
+    }
+}
+
+fn lost(why: impl std::fmt::Display) -> Lost {
+    Lost::Failed(why.to_string())
+}
+
+/// What the lane threads of one sweep share.
+struct Coordinator<'c, 'd> {
+    driver: &'c SweepDriver<'d>,
+    /// The `hello` frame for a lane id.
+    hello: &'c (dyn Fn(u32) -> String + Sync),
+    /// The launch token `ready` must echo (`--workers` only).
+    token: Option<&'c str>,
+    hello_timeout: Duration,
+    /// Points per lease.
+    chunk: usize,
+    book: Mutex<Book>,
+    /// Signalled when the book changes in a way a waiting lane or the
+    /// calling thread acts on: points re-queued, the last lease done,
+    /// a lane or launched worker gone, the wind-down.
+    changed: Condvar,
+    /// Tells the acceptor that its next connection is the wind-down's
+    /// self-connect.
+    stop_accepting: AtomicBool,
+}
+
+impl Coordinator<'_, '_> {
+    fn book(&self) -> MutexGuard<'_, Book> {
+        self.book.lock().expect("lease book lock")
     }
 
-    /// Writes the hello to a new connection and starts its reader
-    /// thread; the lane's id is its slot in `lanes` (a redialing worker
-    /// therefore gets a fresh id — a returning worker is
-    /// indistinguishable from a new one, by design).
-    fn attach(
-        &mut self,
-        mut conn: TcpStream,
-        hello_for: &dyn Fn(u32) -> String,
-        tx: &mpsc::Sender<CoordEvent>,
-    ) -> Option<&mut Lane> {
-        let w = self.lanes.len();
-        let _ = conn.set_nodelay(true);
-        let from = match conn.try_clone() {
-            Ok(from) => from,
-            Err(e) => {
-                eprintln!("sweep: accepting worker: clone socket: {e}");
+    fn wait<'g>(&self, book: MutexGuard<'g, Book>) -> MutexGuard<'g, Book> {
+        self.changed.wait(book).expect("lease book lock")
+    }
+
+    /// Counts a newly accepted connection and returns its lane id.
+    fn attach(&self) -> usize {
+        let mut book = self.book();
+        book.open += 1;
+        book.seen += 1;
+        book.seen - 1
+    }
+
+    /// Counts a launched worker's exit.
+    fn exited(&self) {
+        self.book().exited += 1;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until every point has settled or, for a launch of
+    /// `launched` workers, no lane is open and every one of them has
+    /// exited; then winds the lanes down and waits until every lane has
+    /// ended and every launched worker has exited, while the acceptor
+    /// still answers a late dialer.
+    fn wind_down(&self, launched: Option<usize>) {
+        let settled = |b: &Book| b.queue.is_empty() && b.busy == 0;
+        let gone = |b: &Book| b.open == 0 && b.exited == launched.unwrap_or(0);
+        let mut book = self.book();
+        while !(settled(&book) || launched.is_some() && gone(&book)) {
+            book = self.wait(book);
+        }
+        book.wind_down = true;
+        self.changed.notify_all();
+        while !gone(&book) {
+            book = self.wait(book);
+        }
+    }
+
+    /// Ends the lease the lane just finished, if `finished`, and takes
+    /// the next, waiting while other lanes hold the rest; `None` once
+    /// the sweep winds down.
+    fn next_lease(&self, finished: bool) -> Option<(usize, usize)> {
+        let mut book = self.book();
+        if finished {
+            book.busy -= 1;
+            if book.busy == 0 && book.queue.is_empty() {
+                self.changed.notify_all(); // every point has settled
+            }
+        }
+        loop {
+            if book.wind_down {
                 return None;
             }
-        };
-        let live = write_frame(&mut conn, &hello_for(w as u32)).is_ok();
-        if !live {
+            if let Some(lease) = book.queue.pop_front() {
+                book.busy += 1;
+                return Some(lease);
+            }
+            book = self.wait(book);
+        }
+    }
+
+    /// Serves accepted connection `conn` as lane `w` until the sweep
+    /// winds down or the lane fails. A failed lane's socket is shut
+    /// both ways, so a live-but-abandoned worker sees its stream die
+    /// and redials as a fresh lane rather than streaming into an
+    /// untrusted one, and the points it held but never sent go back
+    /// on the queue for the other lanes.
+    fn lane(&self, w: usize, conn: TcpStream) {
+        let _ = conn.set_nodelay(true);
+        let (mut held, mut stats) = (None, None);
+        let end = self.session(w, &conn, &mut held, &mut stats);
+        let reissued = held.as_ref().map_or(0, Vec::len);
+        if let Err(lost) = &end {
             let _ = conn.shutdown(Shutdown::Both);
-        }
-        let tx = tx.clone();
-        let reader = std::thread::spawn(move || {
-            let mut from = BufReader::new(from);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                let event = match from.read_line(&mut line) {
-                    Ok(0) => LaneEvent::Eof,
-                    // A final line with no newline is a peer killed
-                    // mid-record.
-                    Ok(_) if !line.ends_with('\n') => {
-                        LaneEvent::Corrupt(io_err("torn frame at stream end"))
-                    }
-                    Ok(_) => match proto::decode_from_worker(&line) {
-                        Ok(f) => {
-                            if tx.send(CoordEvent::Lane(w, LaneEvent::Frame(f))).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        Err(e) => LaneEvent::Corrupt(e),
-                    },
-                    Err(e) => LaneEvent::Corrupt(io_err(format!("read: {e}"))),
-                };
-                let _ = tx.send(CoordEvent::Lane(w, event));
-                break;
-            }
-        });
-        self.lanes.push(Lane {
-            conn,
-            reader,
-            live,
-            outstanding: Vec::new(),
-            ready: false,
-            stats: proto::DoneStats::default(),
-            reader_done: false,
-            attached_at: Instant::now(),
-        });
-        self.lanes.last_mut()
-    }
-
-    /// One lane's death: hard-shut its socket, re-enqueue its leases.
-    fn fail(&mut self, w: usize, why: &str, driver: &SweepDriver<'_>) {
-        let lane = &mut self.lanes[w];
-        if !std::mem::take(&mut lane.live) {
-            return;
-        }
-        // Hard shutdown both directions: an abandoned-but-alive worker
-        // must see its stream die (its next write fails, prompting a
-        // redial as a fresh lane) rather than keep streaming into an
-        // untrusted lane.
-        let _ = lane.conn.shutdown(Shutdown::Both);
-        let pending = std::mem::take(&mut lane.outstanding);
-        driver.reissue(pending.len() as u64);
-        eprintln!(
-            "sweep: worker {w} died ({why}); re-issuing {} leased points",
-            pending.len()
-        );
-        hlstb_trace::events::emit_volatile("worker.dead", None, |e| {
-            e.volatile_u64("worker", w as u64)
-                .volatile_str("why", why)
-                .volatile_u64("reissued", pending.len() as u64);
-        });
-        enqueue_leases(&mut self.queue, &pending, self.chunk);
-    }
-
-    /// Hands leases to every idle ready lane.
-    fn pump(&mut self, driver: &SweepDriver<'_>) {
-        loop {
-            let mut progressed = false;
-            for w in 0..self.lanes.len() {
-                let lane = &self.lanes[w];
-                if !(lane.live && lane.ready && lane.outstanding.is_empty()) {
-                    continue;
+            let why = match lost {
+                Lost::HelloTimeout => {
+                    hlstb_trace::counter("dse.worker.hello_timeout", 1);
+                    "hello timeout"
                 }
-                let Some((start, end)) = self.queue.pop_front() else {
-                    return;
-                };
-                let frame = proto::encode_lease(start, end);
-                let lane = &mut self.lanes[w];
-                if write_frame(&mut lane.conn, &frame).is_ok() {
-                    lane.outstanding = (start..end).collect();
-                    hlstb_trace::events::emit_volatile("worker.lease", None, |e| {
-                        e.volatile_u64("worker", w as u64)
-                            .volatile_u64("start", start as u64)
-                            .volatile_u64("end", end as u64);
-                    });
-                } else {
-                    self.queue.push_front((start, end));
-                    self.fail(w, "lease write failed", driver);
-                }
-                progressed = true;
-            }
-            if !progressed {
-                return;
+                Lost::Failed(why) => why,
+            };
+            self.driver.reissue(reissued as u64);
+            eprintln!("sweep: worker {w} died ({why}); re-issuing {reissued} leased points");
+            hlstb_trace::events::emit_volatile("worker.dead", None, |e| {
+                e.volatile_u64("worker", w as u64)
+                    .volatile_str("why", why)
+                    .volatile_u64("reissued", reissued as u64);
+            });
+        }
+        let mut book = self.book();
+        if let Some(unreceived) = held {
+            enqueue_leases(&mut book.queue, &unreceived, self.chunk);
+            book.busy -= 1;
+        }
+        book.open -= 1;
+        if matches!(end, Err(Lost::HelloTimeout)) {
+            book.hello_timeouts += 1;
+        }
+        if let Some(stats) = stats {
+            book.fleet.retries += stats.retries;
+            if let Some(c) = &stats.cache {
+                book.fleet.cache.merge(c);
             }
         }
+        self.changed.notify_all();
     }
 
-    /// Applies one lane event. `token` is the sweep's launch token,
-    /// which `ready` must echo when set.
-    fn on_lane(
-        &mut self,
+    /// Lane `w`'s protocol: `hello`, then `ready` within the handshake
+    /// deadline, then leases — each checked point frame spliced
+    /// through the driver and the lease's `done` read before the next
+    /// lease is taken — until the wind-down, which sends `shutdown`.
+    /// `held` is the current lease's unreceived points, from taking it
+    /// until its `done`; `stats` the counters of the last `done`.
+    fn session(
+        &self,
         w: usize,
-        event: LaneEvent,
-        token: Option<&str>,
-        driver: &SweepDriver<'_>,
-    ) {
-        let n = driver.runner().len();
-        match event {
-            LaneEvent::Frame(FromWorker::Ready {
-                points,
-                token: echoed,
-                ..
-            }) => {
+        conn: &TcpStream,
+        held: &mut Option<Vec<usize>>,
+        stats: &mut Option<proto::DoneStats>,
+    ) -> Result<(), Lost> {
+        let deadline = Instant::now() + self.hello_timeout;
+        let runner = self.driver.runner();
+        let mut out = conn;
+        write_frame(&mut out, &(self.hello)(w as u32))?;
+        let mut from = BufReader::new(conn);
+        let mut line = String::new();
+        let left = deadline.saturating_duration_since(Instant::now());
+        conn.set_read_timeout(Some(left.max(Duration::from_millis(1))))
+            .map_err(lost)?;
+        match read_frame(&mut from, &mut line)? {
+            FromWorker::Ready { points, token, .. } => {
+                let n = runner.len();
                 if points != n {
-                    let why = format!("resolved {points} points, coordinator has {n}");
-                    self.fail(w, &why, driver);
-                } else if token.is_some() && echoed.as_deref() != token {
-                    self.fail(w, "ready without this sweep's token", driver);
-                } else {
-                    self.lanes[w].ready = true;
+                    return Err(lost(format!(
+                        "resolved {points} points, coordinator has {n}"
+                    )));
+                }
+                if self.token.is_some() && token.as_deref() != self.token {
+                    return Err(lost("ready without this sweep's token"));
                 }
             }
-            LaneEvent::Frame(FromWorker::Point {
-                key,
-                index,
-                canonical,
-            }) => {
-                // A shut lane holds no lease, so its stragglers land
-                // here too (and `fail` leaves it as it is).
-                let lane = &self.lanes[w];
-                if !lane.ready
-                    || !lane.outstanding.contains(&index)
-                    || key != driver.runner().key(index)
-                {
-                    self.fail(w, "point frame outside its lease", driver);
-                } else if let Some(record) = checkpoint::record_from_canonical(&canonical) {
-                    self.lanes[w].outstanding.retain(|&x| x != index);
-                    driver.complete(index, record, None);
-                } else {
-                    self.fail(w, "unparseable canonical payload", driver);
+            other => return Err(unexpected(other)),
+        }
+        conn.set_read_timeout(None).map_err(lost)?;
+        while let Some((start, end)) = self.next_lease(held.take().is_some()) {
+            let pending = held.insert((start..end).collect());
+            write_frame(&mut out, &proto::encode_lease(start, end))?;
+            hlstb_trace::events::emit_volatile("worker.lease", None, |e| {
+                e.volatile_u64("worker", w as u64)
+                    .volatile_u64("start", start as u64)
+                    .volatile_u64("end", end as u64);
+            });
+            while !pending.is_empty() {
+                let (key, index, canonical) = match read_frame(&mut from, &mut line)? {
+                    FromWorker::Point {
+                        key,
+                        index,
+                        canonical,
+                    } => (key, index, canonical),
+                    other => return Err(unexpected(other)),
+                };
+                let at = pending.iter().position(|&i| i == index);
+                let Some(at) = at.filter(|_| key == runner.key(index)) else {
+                    return Err(lost("point frame outside its lease"));
+                };
+                let Some(record) = checkpoint::record_from_canonical(&canonical) else {
+                    return Err(lost("unparseable canonical payload"));
+                };
+                pending.remove(at);
+                self.driver.complete(index, record);
+            }
+            match read_frame(&mut from, &mut line)? {
+                FromWorker::Done {
+                    start: s,
+                    end: e,
+                    stats: latest,
+                } if (s, e) == (start, end) => {
+                    lane_done(w, &latest);
+                    *stats = Some(latest);
                 }
-            }
-            LaneEvent::Frame(FromWorker::Done { stats, .. }) => {
-                // Only a lane that passed the handshake reports stats.
-                if self.lanes[w].ready {
-                    lane_done(&mut self.lanes[w], w, stats);
-                }
-            }
-            LaneEvent::Frame(FromWorker::Error { message }) => self.fail(w, &message, driver),
-            LaneEvent::Corrupt(e) => {
-                self.lanes[w].reader_done = true;
-                self.fail(w, e.message(), driver);
-            }
-            LaneEvent::Eof => {
-                self.lanes[w].reader_done = true;
-                self.fail(w, "stream ended unexpectedly", driver);
+                other => return Err(unexpected(other)),
             }
         }
+        // Wait for the worker to hang up, so the acceptor (which runs
+        // until every lane has ended) answers a dialer that arrives
+        // meanwhile. One read, bounded by the handshake timeout: a peer
+        // that keeps its socket open cannot hold the wind-down.
+        if write_frame(&mut out, &proto::encode_shutdown()).is_ok() {
+            let _ = conn.set_read_timeout(Some(self.hello_timeout.max(Duration::from_millis(1))));
+            let _ = from.read(&mut [0; 1]);
+        }
+        Ok(())
     }
 }
 
-/// The one coordinator loop behind both front doors. `launch` is a
+/// Reads a lane's next frame. Only the handshake sets a read timeout,
+/// so a timed-out read is a missed handshake deadline.
+fn read_frame(from: &mut impl BufRead, line: &mut String) -> Result<FromWorker, Lost> {
+    line.clear();
+    match from.read_line(line) {
+        Ok(0) => Err(lost("stream ended unexpectedly")),
+        // A final line with no newline is a peer killed mid-record.
+        Ok(_) if !line.ends_with('\n') => Err(lost("torn frame at stream end")),
+        Ok(_) => Ok(proto::decode_from_worker(line)?),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(Lost::HelloTimeout)
+        }
+        Err(e) => Err(lost(format_args!("read: {e}"))),
+    }
+}
+
+/// Why a frame that came when another was due abandons its lane.
+fn unexpected(frame: FromWorker) -> Lost {
+    match frame {
+        FromWorker::Error { message } => Lost::Failed(message),
+        FromWorker::Ready { .. } => lost("unexpected ready"),
+        FromWorker::Point { .. } => lost("point frame outside its lease"),
+        FromWorker::Done { .. } => lost("done frame without its lease's points"),
+    }
+}
+
+/// The one coordinator behind both front doors. `launch` is a
 /// `--workers` sweep's fleet: how many workers, and how to start one.
 fn coordinate(
     spec: &SweepSpec,
@@ -789,195 +847,116 @@ fn coordinate(
     hello_timeout: Duration,
     launch: Option<(usize, &mut LaunchFn<'_>)>,
 ) -> Result<SweepOutcome, PointError> {
-    if opts.keep_designs {
-        return Err(io_err(
-            "scale-out sweeps cannot keep designs (they cannot cross a process boundary)",
-        ));
-    }
     let runner = PointRunner::new(spec, opts, recovery.fail_plan.clone());
     let driver = SweepDriver::open(runner, recovery)?;
     let n = driver.runner().len();
     let needed: Vec<usize> = (0..n).filter(|&i| !driver.restore(i)).collect();
-    let remaining = || n - driver.settled();
-    let mut fleet = Fleet {
-        lanes: launch.as_ref().map_or(0, |&(workers, _)| workers),
-        ..Fleet::default()
-    };
+    let requested = launch.as_ref().map(|&(workers, _)| workers);
     if needed.is_empty() {
+        let fleet = Fleet {
+            lanes: requested.unwrap_or(0),
+            ..Fleet::default()
+        };
         return Ok(driver.finish_fleet(fleet));
     }
     let addr = listener
         .local_addr()
         .map_err(|e| io_err(format!("listener address: {e}")))?;
-    let token = launch.as_ref().map(|_| sweep_token()).transpose()?;
+    let token = requested.map(|_| sweep_token()).transpose()?;
 
     // Listen mode has no fixed lane count; size leases as if a small
     // fleet will dial in (re-issue handles the rest).
-    let fanout = launch.as_ref().map_or(4, |&(workers, _)| workers);
-    let mut leases = Leases {
-        lanes: Vec::new(),
-        queue: VecDeque::new(),
-        chunk: (needed.len() / (fanout * 4)).clamp(1, 32),
+    let chunk = (needed.len() / (requested.unwrap_or(4) * 4)).clamp(1, 32);
+    let mut queue = VecDeque::new();
+    enqueue_leases(&mut queue, &needed, chunk);
+    let hello = |w: u32| proto::encode_hello(w, spec, opts, recovery.fail_plan.as_ref());
+    let coord = Coordinator {
+        driver: &driver,
+        hello: &hello,
+        token: token.as_deref(),
+        hello_timeout,
+        chunk,
+        book: Mutex::new(Book {
+            queue,
+            ..Book::default()
+        }),
+        changed: Condvar::new(),
+        stop_accepting: AtomicBool::new(false),
     };
-    enqueue_leases(&mut leases.queue, &needed, leases.chunk);
-
-    // One channel wakes the event loop: frames (or deaths) from each
-    // lane's reader thread, connections from the accept thread, and
-    // exits from the launched workers' waiter threads.
-    let (tx, rx) = mpsc::channel::<CoordEvent>();
-    let hello_for = |w: u32| proto::encode_hello(w, spec, opts, recovery.fail_plan.as_ref());
-    let stop_accepting = Arc::new(AtomicBool::new(false));
-    let acceptor = {
-        let stop = Arc::clone(&stop_accepting);
-        let tx = tx.clone();
-        std::thread::spawn(move || loop {
+    std::thread::scope(|s| {
+        let coord = &coord;
+        s.spawn(move || loop {
             match listener.accept() {
-                // The wind-down self-connect lands here; the flag tells
-                // it apart from a worker.
-                Ok(_) if stop.load(Ordering::Relaxed) => break,
-                Ok((sock, _peer)) => {
-                    if tx.send(CoordEvent::Accepted(sock)).is_err() {
-                        break;
-                    }
+                Ok(_) if coord.stop_accepting.load(Ordering::SeqCst) => break,
+                Ok((conn, _peer)) => {
+                    let w = coord.attach();
+                    s.spawn(move || coord.lane(w, conn));
                 }
                 Err(e) => {
                     eprintln!("sweep: listener: {e}");
                     break;
                 }
             }
-        })
-    };
-    let launching = launch.is_some();
-    let mut waiters = Vec::new();
-    if let (Some((workers, launch)), Some(token)) = (launch, &token) {
-        let invite = Invite {
-            addr: addr.to_string(),
-            token: token.clone(),
-        };
-        for w in 0..workers {
-            match launch(&invite) {
-                Ok(worker) => {
-                    let tx = tx.clone();
-                    waiters.push(std::thread::spawn(move || {
-                        worker.wait();
-                        let _ = tx.send(CoordEvent::Exited);
-                    }));
-                }
-                Err(e) => eprintln!("sweep: launching worker {w} failed: {}", e.message()),
-            }
-        }
-    }
-
-    let mut exited = 0;
-    let mut hello_timeouts: u64 = 0;
-    // Set once the work is done (or stranded): every lane has been
-    // sent `shutdown`, and the loop only waits out launched workers
-    // and final `done` frames until this drain deadline.
-    let mut wind_down: Option<Instant> = None;
-    loop {
-        if wind_down.is_none() {
-            leases.pump(&driver);
-            // A launch with no live lane and no worker left to dial in
-            // is stranded; listen mode instead waits for the next
-            // dialer.
-            let stranded = launching && !leases.any_live() && exited == waiters.len();
-            if remaining() == 0 || stranded {
-                leases.lanes.iter_mut().for_each(Lane::close);
-                wind_down = Some(Instant::now() + DRAIN);
-            }
-        }
-        if let Some(deadline) = wind_down {
-            // Each reader sends exactly one Eof/Corrupt before exiting,
-            // so `reader_done` everywhere means every lane's final
-            // cumulative `done` frame has been counted.
-            let drained = leases.lanes.iter().all(|l| l.reader_done) || Instant::now() >= deadline;
-            if exited == waiters.len() && drained {
-                break;
-            }
-        }
-        // While the wind-down runs or any connection is mid-handshake,
-        // poll instead of blocking, so a silent dialer is dropped at its
-        // deadline rather than pinning the loop.
-        let polling = wind_down.is_some() || leases.lanes.iter().any(|l| l.live && !l.ready);
-        let event = if polling {
-            rx.recv_timeout(POLL).ok()
-        } else {
-            rx.recv().ok()
-        };
-        for w in 0..leases.lanes.len() {
-            let lane = &leases.lanes[w];
-            if lane.live && !lane.ready && lane.attached_at.elapsed() >= hello_timeout {
-                hello_timeouts += 1;
-                hlstb_trace::counter("dse.worker.hello_timeout", 1);
-                leases.fail(w, "hello timeout", &driver);
-            }
-        }
-        match event {
-            Some(CoordEvent::Accepted(sock)) => {
-                let late = wind_down.is_some();
-                if let Some(lane) = leases.attach(sock, &hello_for, &tx) {
-                    if late {
-                        // A worker dialing in after the work is done
-                        // (between redials): hello, then shutdown.
-                        lane.close();
+        });
+        let mut launched = None;
+        if let (Some((workers, launch)), Some(token)) = (launch, &token) {
+            let invite = Invite {
+                addr: addr.to_string(),
+                token: token.clone(),
+            };
+            let mut count = 0;
+            for w in 0..workers {
+                match launch(&invite) {
+                    Ok(worker) => {
+                        count += 1;
+                        s.spawn(move || {
+                            worker.wait();
+                            coord.exited();
+                        });
                     }
+                    Err(e) => eprintln!("sweep: launching worker {w} failed: {}", e.message()),
                 }
             }
-            Some(CoordEvent::Exited) => exited += 1,
-            Some(CoordEvent::Lane(w, event)) => {
-                leases.on_lane(w, event, token.as_deref(), &driver);
-            }
-            None => {}
+            launched = Some(count);
         }
-    }
+        coord.wind_down(launched);
+        // Stop accepting: set the flag, then self-connect to unblock
+        // `accept()` so the acceptor ends and the listener closes.
+        coord.stop_accepting.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+    });
 
-    if hello_timeouts > 0 {
-        eprintln!("sweep: dropped {hello_timeouts} connection(s) that never completed hello");
+    let book = coord.book.into_inner().expect("lease book lock");
+    if book.hello_timeouts > 0 {
+        eprintln!(
+            "sweep: dropped {} connection(s) that never completed hello",
+            book.hello_timeouts
+        );
     }
-    // Stop accepting: set the flag, then self-connect to unblock
-    // `accept()` so the thread joins and the listener closes.
-    stop_accepting.store(true, Ordering::Relaxed);
-    let _ = TcpStream::connect(addr);
-    let _ = acceptor.join();
-    for waiter in waiters {
-        let _ = waiter.join();
-    }
-
-    // Fleet aggregation: sum the latest per-lane session counters. A
-    // lane that died mid-lease keeps the stats of its last done frame;
+    // A lane that died mid-lease keeps the counters of its last `done`;
     // work it redid on another lane is counted where it actually ran.
-    // Every reader is joined; shutting its connection first releases
-    // one still waiting on a silent peer past the drain deadline.
-    if !launching {
-        fleet.lanes = leases.lanes.len();
-    }
-    for lane in leases.lanes {
-        fleet.retries += lane.stats.retries;
-        if let Some(c) = &lane.stats.cache {
-            fleet.cache.merge(c);
-        }
-        let _ = lane.conn.shutdown(Shutdown::Both);
-        let _ = lane.reader.join();
-    }
+    let fleet = Fleet {
+        lanes: requested.unwrap_or(book.seen),
+        ..book.fleet
+    };
 
     // Every lane died with work left: finish on the driver's local
     // loop, so the sweep still completes byte-identically (same
     // evaluator).
-    if remaining() > 0 {
+    let left: Vec<usize> = (0..n).filter(|&i| !driver.is_settled(i)).collect();
+    if !left.is_empty() {
         eprintln!(
             "sweep: no live workers left; evaluating {} points inline",
-            remaining()
+            left.len()
         );
-        let left: Vec<usize> = (0..n).filter(|&i| !driver.is_settled(i)).collect();
         driver.run(&left, 1, &|| false);
     }
     Ok(driver.finish_fleet(fleet))
 }
 
-/// Keeps a lane's latest cumulative `done` counters (they supersede
-/// the previous snapshot) and journals them for trace-view's lane
-/// table.
-fn lane_done(lane: &mut Lane, w: usize, stats: proto::DoneStats) {
+/// Journals a lane's latest cumulative `done` counters for
+/// trace-view's lane table.
+fn lane_done(w: usize, stats: &proto::DoneStats) {
     hlstb_trace::events::emit_volatile("worker.done", None, |e| {
         e.volatile_u64("worker", w as u64)
             .volatile_u64("points", stats.points)
@@ -988,7 +967,6 @@ fn lane_done(lane: &mut Lane, w: usize, stats: proto::DoneStats) {
                 .volatile_u64("coalesced", c.coalesced);
         }
     });
-    lane.stats = stats;
 }
 
 #[cfg(test)]

@@ -90,7 +90,6 @@ fn workers_canonical(
     // Worker sweeps aggregate the fleet's cache stats from the `done`
     // frames, so the envelope carries them even over the wire.
     assert!(outcome.report.cache.is_some());
-    assert!(outcome.designs.iter().all(Option::is_none));
     (outcome.report.canonical_json(), outcome.report.reissued)
 }
 
@@ -265,20 +264,6 @@ fn resume_with_all_points_restored_keeps_progress_sane() {
         second.report.canonical_json()
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `keep_designs` cannot cross a process boundary; asking for it is a
-/// typed error, not a silent drop.
-#[test]
-fn keep_designs_is_rejected_for_worker_sweeps() {
-    let spec = SweepSpec::new(vec![benchmarks::figure1()]);
-    let opts = SweepOptions {
-        keep_designs: true,
-        ..SweepOptions::default()
-    };
-    let mut spawn = thread_spawner(None);
-    let err = run_sweep_workers(&spec, &opts, &Recovery::default(), 2, &mut spawn).unwrap_err();
-    assert_eq!(err.kind(), "io");
 }
 
 // ---------------------------------------------------------------------------
@@ -931,5 +916,158 @@ fn every_launched_worker_has_exited_when_the_sweep_returns() {
     let results = results.lock().unwrap();
     assert_eq!(results.len(), 2);
     assert!(results.iter().all(Result::is_ok), "{results:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// The lane model: each accepted connection is one lane that pulls its
+// own leases. These tests run the sweep on a thread and wait with a
+// timeout, so a coordinator that never returns fails the test instead
+// of hanging the suite.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+/// How long a lane-model test waits for its sweep.
+const SWEEP_LIMIT: Duration = Duration::from_secs(60);
+
+/// Runs `sweep` on its own thread; the outcome arrives on the channel.
+fn spawn_sweep<T: Send + 'static>(sweep: impl FnOnce() -> T + Send + 'static) -> mpsc::Receiver<T> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(sweep());
+    });
+    rx
+}
+
+/// Handshakes a raw connection as a worker (echoing `token` in
+/// `ready`) and reads its first lease.
+fn take_a_lease(
+    conn: &mut TcpStream,
+    from: &mut impl std::io::BufRead,
+    token: Option<&str>,
+) -> (usize, usize) {
+    let Ok(proto::ToWorker::Hello(hello)) = proto::decode_to_worker(&read_frame_line(from)) else {
+        panic!("expected a hello");
+    };
+    let ready = proto::encode_ready(hello.worker, hello.spec.points().len(), token);
+    write_frame_line(conn, &ready);
+    let Ok(proto::ToWorker::Lease { start, end }) = proto::decode_to_worker(&read_frame_line(from))
+    else {
+        panic!("expected a lease");
+    };
+    (start, end)
+}
+
+/// Lines in a checkpoint file (0 while it does not exist).
+fn checkpointed(path: &std::path::Path) -> usize {
+    std::fs::read_to_string(path).map_or(0, |c| c.lines().count())
+}
+
+/// A lane that answers its lease with `done` before the lease's points
+/// loses the lease: the coordinator shuts its socket and re-issues the
+/// points, so a real worker finishes the sweep byte-identically even
+/// though the early dialer idles on its open connection.
+#[test]
+fn a_done_frame_without_its_points_loses_the_lease() {
+    let spec = small_spec();
+    let serial = serial_canonical(&spec, &Recovery::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let sweep = {
+        let spec = spec.clone();
+        spawn_sweep(move || {
+            run_sweep_listen(
+                &spec,
+                &SweepOptions::default(),
+                &Recovery::default(),
+                listener,
+            )
+            .unwrap()
+        })
+    };
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    let mut from = std::io::BufReader::new(conn.try_clone().unwrap());
+    let (start, end) = take_a_lease(&mut conn, &mut from, None);
+    let done = proto::encode_done(start, end, &proto::DoneStats::default());
+    write_frame_line(&mut conn, &done);
+    // Idle on the open socket: send nothing more, and read until the
+    // coordinator drops the connection.
+    let idler = std::thread::spawn(move || {
+        let _ = std::io::Read::read_to_end(&mut from, &mut Vec::new());
+        drop(conn);
+    });
+    let worker = std::thread::spawn(move || worker_connect(&addr, None));
+    let outcome = sweep
+        .recv_timeout(SWEEP_LIMIT)
+        .expect("the early done kept its lease and the sweep never returned");
+    worker.join().unwrap().expect("worker exits cleanly");
+    idler.join().unwrap();
+    assert_eq!(serial, outcome.report.canonical_json());
+    assert!(outcome.report.reissued > 0, "the lease was never re-issued");
+}
+
+/// A lease re-queued by a failing lane reaches a lane that is already
+/// idle. A launched fake takes one lease, waits until the checkpoint
+/// holds every other point and hangs up, and stays alive until every
+/// point has landed, so the sweep cannot fall back to evaluating
+/// inline. The real launched worker dials only once the fake holds its
+/// lease, so it has finished the rest and gone idle by the time the
+/// lease is re-issued.
+#[test]
+fn a_reissued_lease_reaches_an_idle_lane() {
+    let spec = small_spec();
+    let n = spec.points().len();
+    let serial = serial_canonical(&spec, &Recovery::default());
+    let dir = std::env::temp_dir().join(format!("hlstb-workers-idle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("idle.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let recovery = Recovery {
+        checkpoint: Some(path.clone()),
+        ..Recovery::default()
+    };
+    let leased = Arc::new(AtomicBool::new(false));
+    let sweep = spawn_sweep(move || {
+        let mut fake = true;
+        let mut launch = |invite: &Invite| -> Result<Launched, hlstb_dse::PointError> {
+            let (invite, leased, path) = (invite.clone(), Arc::clone(&leased), path.clone());
+            let body: Box<dyn FnOnce() + Send> = if std::mem::take(&mut fake) {
+                Box::new(move || {
+                    let mut conn = TcpStream::connect(&invite.addr).unwrap();
+                    let mut from = std::io::BufReader::new(conn.try_clone().unwrap());
+                    let (start, end) = take_a_lease(&mut conn, &mut from, Some(&invite.token));
+                    leased.store(true, Ordering::SeqCst);
+                    while checkpointed(&path) < n - (end - start) {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    // The result does not depend on this pause; it makes
+                    // it likely that the real lane has read its last
+                    // `done` and is waiting when the lease comes back.
+                    std::thread::sleep(Duration::from_millis(50));
+                    drop(from);
+                    drop(conn);
+                    while checkpointed(&path) < n {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                })
+            } else {
+                Box::new(move || {
+                    while !leased.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    invite.connect(None).expect("launched worker exits cleanly");
+                })
+            };
+            Ok(Launched::Thread(std::thread::spawn(body)))
+        };
+        run_sweep_workers(&spec, &SweepOptions::default(), &recovery, 2, &mut launch).unwrap()
+    });
+    let outcome = sweep
+        .recv_timeout(SWEEP_LIMIT)
+        .expect("the re-issued lease never reached the idle lane");
+    assert_eq!(serial, outcome.report.canonical_json());
+    assert!(outcome.report.reissued > 0, "the lease was never re-issued");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -39,8 +39,6 @@ pub struct ExpandOptions {
     pub width: u32,
     /// Controller realization.
     pub controller: ControllerMode,
-    /// Whether controller state flops are scannable.
-    pub scan_controller: bool,
     /// Add a synchronous `rst` input clearing the controller state.
     /// Without it the free-running counter starts from an unknown state,
     /// which 3-valued sequential ATPG can never initialize — the classic
@@ -53,7 +51,6 @@ impl Default for ExpandOptions {
         ExpandOptions {
             width: 4,
             controller: ControllerMode::Expanded,
-            scan_controller: false,
             reset_controller: false,
         }
     }
@@ -224,9 +221,7 @@ pub fn expand(dp: &Datapath, options: &ExpandOptions) -> Result<ExpandedDatapath
         ControllerMode::Expanded => {
             let period = dp.period();
             let sbits = select_bits(period as usize).max(1);
-            let state: Vec<NetId> = (0..sbits)
-                .map(|_| b.dff_uninit(options.scan_controller))
-                .collect();
+            let state: Vec<NetId> = (0..sbits).map(|_| b.dff_uninit(false)).collect();
             state_flops = state.clone();
             // next = (state == period-1) ? 0 : state + 1
             let one_bus = b.constant(1, sbits as u32);

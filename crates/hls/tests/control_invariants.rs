@@ -84,7 +84,6 @@ fn signal_table_matches_expanded_external_inputs() {
             &ExpandOptions {
                 width: 4,
                 controller: ControllerMode::External,
-                scan_controller: false,
                 reset_controller: false,
             },
         )

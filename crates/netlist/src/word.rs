@@ -46,16 +46,6 @@ impl WordWidth {
     pub fn patterns(self) -> usize {
         self.lanes() * 64
     }
-
-    /// Parses `"64"`, `"256"`, or `"512"`.
-    pub fn parse(s: &str) -> Option<WordWidth> {
-        match s {
-            "64" => Some(WordWidth::W64),
-            "256" => Some(WordWidth::W256),
-            "512" => Some(WordWidth::W512),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for WordWidth {
@@ -172,9 +162,7 @@ mod tests {
         assert_eq!(WordWidth::W512.lanes(), 8);
         for w in WordWidth::ALL {
             assert_eq!(w.patterns(), w.lanes() * 64);
-            assert_eq!(WordWidth::parse(&w.to_string()), Some(w));
         }
-        assert_eq!(WordWidth::parse("128"), None);
         assert_eq!(WordWidth::default(), WordWidth::W64);
     }
 

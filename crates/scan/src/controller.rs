@@ -46,7 +46,6 @@ pub fn conflict_analysis(dp: &Datapath, width: u32) -> (Vec<ControlCube>, usize)
         &ExpandOptions {
             width,
             controller: ControllerMode::External,
-            scan_controller: false,
             reset_controller: false,
         },
     )
@@ -178,7 +177,6 @@ pub fn composite_coverage<R: Rng>(dp: &Datapath, width: u32, batches: usize, rng
         &ExpandOptions {
             width,
             controller: ControllerMode::Expanded,
-            scan_controller: false,
             reset_controller: false,
         },
     )

@@ -188,7 +188,25 @@ pub struct Daemon {
 impl Daemon {
     /// Binds the listener, opens and loads the journal, and builds the
     /// shared bounded cache. No thread starts until [`run`](Self::run).
+    ///
+    /// # Errors
+    ///
+    /// [`PointError::Io`] when `HLSTB_SERVE_FAIL` holds anything but
+    /// `abort-after-accept:<id>` (empty is unset), or the journal or
+    /// listener fails.
     pub fn bind(cfg: ServeConfig) -> Result<Daemon, PointError> {
+        let abort_after_accept = match std::env::var("HLSTB_SERVE_FAIL") {
+            Ok(v) if !v.trim().is_empty() => Some(
+                v.strip_prefix("abort-after-accept:")
+                    .map(str::to_string)
+                    .ok_or_else(|| PointError::Io {
+                        message: format!(
+                            "serve: bad HLSTB_SERVE_FAIL `{v}`: expected abort-after-accept:<id>"
+                        ),
+                    })?,
+            ),
+            _ => None,
+        };
         let (journal, pending) = match &cfg.journal {
             Some(path) => {
                 let state = journal::load(path)?;
@@ -202,9 +220,6 @@ impl Daemon {
         listener.set_nonblocking(true).map_err(|e| PointError::Io {
             message: format!("serve: nonblocking listener: {e}"),
         })?;
-        let abort_after_accept = std::env::var("HLSTB_SERVE_FAIL")
-            .ok()
-            .and_then(|v| v.strip_prefix("abort-after-accept:").map(str::to_string));
         Ok(Daemon {
             admission: Admission::new(cfg.admission),
             cache: Arc::new(ArtifactCache::bounded(cfg.cache_bounds)),

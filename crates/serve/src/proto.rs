@@ -90,11 +90,11 @@ pub struct SweepRequest {
     pub id: String,
     /// What to sweep.
     pub spec: SweepSpec,
-    /// Execution options (per-point budget, retries);
-    /// `threads`/`keep_designs`/`progress` are daemon-side decisions
-    /// and are not accepted over the wire. The daemon always evaluates
-    /// through its shared cache; the wire still carries `cache`, so
-    /// journals written by older clients replay.
+    /// Execution options (per-point budget, retries); `threads` and
+    /// `progress` are daemon-side decisions and are not accepted over
+    /// the wire. The daemon always evaluates through its shared cache;
+    /// the wire still carries `cache`, so journals written by older
+    /// clients replay.
     pub opts: SweepOptions,
     /// End-to-end deadline for the request, measured from admission.
     pub deadline: Option<Duration>,

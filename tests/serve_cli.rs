@@ -179,6 +179,25 @@ fn kill_nine_mid_request_replays_byte_identically() {
     std::fs::remove_file(&crash_journal).ok();
 }
 
+/// A malformed `HLSTB_SERVE_FAIL` is a startup error that names the
+/// variable, not a silently ignored injection.
+#[test]
+fn a_malformed_serve_fail_is_rejected() {
+    let journal = temp("bogus.jsonl");
+    std::fs::remove_file(&journal).ok();
+    let out = bin()
+        .args(["serve", "--journal"])
+        .arg(&journal)
+        .arg("--replay-only")
+        .env("HLSTB_SERVE_FAIL", "bogus")
+        .output()
+        .expect("serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a bad HLSTB_SERVE_FAIL must fail");
+    assert!(stderr.contains("HLSTB_SERVE_FAIL"), "{stderr}");
+    std::fs::remove_file(&journal).ok();
+}
+
 /// SIGTERM during an in-flight request: the daemon finishes it, the
 /// client gets its result, and the exit status is 0.
 #[test]

@@ -158,6 +158,24 @@ fn sweep_worker_without_connect_is_a_usage_error() {
     }
 }
 
+/// A malformed `HLSTB_WORKER_FAIL` is a startup error that names the
+/// variable, not a silently ignored injection: the worker exits nonzero
+/// without dialing.
+#[test]
+fn a_malformed_worker_fail_is_rejected_before_dialing() {
+    // Bind-then-drop reserves a port that refuses connections.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("address").to_string();
+    drop(listener);
+    let (_, stderr, ok) = run_env(
+        &["sweep-worker", "--connect", &addr],
+        &[("HLSTB_WORKER_FAIL", "nope")],
+    );
+    assert!(!ok, "a malformed HLSTB_WORKER_FAIL must fail");
+    assert!(stderr.contains("HLSTB_WORKER_FAIL"), "{stderr}");
+    assert!(!stderr.contains("connect"), "dialed anyway: {stderr}");
+}
+
 /// No `sweep-worker` process outlives `hlstb sweep --workers 4`: every
 /// process still carrying this run's environment marker (which the
 /// launched workers inherit) must be gone once the coordinator exits.
