@@ -88,6 +88,25 @@ step_sweep_smoke() {
         --threads 4 --cache --json >sweep_partial_parallel.json
     cmp sweep_partial_serial.json sweep_partial_parallel.json
     rm -f sweep_partial_serial.json sweep_partial_parallel.json
+    # Resume across split budget groups: lanes claim every budget of a
+    # point group at once, and a checkpoint cut to 4 of its lines
+    # (budgets come in threes) restores part of a group, so the resumed
+    # lanes must evaluate the rest of it and still reproduce the bytes.
+    ./target/release/hlstb sweep --designs figure1,tseng \
+        --grade 128,512,1024 --threads 1 --no-cache --json >sweep_groups_serial.json
+    ./target/release/hlstb sweep --designs figure1,tseng \
+        --grade 128,512,1024 --threads 4 --cache \
+        --checkpoint sweep_groups_ckpt.jsonl --json >/dev/null
+    head -4 sweep_groups_ckpt.jsonl >sweep_groups_cut.jsonl
+    mv sweep_groups_cut.jsonl sweep_groups_ckpt.jsonl
+    ./target/release/hlstb sweep --designs figure1,tseng \
+        --grade 128,512,1024 --threads 4 --cache \
+        --checkpoint sweep_groups_ckpt.jsonl --resume --json \
+        >sweep_groups_resumed.json 2>sweep_groups_summary.txt
+    cmp sweep_groups_serial.json sweep_groups_resumed.json
+    grep "4 restored" sweep_groups_summary.txt
+    rm -f sweep_groups_serial.json sweep_groups_ckpt.jsonl \
+        sweep_groups_resumed.json sweep_groups_summary.txt
 }
 
 step_sweep_fault_smoke() {
@@ -298,24 +317,47 @@ step_serve_smoke() {
         serve_out_deep.json serve_local_deep.json
 }
 
-# Single-flight smoke: a contended threaded cached sweep (consecutive
-# points share grading keys) must coalesce duplicate in-flight misses
-# rather than recompute them. Coalescing needs two workers to collide
-# on a key, so allow a few attempts before calling it a regression.
+# Single-flight smoke: identical requests racing through one daemon's
+# shared cache must coalesce duplicate in-flight misses rather than
+# recompute them. Each request is one lane walking the same points in
+# the same order, so the later one catches up with the earlier one's
+# computations and waits on them (a threaded sweep's lanes claim
+# different point groups and rarely meet). The requests are the
+# 297-point scoreboard spec, long enough that the second starts before
+# the first has computed everything; coalescing still needs the two
+# lanes to meet on a key, so allow a few attempts.
 step_coalesce_smoke() {
     coalesced_ok=0
     for attempt in 1 2 3; do
-        ./target/release/hlstb sweep --designs figure1,tseng \
-            --grade 128,512,1024 --threads 8 --cache \
-            >/dev/null 2>coalesce_summary.txt
-        grep "coalesced:" coalesce_summary.txt
-        if ! grep -q "coalesced: 0 (" coalesce_summary.txt; then
+        ./target/release/hlstb serve --listen 127.0.0.1:0 2>coalesce_log.txt &
+        serve_pid=$!
+        serve_addr=""
+        for _ in $(seq 50); do
+            serve_addr=$(sed -n 's/^serve: listening on //p' coalesce_log.txt | head -1)
+            if [ -n "$serve_addr" ]; then break; fi
+            sleep 0.1
+        done
+        test -n "$serve_addr"
+        client_pids=""
+        for i in 1 2; do
+            ./target/release/hlstb serve-client --connect "$serve_addr" \
+                --id "coalesce-$attempt-$i" --grade 128,512,1024 \
+                >/dev/null 2>&1 &
+            client_pids="$client_pids $!"
+        done
+        for p in $client_pids; do wait "$p"; done
+        ./target/release/hlstb serve-client --connect "$serve_addr" --metrics \
+            >coalesce_metrics.json
+        kill -TERM $serve_pid
+        wait $serve_pid
+        grep -o '"cache_coalesced": [0-9]*' coalesce_metrics.json
+        if ! grep -q '"cache_coalesced": 0,' coalesce_metrics.json; then
             coalesced_ok=1
             break
         fi
     done
     test "$coalesced_ok" -eq 1
-    rm -f coalesce_summary.txt
+    rm -f coalesce_log.txt coalesce_metrics.json
 }
 
 # SoA differential smoke: the naive oracle and the SoA engine must

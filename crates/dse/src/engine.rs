@@ -1,8 +1,10 @@
-//! The sweep executor: one [`SweepDriver`] per sweep — a work-stealing
-//! pool over the point list that every front end (in-process, scale-out
-//! coordinator, serve daemon) shares — with optional artifact
-//! memoization, panic isolation, per-point deadlines, bounded retries,
-//! and checkpoint/resume.
+//! The sweep executor: one [`SweepDriver`] per sweep — a pool whose
+//! lanes claim the point list a budget group at a time (points that
+//! differ only in grading budget, so one lane computes their shared
+//! artifacts and serves the rest from them; see [`SweepDriver::run`]),
+//! shared by every front end (in-process, scale-out coordinator, serve
+//! daemon) — with optional artifact memoization, panic isolation,
+//! per-point deadlines, bounded retries, and checkpoint/resume.
 //!
 //! # Determinism
 //!
@@ -787,28 +789,36 @@ impl<'a> SweepDriver<'a> {
 
     /// Runs the points `indices` names on `lanes` local threads (1 =
     /// inline), restoring each from the resume set or evaluating it.
-    /// Lanes claim indices from one shared atomic injector, so a slow
-    /// point never stalls the rest, and a slot lock is held only for
-    /// the final store, so a panicking point (caught by the runner)
-    /// can poison neither. A lane checks `stop` before running each
-    /// point it claims and quits once it holds, leaving the rest
-    /// unsettled.
+    /// Lanes claim *units* from one shared atomic injector — maximal
+    /// runs of consecutive `indices` entries whose points differ only
+    /// in `patterns` — and run each unit's points in order, so the lane
+    /// that builds a group's front end, DFT output, netlist and grading
+    /// run also serves the group's other budgets from them, instead of
+    /// a second lane blocking on those single-flight computations. A
+    /// slow unit never stalls the rest, and a slot lock is held only
+    /// for the final store, so a panicking point (caught by the runner)
+    /// can poison neither. A lane checks `stop` before each point and
+    /// quits once it holds, leaving the rest unsettled. Lanes are
+    /// clamped to the unit count, and one lane runs `indices` in order.
     pub fn run(&self, indices: &[usize], lanes: usize, stop: &(dyn Fn() -> bool + Sync)) {
+        let units = units(&self.runner.points, indices);
         let next = AtomicUsize::new(0);
         let lane = |id: u32| {
             hlstb_trace::events::set_worker(id);
-            while let Some(&i) = indices.get(next.fetch_add(1, Ordering::Relaxed)) {
-                if stop() {
-                    break;
-                }
-                if !self.restore(i) {
-                    self.runner.scheduled(i);
-                    let record = self.runner.eval(i);
-                    self.complete(i, record);
+            while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                for &i in *unit {
+                    if stop() {
+                        return;
+                    }
+                    if !self.restore(i) {
+                        self.runner.scheduled(i);
+                        let record = self.runner.eval(i);
+                        self.complete(i, record);
+                    }
                 }
             }
         };
-        let lanes = lanes.clamp(1, indices.len().max(1));
+        let lanes = lanes.clamp(1, units.len().max(1));
         if lanes == 1 {
             lane(0);
         } else {
@@ -918,6 +928,18 @@ pub fn run_sweep_with(
     let all: Vec<usize> = (0..driver.runner().len()).collect();
     driver.run(&all, opts.threads, &|| false);
     Ok(driver.finish())
+}
+
+/// Splits `indices` into the units [`SweepDriver::run`]'s lanes claim:
+/// maximal runs of consecutive entries whose points differ only in
+/// `patterns`, the points that share one front end, DFT output,
+/// netlist and grading run.
+fn units<'i>(points: &[Point], indices: &'i [usize]) -> Vec<&'i [usize]> {
+    let group = |i: usize| {
+        let p = points[i];
+        (p.design, p.scheduler, p.policy, p.strategy, p.width)
+    };
+    indices.chunk_by(|&a, &b| group(a) == group(b)).collect()
 }
 
 fn make_record(
@@ -1081,6 +1103,48 @@ mod tests {
             threaded.report.canonical_json()
         );
         assert!(threaded.report.threads > 1);
+    }
+
+    #[test]
+    fn a_one_budget_spec_gives_one_point_units() {
+        let mut spec = tiny_spec();
+        spec.patterns = vec![128];
+        let points = spec.points();
+        let all: Vec<usize> = (0..points.len()).collect();
+        let units = units(&points, &all);
+        assert_eq!(units.len(), 3);
+        assert!(units.iter().all(|u| u.len() == 1), "{units:?}");
+    }
+
+    #[test]
+    fn a_resume_hole_joins_the_groups_remaining_budgets_into_one_unit() {
+        let mut spec = tiny_spec();
+        spec.patterns = vec![128, 512, 1024];
+        let points = spec.points();
+        // Point 4 (the middle budget of the second group) was restored.
+        let left = [0, 1, 2, 3, 5, 6, 7, 8];
+        let units = units(&points, &left);
+        assert_eq!(units, [&[0, 1, 2][..], &[3, 5], &[6, 7, 8]]);
+    }
+
+    #[test]
+    fn a_one_group_spec_runs_on_one_lane() {
+        let mut spec = SweepSpec::new(vec![benchmarks::figure1()]);
+        spec.strategies = vec![DftStrategy::FullScan];
+        spec.patterns = vec![128, 512, 1024];
+        let opts = SweepOptions {
+            threads: 4,
+            ..SweepOptions::default()
+        };
+        let runner = PointRunner::new(&spec, &opts, None);
+        let lanes = Mutex::new(Vec::new());
+        let driver = SweepDriver::open(runner, &Recovery::default())
+            .expect("no checkpoint")
+            .on_point(|_| lanes.lock().unwrap().push(std::thread::current().id()));
+        driver.run(&[0, 1, 2], opts.threads, &|| false);
+        drop(driver.finish());
+        let caller = std::thread::current().id();
+        assert_eq!(lanes.into_inner().unwrap(), [caller; 3]);
     }
 
     #[test]

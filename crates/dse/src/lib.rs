@@ -10,9 +10,12 @@
 //!
 //! * [`spec::SweepSpec`] enumerates points over designs × schedulers ×
 //!   register policies × DFT strategies × widths × grading depths;
-//! * [`engine::run_sweep`] executes the points on a work-stealing pool
-//!   (`std::thread::scope` lanes of one [`engine::SweepDriver`] pulling
-//!   from a shared atomic injector — no new dependencies);
+//! * [`engine::run_sweep`] executes the points on a pool of
+//!   `std::thread::scope` lanes of one [`engine::SweepDriver`] that
+//!   claim units from a shared atomic injector — maximal runs of
+//!   consecutive points differing only in grading budget, so one lane
+//!   builds a group's artifacts and serves its budgets from them (no
+//!   new dependencies);
 //! * [`cache::ArtifactCache`] memoizes stage outputs under
 //!   content-derived keys so points differing only in DFT strategy
 //!   reuse everything up to DFT insertion, points whose marked data
@@ -27,7 +30,8 @@
 //! The cache is *single-flight*: when several workers miss the same
 //! key at once, one computes while the rest block on the in-flight
 //! slot and are served the shared result (a `coalesced` lookup), so a
-//! threaded cached sweep never duplicates a stage computation. The
+//! threaded cached sweep never duplicates a stage computation; since
+//! lanes claim whole budget groups, such waits are rare. The
 //! stores count no lookups: the point pipeline counts each one in its
 //! run's [`cache::CacheStats`] as it journals the stage's `point.stage`
 //! record, and every point runs under a `dse.point` span.

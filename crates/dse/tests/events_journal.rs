@@ -5,7 +5,7 @@
 
 use hlstb::cdfg::benchmarks;
 use hlstb::trace::events;
-use hlstb_dse::{run_sweep_with, FailMode, FailPlan, Recovery, SweepOptions, SweepSpec};
+use hlstb_dse::{run_sweep_with, FailMode, FailPlan, Point, Recovery, SweepOptions, SweepSpec};
 use std::sync::Mutex;
 
 /// The journal is process-global; tests in this binary serialize on
@@ -112,6 +112,41 @@ fn injected_failures_keep_the_canonical_journal_identical() {
     // The flaky point retried once, then completed.
     assert!(canon.contains("\"point.retry\""), "{canon}");
     assert!(canon.contains("\"attempt\": 1"), "{canon}");
+}
+
+/// A threaded sweep's lanes claim whole point groups — the points that
+/// differ only in grading budget and so share one front end, DFT
+/// output, netlist and grading run — so every budget of a group is
+/// scheduled on the lane that claimed it.
+#[test]
+fn every_budget_of_a_point_group_runs_on_one_lane() {
+    let _x = exclusive();
+    let mut spec = SweepSpec::new(vec![benchmarks::figure1(), benchmarks::tseng()]);
+    spec.patterns = vec![128, 512, 1024];
+    let points = spec.points();
+    let group = |p: &Point| (p.design, p.scheduler, p.policy, p.strategy, p.width);
+    for threads in [2, 4] {
+        let journal = journaled_sweep(&spec, threads, true, &Recovery::default());
+        let scheduled: Vec<(Point, u32)> = journal
+            .records
+            .iter()
+            .filter(|r| r.kind == "point.scheduled")
+            .map(|r| {
+                let i = r.point.expect("scheduled records carry a point") as usize;
+                (points[i], r.worker.expect("pool lanes tag their records"))
+            })
+            .collect();
+        assert_eq!(scheduled.len(), points.len());
+        for (a, lane_a) in &scheduled {
+            for (b, lane_b) in scheduled.iter().filter(|(b, _)| group(a) == group(b)) {
+                assert_eq!(
+                    lane_a, lane_b,
+                    "points {} and {} split across lanes at {threads} threads",
+                    a.index, b.index
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -30,7 +30,8 @@ trace-smoke: build
     ./ci.sh trace-smoke
 
 # Tiny two-design sweep: serial/parallel outputs must be byte-identical
-# and the cached run must post nonzero cache hits.
+# and the cached run must post nonzero cache hits; a threaded resume
+# from a checkpoint cut mid budget group must reproduce the bytes too.
 sweep-smoke: build
     ./ci.sh sweep-smoke
 
@@ -54,8 +55,8 @@ sweep-tcp-smoke: build
 serve-smoke: build
     ./ci.sh serve-smoke
 
-# A contended threaded cached sweep must post nonzero coalesced
-# (single-flight) waits, within three attempts.
+# Two identical requests racing through one daemon must post nonzero
+# coalesced (single-flight) waits, within three attempts.
 coalesce-smoke: build
     ./ci.sh coalesce-smoke
 

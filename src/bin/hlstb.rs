@@ -777,6 +777,9 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
         calls: u64,
         lookups: StageCounts,
         wall_us: u64,
+        /// The part of `wall_us` spent in `coalesced` lookups, waiting
+        /// on another lane's computation.
+        wait_us: u64,
     }
     /// Per-worker lane (threads of an in-process pool, loopback
     /// workers, or TCP workers), keyed by the journal's `worker`
@@ -834,7 +837,10 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
                 let outcome = match v.get("cache").and_then(|c| c.as_str()) {
                     Some("hit") => CacheOutcome::Hit,
                     Some("miss") => CacheOutcome::Miss,
-                    Some("coalesced") => CacheOutcome::Coalesced,
+                    Some("coalesced") => {
+                        roll.wait_us += wall_us();
+                        CacheOutcome::Coalesced
+                    }
                     _ => continue,
                 };
                 roll.lookups.record(outcome);
@@ -907,19 +913,20 @@ fn trace_view(path: &str, text: &str, top: usize) -> Result<String, String> {
     };
     if !stages.is_empty() {
         out.push_str(&format!(
-            "\nstages:\n  {:<10} {:>7} {:>7} {:>7} {:>7} {:>7} {:>11} {:>9}\n",
-            "stage", "calls", "hits", "misses", "coal", "hit %", "total ms", "avg us"
+            "\nstages:\n  {:<10} {:>7} {:>7} {:>7} {:>7} {:>7} {:>11} {:>9} {:>9}\n",
+            "stage", "calls", "hits", "misses", "coal", "hit %", "total ms", "wait ms", "avg us"
         ));
         for (stage, roll) in &stages {
             let c = &roll.lookups;
             out.push_str(&format!(
-                "  {stage:<10} {:>7} {:>7} {:>7} {:>7} {:>7} {:>11.3} {:>9}\n",
+                "  {stage:<10} {:>7} {:>7} {:>7} {:>7} {:>7} {:>11.3} {:>9.3} {:>9}\n",
                 roll.calls,
                 c.hits,
                 c.misses,
                 c.coalesced,
                 rate(c),
                 roll.wall_us as f64 / 1e3,
+                roll.wait_us as f64 / 1e3,
                 roll.wall_us / roll.calls.max(1),
             ));
         }

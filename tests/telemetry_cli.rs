@@ -324,6 +324,50 @@ fn every_trace_view_comes_from_one_journal() {
     assert_eq!(section("gauges"), gauges);
 }
 
+/// trace-view's stage table as `(stage, total ms, wait ms)` rows.
+fn stage_rows(view: &str) -> Vec<(String, f64, f64)> {
+    let mut lines = view.lines().skip_while(|l| *l != "stages:").skip(1);
+    let header = lines.next().expect("a stage table");
+    assert!(header.contains("total ms   wait ms"), "{view}");
+    lines
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            let ms = |i: usize| cols[i].parse::<f64>().expect("a ms column");
+            (cols[0].to_string(), ms(6), ms(7))
+        })
+        .collect()
+}
+
+/// The stage table's `wait ms` is the time a stage's lookups spent
+/// coalesced on another lane's computation: part of `total ms`, and
+/// nothing at all on one lane.
+#[test]
+fn trace_view_splits_coalesced_waits_out_of_stage_time() {
+    let full = temp("wait_events.jsonl");
+    let full_s = full.to_str().unwrap();
+    for threads in ["4", "1"] {
+        let mut args = SWEEP.to_vec();
+        args.extend(["--threads", threads, "--cache", "--events", full_s]);
+        let (_, stderr, ok) = run(&args);
+        assert!(ok, "{stderr}");
+        let (view, stderr, ok) = run(&["trace-view", full_s]);
+        assert!(ok, "{stderr}");
+        let rows = stage_rows(&view);
+        assert_eq!(rows.len(), 5, "{view}");
+        for (stage, total, wait) in rows {
+            assert!(
+                wait <= total,
+                "{stage}: wait {wait} > total {total}\n{view}"
+            );
+            if threads == "1" {
+                assert_eq!(wait, 0.0, "{stage} waited on one lane\n{view}");
+            }
+        }
+    }
+    std::fs::remove_file(&full).ok();
+}
+
 #[test]
 fn trace_view_rejects_garbage_and_pointless_journals() {
     let bad = temp("bad.jsonl");
