@@ -153,17 +153,35 @@ step_sweep_fault_smoke() {
 # processes must splice byte-identically to the serial uncached run,
 # and killing the only worker after one point (HLSTB_WORKER_FAIL) must
 # re-issue its lease and still reproduce the bytes via the inline
-# fallback. Every coordinator and worker runs under `timeout 120`, so
-# a wind-down that never returns fails the step instead of hanging it.
+# fallback. Both sweeps also write a checkpoint: each lane's point
+# frame is a checkpoint line by construction, so the two files must
+# hold the same lines (in completion order, hence the `sort`), which
+# pins the coordinator's frame decode and re-encode end to end, and a
+# threaded sweep resumed from the lanes' checkpoint must restore every
+# point and reproduce the bytes. Every coordinator and worker runs
+# under `timeout 120`, so a wind-down that never returns fails the
+# step instead of hanging it.
 step_sweep_workers_smoke() {
+    rm -f workers_serial_ckpt.jsonl workers_lanes_ckpt.jsonl
     ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 64 \
-        --threads 1 --no-cache --json >workers_serial.json
+        --threads 1 --no-cache --checkpoint workers_serial_ckpt.jsonl \
+        --json >workers_serial.json
     timeout 120 ./target/release/hlstb sweep --designs figure1,tseng \
         --strategies none,full-scan,bist-shared --grade 64 \
-        --workers 4 --json >workers_sharded.json 2>workers_summary.txt
+        --workers 4 --checkpoint workers_lanes_ckpt.jsonl \
+        --json >workers_sharded.json 2>workers_summary.txt
     cmp workers_serial.json workers_sharded.json
     grep "4 workers" workers_summary.txt
+    sort workers_serial_ckpt.jsonl >workers_serial_ckpt.sorted
+    sort workers_lanes_ckpt.jsonl >workers_lanes_ckpt.sorted
+    cmp workers_serial_ckpt.sorted workers_lanes_ckpt.sorted
+    ./target/release/hlstb sweep --designs figure1,tseng \
+        --strategies none,full-scan,bist-shared --grade 64 \
+        --threads 1 --cache --checkpoint workers_lanes_ckpt.jsonl --resume \
+        --json >workers_resumed.json 2>workers_resumed_summary.txt
+    grep "6 restored" workers_resumed_summary.txt
+    cmp workers_serial.json workers_resumed.json
     HLSTB_WORKER_FAIL="0:1" timeout 120 ./target/release/hlstb sweep \
         --designs figure1,tseng --strategies none,full-scan,bist-shared \
         --grade 64 --workers 1 --json \
@@ -172,6 +190,9 @@ step_sweep_workers_smoke() {
     grep "re-issuing" workers_killed_summary.txt
     grep "1 reissued" workers_killed_summary.txt
     rm -f workers_serial.json workers_sharded.json workers_summary.txt \
+        workers_serial_ckpt.jsonl workers_lanes_ckpt.jsonl \
+        workers_serial_ckpt.sorted workers_lanes_ckpt.sorted \
+        workers_resumed.json workers_resumed_summary.txt \
         workers_killed.json workers_killed_summary.txt
 }
 

@@ -385,21 +385,38 @@ pub fn dct_lite() -> Cdfg {
     b.finish().expect("dct_lite is valid")
 }
 
+/// Builds one catalogue design.
+pub type Builder = fn() -> Cdfg;
+
+/// The deterministic benchmark suite by name, in [`all`]'s order: each
+/// entry pairs a design's [`Cdfg::name`] with its builder, so a lookup
+/// by name builds only the design it finds.
+pub const CATALOGUE: [(&str, Builder); 9] = [
+    ("figure1", figure1),
+    ("diffeq", diffeq),
+    ("ewf", ewf),
+    ("fir8", || fir(8)),
+    ("ar_lattice", ar_lattice),
+    ("iir_biquad", iir_biquad),
+    ("tseng", tseng),
+    ("gcd", gcd),
+    ("dct_lite", dct_lite),
+];
+
 /// The deterministic benchmark suite used by the experiments: Figure 1,
 /// diffeq, EWF, FIR-8, AR lattice, IIR biquad, Tseng, GCD, and the DCT
 /// butterfly.
 pub fn all() -> Vec<Cdfg> {
-    vec![
-        figure1(),
-        diffeq(),
-        ewf(),
-        fir(8),
-        ar_lattice(),
-        iir_biquad(),
-        tseng(),
-        gcd(),
-        dct_lite(),
-    ]
+    CATALOGUE.iter().map(|(_, build)| build()).collect()
+}
+
+/// Builds the catalogue design named `name`, or `None` when no entry
+/// has that name.
+pub fn by_name(name: &str) -> Option<Cdfg> {
+    CATALOGUE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -537,5 +554,17 @@ mod tests {
         let out = g.evaluate(&streams, &HashMap::new(), 16);
         // Impulse response must not be all zeros after the impulse.
         assert!(out["f2"].iter().skip(1).any(|&v| v != 0));
+    }
+
+    #[test]
+    fn catalogue_names_match_the_built_designs() {
+        for (name, build) in CATALOGUE {
+            assert_eq!(build().name(), name);
+            assert_eq!(by_name(name).expect("a catalogue name").name(), name);
+        }
+        let names: Vec<String> = all().iter().map(|g| g.name().to_string()).collect();
+        assert_eq!(names, CATALOGUE.map(|(n, _)| n));
+        assert!(by_name("not_a_design").is_none());
+        assert!(by_name("").is_none());
     }
 }

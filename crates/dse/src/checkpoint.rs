@@ -383,6 +383,57 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A typed error message holding every character the escaper
+    /// treats specially, plus multi-byte UTF-8, survives the worker's
+    /// point frame and the checkpoint file byte for byte.
+    #[test]
+    fn non_ascii_error_payloads_splice_byte_exactly() {
+        let message = "quote\" backslash\\ newline\n ctl\u{1} µ 木";
+        let mut rec = sample_record(false);
+        rec.outcome = Err(PointError::Flow {
+            message: message.into(),
+        });
+        let canonical = rec.canonical_point_json();
+
+        // Point frame → coordinator decode → typed record → re-render.
+        let frame = crate::proto::encode_point(0xAB, 2, &canonical);
+        let decoded = crate::proto::decode_from_worker(&frame).unwrap();
+        let crate::proto::FromWorker::Point {
+            key,
+            index,
+            canonical: spliced,
+        } = decoded
+        else {
+            panic!("not a point frame: {decoded:?}");
+        };
+        assert_eq!((key, index), (0xAB, 2));
+        assert_eq!(spliced, canonical);
+        let mut restored = record_from_canonical(&spliced).unwrap();
+        assert_eq!(
+            restored.outcome.as_ref().err().map(PointError::message),
+            Some(message)
+        );
+        assert_eq!(restored.canonical_point_json(), canonical);
+        restored.restored = None;
+        assert_eq!(
+            restored.canonical_point_json(),
+            canonical,
+            "the typed fields re-render the same bytes"
+        );
+
+        // Checkpoint write → resume load.
+        let path = temp("non_ascii");
+        std::fs::remove_file(&path).ok();
+        Checkpoint::open_append(&path)
+            .unwrap()
+            .record(0xAB, 2, &canonical)
+            .unwrap();
+        let set = RestoredSet::load(&path).unwrap();
+        assert_eq!(set.skipped(), 0);
+        assert_eq!(set.lookup(0xAB, 2), Some(canonical.as_str()));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn missing_checkpoint_is_an_io_error() {
         let e = RestoredSet::load(Path::new("/definitely/not/here.jsonl")).unwrap_err();

@@ -52,7 +52,7 @@
 use std::io::Write;
 use std::time::Duration;
 
-use hlstb::cdfg::{benchmarks, Cdfg};
+use hlstb::cdfg::benchmarks;
 
 use crate::checkpoint;
 use crate::engine::SweepOptions;
@@ -241,7 +241,8 @@ pub fn spec_to_json(spec: &SweepSpec) -> String {
 }
 
 /// Resolves a wire spec object back into a [`SweepSpec`]: designs by
-/// catalogue name, axes by CLI vocabulary, then verifies the combined
+/// catalogue name ([`benchmarks::by_name`] builds only the designs
+/// named), axes by CLI vocabulary, then verifies the combined
 /// design content hash so a version-skewed worker fails loudly instead
 /// of silently computing different bytes. Public for the serve request
 /// protocol.
@@ -258,15 +259,13 @@ pub fn spec_from_json(v: &Value) -> Result<SweepSpec, PointError> {
             })
             .collect()
     };
-    let catalogue: Vec<Cdfg> = benchmarks::all();
-    let mut designs = Vec::new();
-    for name in str_list("designs")? {
-        let d = catalogue
-            .iter()
-            .find(|d| d.name() == name)
-            .ok_or_else(|| io_err(format!("unknown design `{name}` in wire spec")))?;
-        designs.push(d.clone());
-    }
+    let designs = str_list("designs")?
+        .iter()
+        .map(|name| {
+            benchmarks::by_name(name)
+                .ok_or_else(|| io_err(format!("unknown design `{name}` in wire spec")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let design_keys: Vec<u64> = designs.iter().map(key::hash_debug).collect();
     let got = format!("{:016x}", key::combine(&design_keys));
     let want = v

@@ -11,9 +11,13 @@
 //! * [`Obj`] / [`Arr`] — compact single-line object/array writers
 //!   emitting the workbench's `"key": value` house style;
 //!
-//! plus a minimal recursive-descent [`parse`]r, used by tests and the
-//! `hlstb trace-check` CLI to verify emitted documents are structurally
-//! valid without pulling a JSON dependency.
+//! plus a minimal recursive-descent [`parse`]r, the one JSON reader of
+//! the workspace: it decodes both newline-JSON wire protocols (sweep
+//! coordinator ⇄ worker frames, serve requests and responses), sweep
+//! checkpoints and the serve journal on resume, and the files
+//! `trace-check`, `trace-view` and `perf-diff` read. It runs in time
+//! linear in its input: a string's unescaped runs are validated and
+//! copied whole, never re-scanned per character.
 
 /// Escapes `s` as a complete JSON string literal, quotes included.
 pub fn escape(s: &str) -> String {
@@ -327,13 +331,24 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next `"` or `\` in one piece.
+            // Both are ASCII, so the run ends on a char boundary and is
+            // whole UTF-8: validating it once keeps the parse linear.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // The run stopped at a `\`.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -360,15 +375,6 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // slicing at char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
     }
@@ -392,6 +398,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn escape_covers_specials_and_controls() {
@@ -456,5 +463,88 @@ mod tests {
         let a = v.get("a").and_then(Value::as_array).unwrap();
         assert_eq!(a[2].as_f64(), Some(-25.0));
         assert_eq!(a[1].get("b"), Some(&Value::Null));
+    }
+
+    /// One code point drawn from a class that exercises a distinct
+    /// path of the escaper or the parser: printable ASCII, the three
+    /// characters with escapes of their own, C0 controls, and 2-, 3-
+    /// and 4-byte UTF-8 (no surrogates, which `char` cannot hold).
+    fn code_point(class: u8, n: u32) -> char {
+        let c = match class {
+            0..=2 => 0x20 + n % 0x5f,
+            3 => ['"', '\\', '/'][n as usize % 3] as u32,
+            4 => n % 0x20,
+            5 => 0x80 + n % 0x780,
+            6 => [0x800 + n % 0xd000, 0xe000 + n % 0x2000][n as usize % 2],
+            _ => 0x1_0000 + n % 0x10_0000,
+        };
+        char::from_u32(c).expect("every class avoids surrogates")
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec((0u8..8, 0u32..0x10_0000), 0..48)
+            .prop_map(|cs| cs.into_iter().map(|(k, n)| code_point(k, n)).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn escaped_strings_of_any_code_points_roundtrip(s in text(), key in text()) {
+            prop_assert_eq!(parse(&escape(&s)), Ok(Value::Str(s.clone())));
+            let mut arr = Arr::new();
+            arr.string(&s).raw("1").string(&key);
+            let mut obj = Obj::new();
+            obj.string(&key, &s).raw("list", &arr.finish());
+            let want = Value::Object(vec![
+                (key.clone(), Value::Str(s.clone())),
+                (
+                    "list".into(),
+                    Value::Array(vec![Value::Str(s), Value::Num(1.0), Value::Str(key)]),
+                ),
+            ]);
+            prop_assert_eq!(parse(&obj.finish()), Ok(want));
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages() {
+        let long = format!("[\"{}", "run µ 木 ".repeat(20_000));
+        assert_eq!(parse(&long), Err("unterminated string".into()));
+        assert_eq!(parse("\"ab\\q\""), Err("bad escape Some(113)".into()));
+        assert_eq!(parse("\"ab\\"), Err("bad escape None".into()));
+        assert_eq!(parse("\"ab\\u12"), Err("truncated \\u escape".into()));
+        assert_eq!(
+            parse("{\"k\\u00\": 1}"),
+            Err("invalid digit found in string".into())
+        );
+    }
+
+    /// Documents far larger than any frame the workspace writes still
+    /// parse: a quadratic string scan would take minutes here.
+    #[test]
+    fn multi_megabyte_strings_parse_and_roundtrip() {
+        let chunk = format!("{}\"\\\n\t\u{1}µ木🦀/", "plain ascii run ".repeat(64));
+        let big = chunk.repeat((4 << 20) / chunk.len());
+        assert!(big.len() >= 4_000_000);
+        assert_eq!(parse(&escape(&big)), Ok(Value::Str(big.clone())));
+
+        // A checkpoint record line whose canonical payload, itself a
+        // JSON object, is about 1 MiB.
+        let message = chunk.repeat((1 << 20) / chunk.len());
+        let mut payload = Obj::new();
+        payload.number_u64("index", 3).string("message", &message);
+        let canonical = payload.finish();
+        let mut line = Obj::new();
+        line.number_u64("v", 1)
+            .string("key", "00000000000000ab")
+            .number_u64("index", 3)
+            .string("canonical", &canonical);
+        let v = parse(&line.finish()).unwrap();
+        let back = v.get("canonical").and_then(Value::as_str).unwrap();
+        assert_eq!(back, canonical);
+        let inner = parse(back).unwrap();
+        assert_eq!(
+            inner.get("message").and_then(Value::as_str),
+            Some(message.as_str())
+        );
     }
 }

@@ -40,8 +40,10 @@ sweep-smoke: build
 sweep-fault-smoke: build
     ./ci.sh sweep-fault-smoke
 
-# `--workers 4` splices byte-identically to serial uncached, and a
-# killed worker's lease re-issues and still reproduces the bytes.
+# `--workers 4` splices byte-identically to serial uncached, its
+# checkpoint holds the serial checkpoint's lines and resumes to the
+# same bytes, and a killed worker's lease re-issues and still
+# reproduces the bytes.
 sweep-workers-smoke: build
     ./ci.sh sweep-workers-smoke
 

@@ -36,20 +36,15 @@ use hlstb_dse::{run_sweep_with, run_sweep_workers, FailPlan, Recovery, SweepOpti
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn designs() -> Vec<Cdfg> {
-    benchmarks::all()
-}
-
-fn find_design(name: &str) -> Option<Cdfg> {
-    designs().into_iter().find(|g| g.name() == name)
-}
-
-fn unknown_design(name: &str) -> String {
-    let names: Vec<String> = designs().iter().map(|g| g.name().to_string()).collect();
-    format!(
-        "unknown design `{name}`; valid designs: {}",
-        names.join(", ")
-    )
+/// Builds the catalogue design `name`, or names every valid design.
+fn design(name: &str) -> Result<Cdfg, String> {
+    benchmarks::by_name(name).ok_or_else(|| {
+        let names = benchmarks::CATALOGUE.map(|(n, _)| n);
+        format!(
+            "unknown design `{name}`; valid designs: {}",
+            names.join(", ")
+        )
+    })
 }
 
 /// Parses a comma-separated axis list with a per-item vocabulary.
@@ -87,7 +82,7 @@ fn axis_flag(
         "--designs" => {
             spec.designs = value()?
                 .split(',')
-                .map(|n| find_design(n.trim()).ok_or_else(|| unknown_design(n.trim())))
+                .map(|n| design(n.trim()))
                 .collect::<Result<_, _>>()?;
         }
         "--schedulers" => spec.schedulers = parse_list(value()?, parse_scheduler, "scheduler")?,
@@ -254,7 +249,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).ok_or(USAGE)?;
     match cmd {
         "list" => {
-            for g in designs() {
+            for g in benchmarks::all() {
                 println!(
                     "{:<12} {:>3} ops  {:>2} inputs  {:>2} outputs  {:>2} loops",
                     g.name(),
@@ -272,7 +267,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "synth" | "sgraph" => {
             let name = args.get(1).ok_or(USAGE)?;
-            let cdfg = find_design(name).ok_or_else(|| unknown_design(name))?;
+            let cdfg = design(name)?;
             let mut flow = SynthesisFlow::new(cdfg);
             let mut json = false;
             let mut sinks = Sinks::default();
@@ -631,7 +626,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "cdfg" => {
             let name = args.get(1).ok_or(USAGE)?;
-            let cdfg = find_design(name).ok_or_else(|| unknown_design(name))?;
+            let cdfg = design(name)?;
             if args.iter().any(|a| a == "--text") {
                 print!("{}", hlstb::cdfg::pretty::to_pseudocode(&cdfg));
             } else {
@@ -748,12 +743,12 @@ fn run(args: &[String]) -> Result<(), String> {
                     i += 2;
                 } else {
                     let name = args[i].as_str();
-                    picked.push(find_design(name).ok_or_else(|| unknown_design(name))?);
+                    picked.push(design(name)?);
                     i += 1;
                 }
             }
             if picked.is_empty() {
-                picked = designs();
+                picked = benchmarks::all();
             }
             for g in picked {
                 soa_check(g, patterns)?;
