@@ -107,6 +107,21 @@ step_sweep_smoke() {
     grep "4 restored" sweep_groups_summary.txt
     rm -f sweep_groups_serial.json sweep_groups_ckpt.jsonl \
         sweep_groups_resumed.json sweep_groups_summary.txt
+    # Per-stage work of the 297-point scoreboard spec: 18 front ends and
+    # S-graph facts, 99 DFT outputs, and one netlist and grading run per
+    # distinct marked data path and width (36). A netlist key that split
+    # equal data paths (keyed on the front end, not its data path's
+    # content) reads 38 netlists.
+    ./target/release/hlstb sweep --grade 128,512,1024 --threads 1 --cache \
+        --full-json >sweep_stages.json
+    for misses in '"front": {"hits": [0-9]*, "misses": 18,' \
+        '"facts": {"hits": [0-9]*, "misses": 18,' \
+        '"dft": {"hits": [0-9]*, "misses": 99,' \
+        '"netlist": {"hits": [0-9]*, "misses": 36,' \
+        '"grading": {"hits": [0-9]*, "misses": 36,'; do
+        grep -q "$misses" sweep_stages.json
+    done
+    rm -f sweep_stages.json
 }
 
 step_sweep_fault_smoke() {

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use hlstb_bist::registers::BistPlan;
 use hlstb_cdfg::{Cdfg, Schedule};
@@ -199,10 +200,39 @@ pub struct SgraphFacts {
     pub mfvs_size: usize,
 }
 
+/// The width-independent half of the testability report: what the
+/// scan-marked data path alone decides ([`SynthesisFlow::post_scan_structure`]).
+/// A sweep computes it once per DFT artifact and assembles every
+/// point's report from it ([`SynthesisFlow::build_report`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PostScanStructure {
+    /// Control steps per iteration.
+    pub period: u32,
+    /// Data-path registers.
+    pub registers: usize,
+    /// Registers hosting primary I/O.
+    pub io_registers: usize,
+    /// Functional units.
+    pub fus: usize,
+    /// Registers marked for scan.
+    pub scan_registers: usize,
+    /// Whether removing the scan registers leaves the S-graph acyclic
+    /// (self-loops tolerated).
+    pub acyclic_after_scan: bool,
+    /// Maximum sequential depth from input registers, scan registers
+    /// acting as pseudo I/O.
+    pub max_control_depth: u32,
+    /// Maximum sequential depth to output registers, likewise.
+    pub max_observe_depth: u32,
+    /// The BIST configuration the overhead column reads: the strategy's
+    /// own plan, or a shared plan of the data path when it built none.
+    pub bist_plan: BistPlan,
+}
+
 /// Builder for one synthesis run.
 #[derive(Debug, Clone)]
 pub struct SynthesisFlow {
-    cdfg: Cdfg,
+    cdfg: Arc<Cdfg>,
     scheduler: Scheduler,
     policy: RegisterPolicy,
     strategy: DftStrategy,
@@ -215,10 +245,13 @@ pub struct SynthesisFlow {
 
 impl SynthesisFlow {
     /// Starts a flow for a behavior with minimal resources, the default
-    /// list scheduler, left-edge registers, no DFT, 4-bit width.
-    pub fn new(cdfg: Cdfg) -> Self {
+    /// list scheduler, left-edge registers, no DFT, 4-bit width. The
+    /// flow shares the behavior: pass an `Arc<Cdfg>` to build many flows
+    /// over one design without copying it (the sweep engine builds one
+    /// flow per point), or a `Cdfg` to hand it over.
+    pub fn new(cdfg: impl Into<Arc<Cdfg>>) -> Self {
         SynthesisFlow {
-            cdfg,
+            cdfg: cdfg.into(),
             scheduler: Scheduler::default(),
             policy: RegisterPolicy::default(),
             strategy: DftStrategy::default(),
@@ -487,18 +520,20 @@ impl SynthesisFlow {
         SgraphFacts { cycles, mfvs_size }
     }
 
-    /// Stage 4 — the testability report: post-scan S-graph structure,
-    /// area, BIST overhead, and the optional grading / ATPG passes.
-    pub fn build_report(
-        &self,
+    /// Stage 4a — the width-independent post-scan structure of a
+    /// scan-marked data path: acyclicity of the S-graph once the scan
+    /// registers are cut, control and observe depth with scan registers
+    /// as pseudo I/O, the register, I/O, FU and scan counts, the period,
+    /// and the BIST plan the overhead column reads — `bist_plan` when
+    /// the strategy attached one, a shared plan of the data path
+    /// otherwise (under the `bist.plan` span). It depends on the marked
+    /// data path alone, so the sweep engine computes it once per DFT
+    /// artifact, inside the DFT stage.
+    pub fn post_scan_structure(
         datapath: &Datapath,
-        expanded: &ExpandedDatapath,
         bist_plan: Option<&BistPlan>,
-        facts: &SgraphFacts,
-    ) -> TestabilityReport {
-        let report_span = hlstb_trace::span("report");
-        let cycles = facts.cycles;
-        let mfvs_size = facts.mfvs_size;
+    ) -> PostScanStructure {
+        let _span = hlstb_trace::span("report.structure");
         let sg = datapath.register_sgraph();
         let scanned: std::collections::BTreeSet<NodeId> = datapath
             .scan_registers()
@@ -506,32 +541,64 @@ impl SynthesisFlow {
             .map(|&r| NodeId(r as u32))
             .collect();
         let (post, back) = sg.without_nodes(&scanned);
-        let acyclic = post.is_acyclic(true);
+        let acyclic_after_scan = post.is_acyclic(true);
         // Post-scan depth: scan registers act as pseudo I/O.
+        let inputs = datapath.input_registers();
+        let outputs = datapath.output_registers();
         let mut din: Vec<NodeId> = Vec::new();
         let mut dout: Vec<NodeId> = Vec::new();
         for (new, old) in back.iter().enumerate() {
             let r = old.index();
-            if datapath.input_registers().contains(&r) {
+            if inputs.contains(&r) {
                 din.push(NodeId(new as u32));
             }
-            if datapath.output_registers().contains(&r) {
+            if outputs.contains(&r) {
                 dout.push(NodeId(new as u32));
             }
         }
         let depth = sequential_depth(&post, &din, &dout);
-        // Register-area cost of a shared BIST configuration: reported
-        // for every run so the §5 cost axis is visible without
-        // re-synthesizing under a BIST strategy. Reuses the attached
-        // plan when one was built.
-        let bist_overhead_percent = {
+        // A shared BIST configuration is costed for every run so the §5
+        // cost axis is visible without re-synthesizing under a BIST
+        // strategy; the attached plan is reused when one was built.
+        let bist_plan = {
             let _span = hlstb_trace::span("bist.plan");
             match bist_plan {
-                Some(plan) => plan.overhead_percent(self.width, &RegisterCosts::default()),
-                None => hlstb_bist::share::shared_plan(datapath)
-                    .overhead_percent(self.width, &RegisterCosts::default()),
+                Some(plan) => plan.clone(),
+                None => hlstb_bist::share::shared_plan(datapath),
             }
         };
+        let mut io = [inputs, outputs].concat();
+        io.sort_unstable();
+        io.dedup();
+        PostScanStructure {
+            period: datapath.period(),
+            registers: datapath.registers().len(),
+            io_registers: io.len(),
+            fus: datapath.fus().len(),
+            scan_registers: scanned.len(),
+            acyclic_after_scan,
+            max_control_depth: depth.max_control(),
+            max_observe_depth: depth.max_observe(),
+            bist_plan,
+        }
+    }
+
+    /// Stage 4b — the testability report of one configuration,
+    /// assembled from the data path's [`PostScanStructure`] and S-graph
+    /// facts: it adds the area estimate and BIST overhead at the flow's
+    /// width, the netlist's gate count, and the optional grading / ATPG
+    /// passes. Without those passes it is a few sums over the data
+    /// path, so a sweep point whose artifacts all hit the cache costs
+    /// lookups and these sums.
+    pub fn build_report(
+        &self,
+        datapath: &Datapath,
+        expanded: &ExpandedDatapath,
+        structure: &PostScanStructure,
+        facts: &SgraphFacts,
+    ) -> TestabilityReport {
+        let report_span = hlstb_trace::span("report");
+        let costs = RegisterCosts::default();
         // Optional fault-grading pass: pseudorandom full-scan coverage
         // of the expanded netlist, fixed-seeded so reports reproduce.
         let faults = (self.grade_patterns.is_some() || self.run_atpg)
@@ -579,25 +646,19 @@ impl SynthesisFlow {
         });
         let report = TestabilityReport {
             name: self.cdfg.name().to_string(),
-            period: datapath.period(),
-            registers: datapath.registers().len(),
-            io_registers: {
-                let mut io = datapath.input_registers();
-                io.extend(datapath.output_registers());
-                io.sort_unstable();
-                io.dedup();
-                io.len()
-            },
-            fus: datapath.fus().len(),
-            scan_registers: datapath.scan_registers().len(),
-            sgraph_cycles: cycles,
-            sgraph_acyclic_after_scan: acyclic,
-            mfvs_size,
-            max_control_depth: depth.max_control(),
-            max_observe_depth: depth.max_observe(),
+            period: structure.period,
+            registers: structure.registers,
+            io_registers: structure.io_registers,
+            fus: structure.fus,
+            scan_registers: structure.scan_registers,
+            sgraph_cycles: facts.cycles,
+            sgraph_acyclic_after_scan: structure.acyclic_after_scan,
+            mfvs_size: facts.mfvs_size,
+            max_control_depth: structure.max_control_depth,
+            max_observe_depth: structure.max_observe_depth,
             gates: expanded.netlist.num_gates(),
-            area: estimate_area(datapath, self.width, &RegisterCosts::default()).total(),
-            bist_overhead_percent,
+            area: estimate_area(datapath, self.width, &costs).total(),
+            bist_overhead_percent: structure.bist_plan.overhead_percent(self.width, &costs),
             grading,
             atpg,
         };
@@ -608,8 +669,9 @@ impl SynthesisFlow {
     /// Runs the flow, composing the public stages —
     /// [`Self::front_end`] → [`Self::apply_dft`] →
     /// [`Self::expand_netlist`] → [`Self::sgraph_facts`] →
-    /// [`Self::build_report`]. The builder survives the call, so one
-    /// configured flow can run many times.
+    /// [`Self::post_scan_structure`] → [`Self::build_report`]. The
+    /// builder survives the call, so one configured flow can run many
+    /// times.
     ///
     /// # Errors
     ///
@@ -619,9 +681,10 @@ impl SynthesisFlow {
         let plans = self.apply_dft(&mut fe);
         let expanded = self.expand_netlist(&fe.datapath)?;
         let facts = Self::sgraph_facts(&fe.datapath);
-        let report = self.build_report(&fe.datapath, &expanded, plans.bist.as_ref(), &facts);
+        let structure = Self::post_scan_structure(&fe.datapath, plans.bist.as_ref());
+        let report = self.build_report(&fe.datapath, &expanded, &structure, &facts);
         Ok(SynthesizedDesign {
-            cdfg: self.cdfg.clone(),
+            cdfg: Cdfg::clone(&self.cdfg),
             schedule: fe.schedule,
             binding: fe.binding,
             datapath: fe.datapath,
@@ -802,7 +865,8 @@ mod tests {
         let after = SynthesisFlow::sgraph_facts(&fe.datapath);
         assert_eq!(before, after);
         let expanded = flow.expand_netlist(&fe.datapath).unwrap();
-        let report = flow.build_report(&fe.datapath, &expanded, plans.bist.as_ref(), &after);
+        let structure = SynthesisFlow::post_scan_structure(&fe.datapath, plans.bist.as_ref());
+        let report = flow.build_report(&fe.datapath, &expanded, &structure, &after);
         let whole = flow.run().unwrap();
         assert_eq!(report, whole.report);
     }

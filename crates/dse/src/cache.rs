@@ -43,9 +43,9 @@
 use std::collections::HashMap;
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
-use hlstb::flow::{DftPlans, FrontEnd, SgraphFacts};
+use hlstb::flow::{FrontEnd, PostScanStructure, SgraphFacts, SynthesisFlow};
 use hlstb::hls::datapath::Datapath;
 use hlstb::hls::expand::ExpandedDatapath;
 use hlstb::netlist::random::RandomRun;
@@ -532,41 +532,69 @@ impl<T> Store<T> {
     }
 }
 
-/// The DFT stage's output: the scan-marked data path plus the plans
-/// the strategy attached.
+/// The front-end stage's output: the front end and, in a run that
+/// keeps stores, the content hash of its data path. The hash is taken
+/// once per front artifact and is the content half of the netlist key
+/// of every DFT output derived from it ([`DftOutput::content_hash`]).
+#[derive(Debug, Clone)]
+pub struct FrontOutput {
+    /// Schedule, binding and the data path before any scan marks.
+    pub front: FrontEnd,
+    datapath_hash: Option<u64>,
+}
+
+impl FrontOutput {
+    /// Wraps a front-end stage's result, hashing its data path only
+    /// when `hashed` (a run without stores derives no netlist key).
+    pub fn new(front: FrontEnd, hashed: bool) -> Self {
+        let datapath_hash = hashed.then(|| crate::key::hash_debug(&front.datapath));
+        FrontOutput {
+            front,
+            datapath_hash,
+        }
+    }
+}
+
+/// The DFT stage's output: the scan-marked data path, its post-scan
+/// report structure, and the content hash of the marked data path.
 #[derive(Debug, Clone)]
 pub struct DftOutput {
-    datapath: Datapath,
-    datapath_hash: OnceLock<u64>,
-    /// BIST / test-point plans.
-    pub plans: DftPlans,
+    /// The data path with the strategy's scan marks applied.
+    pub datapath: Datapath,
+    /// The width-independent half of every report read from it.
+    pub structure: PostScanStructure,
+    content_hash: Option<u64>,
 }
 
 impl DftOutput {
-    /// Wraps a DFT stage's result. The data path is hashed on first
-    /// use of [`datapath_hash`](Self::datapath_hash) only, so a cache
-    /// hit never re-renders it and a run without stores never renders
-    /// it at all.
-    pub fn new(datapath: Datapath, plans: DftPlans) -> Self {
+    /// The DFT stage: applies `flow`'s strategy to `front`'s data path
+    /// and builds the post-scan structure from it, once per artifact.
+    /// The marked data path's content hash combines the front's hash
+    /// with the final scan-register set: [`SynthesisFlow::apply_dft`]
+    /// only sets scan flags and the front end sets none, so two marked
+    /// data paths render alike exactly when their unmarked data paths
+    /// and scan sets do.
+    pub fn new(flow: &SynthesisFlow, front: FrontOutput) -> Self {
+        let FrontOutput {
+            front: mut fe,
+            datapath_hash,
+        } = front;
+        let plans = flow.apply_dft(&mut fe);
+        let structure = SynthesisFlow::post_scan_structure(&fe.datapath, plans.bist.as_ref());
+        let content_hash = datapath_hash.map(|h| {
+            crate::key::combine(&[h, crate::key::hash_debug(&fe.datapath.scan_registers())])
+        });
         DftOutput {
-            datapath,
-            datapath_hash: OnceLock::new(),
-            plans,
+            datapath: fe.datapath,
+            structure,
+            content_hash,
         }
     }
 
-    /// The data path with the strategy's scan marks applied.
-    pub fn datapath(&self) -> &Datapath {
-        &self.datapath
-    }
-
-    /// [`key::hash_debug`](crate::key::hash_debug) of
-    /// [`datapath`](Self::datapath) — the content part of the netlist
-    /// key.
-    pub fn datapath_hash(&self) -> u64 {
-        *self
-            .datapath_hash
-            .get_or_init(|| crate::key::hash_debug(&self.datapath))
+    /// The content hash of the marked data path — the content part of
+    /// the netlist key — when the front end it came from was hashed.
+    pub fn content_hash(&self) -> Option<u64> {
+        self.content_hash
     }
 }
 
@@ -591,7 +619,7 @@ pub(crate) fn depth_serves(depth: usize, budget: usize) -> bool {
 
 /// Per-stage artifact stores for one sweep.
 pub struct ArtifactCache {
-    pub(crate) front: Store<FrontEnd>,
+    pub(crate) front: Store<FrontOutput>,
     pub(crate) facts: Store<SgraphFacts>,
     pub(crate) dft: Store<DftOutput>,
     pub(crate) netlist: Store<ExpandedDatapath>,
@@ -602,8 +630,9 @@ pub struct ArtifactCache {
 /// accounting is not worth the coupling; these scale with the fields
 /// that dominate each artifact (gate counts, curve lengths, register
 /// counts) plus a flat overhead for the rest.
-fn front_cost(v: &FrontEnd) -> u64 {
-    1024 + 256 * v.datapath.registers().len() as u64 + 8 * v.boundary_scan.len() as u64
+fn front_cost(v: &FrontOutput) -> u64 {
+    let fe = &v.front;
+    1024 + 256 * fe.datapath.registers().len() as u64 + 8 * fe.boundary_scan.len() as u64
 }
 
 fn facts_cost(_: &SgraphFacts) -> u64 {
@@ -611,7 +640,7 @@ fn facts_cost(_: &SgraphFacts) -> u64 {
 }
 
 fn dft_cost(v: &DftOutput) -> u64 {
-    1024 + 256 * v.datapath().registers().len() as u64
+    1024 + 256 * v.datapath.registers().len() as u64
 }
 
 fn netlist_cost(v: &ExpandedDatapath) -> u64 {

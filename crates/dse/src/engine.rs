@@ -65,7 +65,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cache::{
-    depth_serves, ArtifactCache, CacheOutcome, CacheStats, DftOutput, GradingRun, Stage, Store,
+    depth_serves, ArtifactCache, CacheOutcome, CacheStats, DftOutput, FrontOutput, GradingRun,
+    Stage, Store,
 };
 use crate::checkpoint::{self, Checkpoint, RestoredSet};
 use crate::error::PointError;
@@ -249,6 +250,7 @@ pub fn point_key(spec: &SweepSpec, design_keys: &[u64], p: Point) -> u64 {
 /// run's own even when the cache is shared.
 pub struct PointRunner<'a> {
     spec: &'a SweepSpec,
+    designs: Vec<Arc<Cdfg>>,
     opts: SweepOptions,
     fail_plan: Option<FailPlan>,
     design_keys: Vec<u64>,
@@ -262,7 +264,9 @@ pub struct PointRunner<'a> {
 
 impl<'a> PointRunner<'a> {
     /// Builds a runner for `spec`: enumerates the points, derives the
-    /// content keys, and allocates the stage cache when
+    /// content keys, shares each design with the points' flows (one
+    /// copy per runner, not one per point), and allocates the stage
+    /// cache when
     /// [`SweepOptions::cache`] asks for one. `progress` and `threads`
     /// are the caller's business — the runner only evaluates.
     pub fn new(spec: &'a SweepSpec, opts: &SweepOptions, fail_plan: Option<FailPlan>) -> Self {
@@ -297,6 +301,7 @@ impl<'a> PointRunner<'a> {
             .collect();
         PointRunner {
             spec,
+            designs: spec.designs.iter().cloned().map(Arc::new).collect(),
             opts: *opts,
             fail_plan,
             design_keys,
@@ -432,53 +437,54 @@ impl<'a> PointRunner<'a> {
     }
 
     /// The one pipeline: front end → S-graph facts → DFT → netlist →
-    /// grading. With a cache each stage is served from its store; the
-    /// no-store path runs the same stages with none, so it derives no
-    /// key, never hashes a data path, and moves the front end into the
-    /// DFT stage instead of cloning it. Stage keys, in dependency
-    /// order:
+    /// grading, then the report. With a cache each stage is served from
+    /// its store; the no-store path runs the same stages with none, so
+    /// it derives no key, never hashes a data path, and moves the front
+    /// end into the DFT stage instead of cloning it. Stage keys, in
+    /// dependency order:
     ///
     /// * front end — design content + scheduler + policy (the
     ///   integrated loop-avoidance strategy replaces the
     ///   scheduler/policy pair, so it keys on the design + a marker
-    ///   instead);
+    ///   instead); the artifact carries its data path's content hash,
+    ///   taken once per front end;
     /// * S-graph facts — same key as the front end
     ///   (strategy-independent);
-    /// * DFT output — front-end key + strategy;
-    /// * netlist — *content* of the marked data path + width (+ reset
-    ///   flag), so every strategy that leaves identical marks (all four
-    ///   no-scan strategies: none, both BISTs, k-level points) shares
-    ///   one expansion; the content hash is taken once per DFT
-    ///   artifact, so a warm point costs lookups only;
+    /// * DFT output — front-end key + strategy; the artifact carries
+    ///   the post-scan report structure, built once per DFT output;
+    /// * netlist — [`netlist_key`]: the front end's content hash × the
+    ///   final scan-register set × width × reset flag, so every
+    ///   strategy that leaves identical marks (all four no-scan
+    ///   strategies: none, both BISTs, k-level points) shares one
+    ///   expansion;
     /// * grading run — the netlist key (see [`Self::grade`]).
+    ///
+    /// The report itself is assembled per point from the DFT output's
+    /// structure, the facts and the netlist's gate count, so a point
+    /// whose every stage hits costs lookups and a few sums.
     fn pipeline(&self, p: Point, deadline: Deadline) -> Result<PointMetrics, PointError> {
-        let flow = base_flow(self.spec, &self.spec.designs[p.design], p);
+        let flow = self.flow(p);
         let front = self.cache.as_deref().map(|c| (c, self.front_key(p)));
         let fe = self.stage(p, Stage::Front, front.map(|(c, k)| (&c.front, k)), || {
-            flow.front_end().map_err(PointError::from)
+            let fe = flow.front_end().map_err(PointError::from)?;
+            Ok::<_, PointError>(FrontOutput::new(fe, front.is_some()))
         })?;
         let facts = self.stage(p, Stage::Facts, front.map(|(c, k)| (&c.facts, k)), || {
-            Ok::<_, PointError>(SynthesisFlow::sgraph_facts(&fe.datapath))
+            Ok::<_, PointError>(SynthesisFlow::sgraph_facts(&fe.front.datapath))
         })?;
         let dft_store =
             front.map(|(c, k)| (&c.dft, key::combine(&[k, key::hash_debug(&p.strategy)])));
         let dft = self.stage(p, Stage::Dft, dft_store, || {
-            let mut fe = Arc::unwrap_or_clone(fe);
-            let plans = flow.apply_dft(&mut fe);
-            Ok::<_, PointError>(DftOutput::new(fe.datapath, plans))
+            Ok::<_, PointError>(DftOutput::new(&flow, Arc::unwrap_or_clone(fe)))
         })?;
-        let netlist = self.cache.as_deref().map(|c| {
-            let k = key::combine(&[
-                dft.datapath_hash(),
-                u64::from(p.width),
-                u64::from(self.spec.reset_controller),
-            ]);
-            (c, k)
-        });
+        let netlist = self
+            .cache
+            .as_deref()
+            .zip(dft.content_hash())
+            .map(|(c, h)| (c, netlist_key(h, p.width, self.spec.reset_controller)));
         let netlist_store = netlist.map(|(c, k)| (&c.netlist, k));
         let expanded = self.stage(p, Stage::Netlist, netlist_store, || {
-            flow.expand_netlist(dft.datapath())
-                .map_err(PointError::from)
+            flow.expand_netlist(&dft.datapath).map_err(PointError::from)
         })?;
         let (coverage_percent, timed_out) = if p.patterns > 0 {
             let graded = self.grade(
@@ -494,12 +500,23 @@ impl<'a> PointRunner<'a> {
         } else {
             (None, false)
         };
-        let report = flow.build_report(dft.datapath(), &expanded, dft.plans.bist.as_ref(), &facts);
+        let report = flow.build_report(&dft.datapath, &expanded, &dft.structure, &facts);
         Ok(PointMetrics {
             report,
             coverage_percent,
             timed_out,
         })
+    }
+
+    /// The flow of point `p`, over the runner's shared copy of its
+    /// design; stage composition happens in [`Self::pipeline`].
+    fn flow(&self, p: Point) -> SynthesisFlow {
+        SynthesisFlow::new(Arc::clone(&self.designs[p.design]))
+            .scheduler(p.scheduler)
+            .register_policy(p.policy)
+            .strategy(p.strategy)
+            .width(p.width)
+            .reset_controller(self.spec.reset_controller)
     }
 
     /// The front-end (and S-graph facts) key of point `p`.
@@ -609,7 +626,9 @@ impl<'a> PointRunner<'a> {
     /// The stage name is a stable coordinate; the cache outcome and
     /// wall time ride volatile (racing workers flip
     /// hit/miss/coalesced, and the canonical projection must stay
-    /// byte-identical across cache settings).
+    /// byte-identical across cache settings). Both labels stay
+    /// [`FieldValue::Str`](hlstb_trace::events::FieldValue::Str), not
+    /// `Static`: perfbench's layer fold reads them through that arm.
     fn stage_event(&self, p: Point, stage: Stage, outcome: Option<CacheOutcome>, wall: Duration) {
         if let Some(outcome) = outcome {
             self.ledger.lock().expect("ledger lock")[stage].record(outcome);
@@ -930,6 +949,13 @@ pub fn run_sweep_with(
     Ok(driver.finish())
 }
 
+/// The netlist key: the content hash of a marked data path
+/// ([`DftOutput::content_hash`]) × width × reset flag. Equal keys mean
+/// equal expansions.
+pub(crate) fn netlist_key(content_hash: u64, width: u32, reset_controller: bool) -> u64 {
+    key::combine(&[content_hash, u64::from(width), u64::from(reset_controller)])
+}
+
 /// Splits `indices` into the units [`SweepDriver::run`]'s lanes claim:
 /// maximal runs of consecutive entries whose points differ only in
 /// `patterns`, the points that share one front end, DFT output,
@@ -972,16 +998,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// The flow for one point; stage composition happens in the caller.
-fn base_flow(spec: &SweepSpec, design: &Cdfg, p: Point) -> SynthesisFlow {
-    SynthesisFlow::new(design.clone())
-        .scheduler(p.scheduler)
-        .register_policy(p.policy)
-        .strategy(p.strategy)
-        .width(p.width)
-        .reset_controller(spec.reset_controller)
 }
 
 fn grade_opts(deadline: Deadline) -> ParallelOptions {
@@ -1231,10 +1247,56 @@ mod tests {
             },
         );
         assert_eq!(rerun.canonical_json(), serial.report.canonical_json());
+        // Every stored DFT output carries a content hash, and two share
+        // one exactly when their marked data paths render alike.
         let dft = cache.dft.ready_values();
         assert!(!dft.is_empty());
-        for d in dft {
-            assert_eq!(d.datapath_hash(), key::hash_debug(d.datapath()));
+        for a in &dft {
+            assert!(a.content_hash().is_some());
+            for b in &dft {
+                assert_eq!(
+                    a.content_hash() == b.content_hash(),
+                    key::hash_debug(&a.datapath) == key::hash_debug(&b.datapath),
+                );
+            }
+        }
+    }
+
+    /// The netlist key — the front end's content hash × the final scan
+    /// set × width × reset — splits points exactly as hashing their
+    /// marked data paths with width and reset does, over all nine
+    /// designs, every catalogue strategy, widths 4 and 8 and both reset
+    /// settings; and a cached sweep expands one netlist per key.
+    #[test]
+    fn netlist_keys_split_points_as_their_marked_data_paths_do() {
+        use std::collections::HashMap;
+        for reset in [false, true] {
+            let mut spec = SweepSpec::all_benchmarks();
+            spec.widths = vec![4, 8];
+            spec.reset_controller = reset;
+            let runner = PointRunner::new(&spec, &SweepOptions::default(), None);
+            let mut by_key: HashMap<u64, u64> = HashMap::new();
+            let mut by_oracle: HashMap<u64, u64> = HashMap::new();
+            for &p in &runner.points {
+                let flow = runner.flow(p);
+                let front = FrontOutput::new(flow.front_end().expect("front end"), true);
+                let dft = DftOutput::new(&flow, front);
+                let k = netlist_key(dft.content_hash().expect("hashed"), p.width, reset);
+                let oracle = key::combine(&[
+                    key::hash_debug(&dft.datapath),
+                    u64::from(p.width),
+                    u64::from(reset),
+                ]);
+                assert_eq!(*by_key.entry(k).or_insert(oracle), oracle, "{p:?}");
+                assert_eq!(*by_oracle.entry(oracle).or_insert(k), k, "{p:?}");
+            }
+            let opts = SweepOptions {
+                threads: 1,
+                cache: true,
+                ..SweepOptions::default()
+            };
+            let stats = run_sweep(&spec, &opts).report.cache.expect("cached sweep");
+            assert_eq!(stats[Stage::Netlist].misses, by_key.len() as u64);
         }
     }
 

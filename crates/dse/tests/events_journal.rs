@@ -5,8 +5,12 @@
 
 use hlstb::cdfg::benchmarks;
 use hlstb::trace::events;
-use hlstb_dse::{run_sweep_with, FailMode, FailPlan, Point, Recovery, SweepOptions, SweepSpec};
-use std::sync::Mutex;
+use hlstb_dse::engine::{PointRunner, SweepDriver};
+use hlstb_dse::{
+    run_sweep_with, ArtifactCache, CacheStats, FailMode, FailPlan, Point, Recovery, Stage,
+    SweepOptions, SweepSpec,
+};
+use std::sync::{Arc, Mutex};
 
 /// The journal is process-global; tests in this binary serialize on
 /// this lock so concurrent test threads cannot pollute each other's
@@ -147,6 +151,71 @@ fn every_budget_of_a_point_group_runs_on_one_lane() {
             }
         }
     }
+}
+
+/// The post-scan report structure is built once per DFT artifact: a
+/// cached scoreboard-spec sweep journals one `report.structure` span per
+/// DFT miss, a sweep without stores one per point, and a rerun on a warm
+/// shared cache none.
+#[test]
+fn report_structure_is_built_once_per_dft_artifact() {
+    let _x = exclusive();
+    let mut spec = SweepSpec::all_benchmarks();
+    spec.patterns = vec![128, 512, 1024];
+    let n = spec.points().len();
+    let traced = |sweep: &dyn Fn() -> Option<CacheStats>| {
+        events::set_enabled(true);
+        events::reset();
+        let stats = sweep();
+        events::set_enabled(false);
+        let journal = events::drain();
+        assert_eq!(journal.dropped, 0);
+        let structures = journal
+            .records
+            .iter()
+            .filter(|r| r.kind == "span.close")
+            .filter(|r| {
+                r.fields
+                    .iter()
+                    .any(|f| f.name == "name" && f.value.as_str() == Some("report.structure"))
+            })
+            .count();
+        (structures, stats)
+    };
+    let run = |threads: usize, cache: bool| {
+        let opts = SweepOptions {
+            threads,
+            cache,
+            ..SweepOptions::default()
+        };
+        let outcome = run_sweep_with(&spec, &opts, &Recovery::default()).expect("sweep runs");
+        outcome.report.cache
+    };
+
+    let (built, stats) = traced(&|| run(2, true));
+    let dft = stats.expect("cached sweep")[Stage::Dft];
+    assert_eq!(dft.misses, 99);
+    assert_eq!(built as u64, dft.misses, "{dft:?}");
+    assert_eq!(traced(&|| run(1, false)), (n, None));
+    assert_eq!(n, 297);
+
+    let shared = Arc::new(ArtifactCache::new());
+    let pass = || {
+        let opts = SweepOptions {
+            cache: true,
+            ..SweepOptions::default()
+        };
+        let runner = PointRunner::with_cache(&spec, &opts, None, Arc::clone(&shared));
+        let driver = SweepDriver::open(runner, &Recovery::default()).expect("no checkpoint");
+        driver.run(&(0..n).collect::<Vec<_>>(), 2, &|| false);
+        driver.finish().report.cache
+    };
+    let (cold, _) = traced(&pass);
+    assert_eq!(cold, 99);
+    let (warm, stats) = traced(&pass);
+    assert_eq!(warm, 0);
+    let dft = stats.expect("shared cache")[Stage::Dft];
+    assert_eq!((dft.hits, dft.misses, dft.coalesced), (n as u64, 0, 0));
 }
 
 #[test]

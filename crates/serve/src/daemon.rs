@@ -263,8 +263,10 @@ impl Daemon {
                     eprintln!("serve: replaying interrupted request `{}`", p.id);
                     req.deadline = None;
                     let points = req.spec.points().len();
+                    // No client is waiting: the journaled `completed`
+                    // record is the replay's only output.
                     self.handle_job(
-                        Job {
+                        &Job {
                             req,
                             accepted_at: Instant::now(),
                             reply: None,
@@ -300,8 +302,14 @@ impl Daemon {
             for _ in 0..self.cfg.executors.max(1) {
                 s.spawn(move || {
                     while let Some((job, points)) = d.admission.next() {
-                        d.handle_job(job, points);
+                        let frames = d.handle_job(&job, points);
+                        // Retire the job before its client can read the
+                        // response, so a metrics request the client
+                        // sends next counts it as completed.
                         d.admission.finish(points);
+                        for frame in &frames {
+                            send(&job.reply, frame);
+                        }
                     }
                 });
             }
@@ -477,10 +485,11 @@ impl Daemon {
         }
     }
 
-    /// Runs one admitted job to resolution: a journaled `completed`
-    /// record plus `result` + `stats` frames on success, a journaled
-    /// typed error frame otherwise.
-    fn handle_job(&self, job: Job, points: usize) {
+    /// Runs one job to resolution and returns its response frames: a
+    /// journaled `completed` record plus `result` + `stats` frames on
+    /// success, a journaled typed error frame otherwise. The caller
+    /// sends them.
+    fn handle_job(&self, job: &Job, points: usize) -> Vec<String> {
         if let Some(target) = &self.abort_after_accept {
             if job.reply.is_some() && *target == job.req.id {
                 eprintln!("serve: HLSTB_SERVE_FAIL abort-after-accept:{target}: aborting");
@@ -490,30 +499,28 @@ impl Daemon {
         let span = hlstb_trace::span("serve.request");
         hlstb_trace::counter("serve.requests", 1);
         let t0 = Instant::now();
-        let id = job.req.id.clone();
-        match self.execute(&job) {
+        let id = &job.req.id;
+        let frames = match self.execute(job) {
             Ok(report) => {
-                let frame = proto::encode_result(&id, &report.canonical_json());
+                let frame = proto::encode_result(id, &report.canonical_json());
                 if let Some(j) = &self.journal {
-                    j.record_completed(&id, &frame);
+                    j.record_completed(id, &frame);
                 }
-                send(&job.reply, &frame);
                 let cache = report.cache.map(|c| c.to_json());
-                send(
-                    &job.reply,
-                    &proto::encode_stats(&id, points, t0.elapsed(), cache.as_deref()),
-                );
+                let stats = proto::encode_stats(id, points, t0.elapsed(), cache.as_deref());
+                vec![frame, stats]
             }
             Err((kind, message)) => {
                 hlstb_trace::counter("serve.request_failed", 1);
-                let frame = proto::encode_error(Some(&id), kind, &message, None);
+                let frame = proto::encode_error(Some(id), kind, &message, None);
                 if let Some(j) = &self.journal {
-                    j.record_completed(&id, &frame);
+                    j.record_completed(id, &frame);
                 }
-                send(&job.reply, &frame);
+                vec![frame]
             }
-        }
+        };
         span.end();
+        frames
     }
 
     /// Evaluates the request's points against the shared cache on one

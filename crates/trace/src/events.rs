@@ -114,6 +114,21 @@ pub enum FieldValue {
     Bool(bool),
     /// A string (escaped on export).
     Str(String),
+    /// A string fixed at compile time — a span, counter or gauge name —
+    /// held without a copy and exported exactly as the same text in
+    /// [`FieldValue::Str`] would be.
+    Static(&'static str),
+}
+
+impl FieldValue {
+    /// The text of either string arm.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            FieldValue::Str(s) => Some(s),
+            FieldValue::Static(s) => Some(s),
+            _ => None,
+        }
+    }
 }
 
 /// One named field of a record, tagged stable or volatile.
@@ -176,6 +191,7 @@ impl Record {
                 FieldValue::F64(v) => o.raw(f.name, &number_f64(*v)),
                 FieldValue::Bool(v) => o.boolean(f.name, *v),
                 FieldValue::Str(v) => o.string(f.name, v),
+                FieldValue::Static(v) => o.string(f.name, v),
             };
         }
         o.finish()
@@ -335,7 +351,7 @@ pub fn emit_volatile(kind: &'static str, point: Option<u64>, fill: impl FnOnce(&
 /// recover nesting from each thread's `(start_us, dur_us)` intervals.
 pub(crate) fn span_close(name: &'static str, start_us: u64, dur_us: u64) {
     let mut b = EventBuilder::default();
-    b.volatile_str("name", name)
+    b.push("name", FieldValue::Static(name), false)
         .volatile_u64("start_us", start_us)
         .volatile_u64("dur_us", dur_us);
     record("span.close", None, false, b.fields);
@@ -346,7 +362,8 @@ pub(crate) fn span_close(name: &'static str, start_us: u64, dur_us: u64) {
 /// [`crate::gauge`].
 pub(crate) fn named_u64(kind: &'static str, name: &'static str, field: &'static str, v: u64) {
     let mut b = EventBuilder::default();
-    b.volatile_str("name", name).volatile_u64(field, v);
+    b.push("name", FieldValue::Static(name), false)
+        .volatile_u64(field, v);
     record(kind, None, false, b.fields);
 }
 

@@ -360,16 +360,23 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            // Surrogates (which the emitters never
-                            // produce) degrade to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate followed by an escaped
+                            // low one is one astral character (Python
+                            // writes 🦀 as `\ud83e\udd80`); a lone
+                            // surrogate, which no `char` can hold,
+                            // reads as the replacement character.
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                            {
+                                let low = self.hex4(self.pos + 3)?;
+                                if (0xdc00..0xe000).contains(&low) {
+                                    code = 0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => return Err(format!("bad escape {other:?}")),
                     }
@@ -377,6 +384,17 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`:
+    /// ASCII hex digits only (`u32::from_str_radix` would take a sign).
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        hex.iter()
+            .try_fold(0, |code, &b| match char::from(b).to_digit(16) {
+                Some(digit) => Ok(code << 4 | digit),
+                None => Err("invalid digit found in string".to_string()),
+            })
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -516,6 +534,49 @@ mod tests {
             parse("{\"k\\u00\": 1}"),
             Err("invalid digit found in string".into())
         );
+    }
+
+    /// An escaped surrogate pair is one astral character (Python's
+    /// `json.dumps("🦀")` writes `"\ud83e\udd80"`); a surrogate
+    /// without its partner reads as U+FFFD and leaves what follows alone.
+    #[test]
+    fn escaped_surrogate_pairs_combine_and_lone_surrogates_degrade() {
+        let s = |v: &str| Ok(Value::Str(v.to_string()));
+        assert_eq!(parse(r#""\ud83e\udd80""#), s("🦀"));
+        assert_eq!(parse(r#""a\uD83E\uDD80b""#), s("a🦀b"));
+        assert_eq!(
+            parse(r#"{"\ud83e\udd80": 1}"#).unwrap().get("🦀"),
+            Some(&Value::Num(1.0))
+        );
+        assert_eq!(parse(r#""\ud83e""#), s("\u{fffd}"));
+        assert_eq!(parse(r#""\udd80""#), s("\u{fffd}"));
+        assert_eq!(parse(r#""\ud83ex""#), s("\u{fffd}x"));
+        assert_eq!(parse(r#""\ud83e\n""#), s("\u{fffd}\n"));
+        assert_eq!(parse(r#""\ud83e\u0041""#), s("\u{fffd}A"));
+        assert_eq!(parse(r#""\ud83e\ud83e\udd80""#), s("\u{fffd}🦀"));
+        assert_eq!(parse(r#""\udd80\ud83e""#), s("\u{fffd}\u{fffd}"));
+    }
+
+    /// A `\u` escape takes exactly four hex digits: no sign, no space.
+    #[test]
+    fn unicode_escapes_take_only_hex_digits() {
+        assert_eq!(
+            parse(r#""\u00e9\u00C9""#),
+            Ok(Value::Str("\u{e9}\u{c9}".into()))
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004g""#,
+            r#""\ud83e\u+d80""#,
+        ] {
+            assert_eq!(
+                parse(bad),
+                Err("invalid digit found in string".into()),
+                "{bad}"
+            );
+        }
     }
 
     /// Documents far larger than any frame the workspace writes still

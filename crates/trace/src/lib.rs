@@ -250,7 +250,7 @@ impl Snapshot {
         let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
         let mut gauges: BTreeMap<&str, u64> = BTreeMap::new();
         for r in &journal.records {
-            let Some(FieldValue::Str(name)) = field(r, "name") else {
+            let Some(name) = field(r, "name").and_then(FieldValue::as_str) else {
                 continue;
             };
             match r.kind {
@@ -261,7 +261,7 @@ impl Snapshot {
                         .or_insert_with(|| PhaseSummary::new(name))
                         .record(dur_us);
                     events.push(Event {
-                        name: name.clone(),
+                        name: name.to_string(),
                         tid: r.tid,
                         start_us: u64_field(r, "start_us"),
                         dur_us,
@@ -517,9 +517,9 @@ mod tests {
             .records
             .iter()
             .filter(|r| r.kind == "span.close")
-            .map(|r| match field(r, "name") {
-                Some(FieldValue::Str(name)) => (name.as_str(), u64_field(r, "start_us")),
-                _ => panic!("unnamed span: {r:?}"),
+            .map(|r| match field(r, "name").and_then(FieldValue::as_str) {
+                Some(name) => (name, u64_field(r, "start_us")),
+                None => panic!("unnamed span: {r:?}"),
             })
             .collect();
         let starts: Vec<(&str, u64)> = snap

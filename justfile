@@ -31,7 +31,8 @@ trace-smoke: build
 
 # Tiny two-design sweep: serial/parallel outputs must be byte-identical
 # and the cached run must post nonzero cache hits; a threaded resume
-# from a checkpoint cut mid budget group must reproduce the bytes too.
+# from a checkpoint cut mid budget group must reproduce the bytes too;
+# the scoreboard spec must miss each stage as often as it has artifacts.
 sweep-smoke: build
     ./ci.sh sweep-smoke
 
